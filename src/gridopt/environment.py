@@ -109,6 +109,8 @@ class GridEnvironment:
                 raise InvalidEnvironmentError(f"job {j} lists a duplicate object")
             if any(d < 0 or d >= self.num_objects for d in objs):
                 raise InvalidEnvironmentError(f"job {j} references an out-of-range object id")
+            if list(objs) != sorted(objs):
+                raise InvalidEnvironmentError(f"job_inputs[{j}] is not sorted ascending")
 
     # -- dimensions ---------------------------------------------------------
 

@@ -108,7 +108,7 @@ if not NUMBA_DISABLED:
         import numba
 
         replay_jit = numba.njit(cache=True)(replay_loops)
-    except ImportError:  # pragma: no cover - numba is a hard dep, but stay usable
+    except ImportError:  # numba comes with the optional [jit] extra
         replay_jit = None
 
 replay = replay_jit if replay_jit is not None else replay_numpy

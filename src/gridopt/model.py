@@ -17,11 +17,20 @@ and file export uniform, and lets a solution of one model seed any other.
 Big-A rows never appear with a pinned activation: a deactivated row is
 simply not emitted, which keeps the relaxations tight and the row count
 proportional to what is actually undecided.
+
+The emitter works on index arrays: each variable group is a block of
+indices and each row family one COO block written at precomputed row
+positions, in the variable and row order of the per-entity loops the
+formulation reads as.  Names are strings only at the edges: variable names
+key warm starts and solver answers, and row names are formatted on demand.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
+import scipy.sparse
 
 from .environment import GridEnvironment
 from .evaluator import compute_big_a, evaluate
@@ -32,14 +41,23 @@ class ModelError(ValueError):
     """Inconsistent builder arguments."""
 
 
+# Tolerance of check_assignment: absolute for integrality, relative to the
+# bound's magnitude for bounds and to |A| @ |x| for rows.
+CHECK_TOL = 1e-6
+
+
 class MilpModel:
     """A built model: variables, rows in CSR form, objective, warm start.
 
     Not meant to be constructed directly; use the ``build_*`` functions.
+    ``row_namer`` is a zero-argument callable producing the row names; it
+    runs on the first read of ``row_names`` (a violation message, MPS
+    export or a caller's inspection), so building and solving a model that
+    checks out never formats a row name.
     """
 
     def __init__(self, kind, names, lower, upper, integer, objective,
-                 row_names, row_lower, row_upper, indptr, indices, data,
+                 row_namer, row_lower, row_upper, indptr, indices, data,
                  big_a, warm_start):
         self.kind = kind
         self.names = names
@@ -47,7 +65,7 @@ class MilpModel:
         self.upper = np.asarray(upper, dtype=np.float64)
         self.integer = np.asarray(integer, dtype=bool)
         self.objective = np.asarray(objective, dtype=np.float64)
-        self.row_names = row_names
+        self._row_namer = row_namer
         self.row_lower = np.asarray(row_lower, dtype=np.float64)
         self.row_upper = np.asarray(row_upper, dtype=np.float64)
         self.indptr = np.asarray(indptr, dtype=np.int64)
@@ -63,7 +81,21 @@ class MilpModel:
 
     @property
     def num_rows(self) -> int:
-        return len(self.row_names)
+        return self.row_lower.size
+
+    @functools.cached_property
+    def row_names(self) -> list[str]:
+        return self._row_namer()
+
+    @functools.cached_property
+    def matrix(self) -> scipy.sparse.csr_matrix:
+        """The constraint matrix, built once and shared by check and backend."""
+        return scipy.sparse.csr_matrix((self.data, self.indices, self.indptr),
+                                       shape=(self.num_rows, self.num_vars))
+
+    @functools.cached_property
+    def _abs_matrix(self) -> scipy.sparse.csr_matrix:
+        return abs(self.matrix)
 
     def var_index(self, name: str) -> int:
         try:
@@ -77,104 +109,164 @@ class MilpModel:
 
     def vector_from(self, values) -> np.ndarray:
         """Dense variable vector from a name-to-value mapping (all required)."""
-        x = np.empty(self.num_vars, dtype=np.float64)
-        for i, name in enumerate(self.names):
-            if name not in values:
-                raise KeyError(f"assignment is missing variable {name!r}")
-            x[i] = values[name]
-        return x
+        try:
+            return np.array([values[name] for name in self.names], dtype=np.float64)
+        except KeyError as exc:
+            raise KeyError(f"assignment is missing variable {exc.args[0]!r}") from None
 
     def objective_value(self, values) -> float:
         x = values if isinstance(values, np.ndarray) else self.vector_from(values)
         return float(self.objective @ x)
 
-    def check_assignment(self, values, tol: float = 1e-6) -> list[str]:
+    def check_assignment(self, values, tol: float = CHECK_TOL) -> list[str]:
         """Constraint, bound and integrality violations of an assignment.
 
         Returns human-readable violation strings, empty when the point is
-        feasible.  Tolerances scale with each row's absolute activity so
-        rows carrying the big-A constant are not judged more harshly than
-        their arithmetic allows.
+        feasible.  Every row is checked at once: activities are ``A @ x``
+        and each row's slack is ``tol * max(1, |A| @ |x|)``, so rows
+        carrying the big-A constant are not judged more harshly than their
+        arithmetic allows.  Non-finite values are violations of their own.
         """
         x = values if isinstance(values, np.ndarray) else self.vector_from(values)
-        problems = []
-        for i in np.flatnonzero(self.integer):
-            if abs(x[i] - round(x[i])) > tol:
-                problems.append(f"{self.names[i]} = {x[i]!r} is not integral")
+        finite = np.isfinite(x)
+        problems = [f"{self.names[i]} = {x[i]!r} is not finite"
+                    for i in np.flatnonzero(~finite)]
+        xf = np.where(finite, x, 0.0)
+        fractional = self.integer & (np.abs(xf - np.round(xf)) > tol)
+        problems += [f"{self.names[i]} = {x[i]!r} is not integral"
+                     for i in np.flatnonzero(fractional)]
         scale = np.maximum(1.0, np.maximum(np.abs(self.lower), np.abs(self.upper)))
         scale[~np.isfinite(scale)] = 1.0
         low = x < self.lower - tol * scale
         high = x > self.upper + tol * scale
-        for i in np.flatnonzero(low | high):
-            problems.append(
-                f"{self.names[i]} = {x[i]!r} outside bounds "
-                f"[{self.lower[i]!r}, {self.upper[i]!r}]"
-            )
-        for r in range(self.num_rows):
-            cols, coefs = self.row_terms(r)
-            terms = coefs * x[cols]
-            act = terms.sum()
-            slack = tol * max(1.0, np.abs(terms).sum())
-            if act < self.row_lower[r] - slack or act > self.row_upper[r] + slack:
-                problems.append(
-                    f"row {self.row_names[r]}: activity {act!r} outside "
-                    f"[{self.row_lower[r]!r}, {self.row_upper[r]!r}]"
-                )
+        problems += [f"{self.names[i]} = {x[i]!r} outside bounds "
+                     f"[{self.lower[i]!r}, {self.upper[i]!r}]"
+                     for i in np.flatnonzero(low | high)]
+        act = self.matrix @ x
+        slack = tol * np.maximum(1.0, self._abs_matrix @ np.abs(x))
+        bad = (act < self.row_lower - slack) | (act > self.row_upper + slack)
+        problems += [f"row {self.row_names[r]}: activity {act[r]!r} outside "
+                     f"[{self.row_lower[r]!r}, {self.row_upper[r]!r}]"
+                     for r in np.flatnonzero(bad)]
         return problems
 
 
-class _Builder:
-    def __init__(self, kind):
-        self.kind = kind
+def _labels(fmt, keys) -> list[str]:
+    """``fmt`` filled with each tuple of ``keys``, one label per entry."""
+    return [fmt.format(*key) for key in zip(*(np.asarray(k).tolist() for k in keys))]
+
+
+def _as_columns(a) -> np.ndarray:
+    a = np.asarray(a)
+    return a if a.ndim == 2 else a.reshape(-1, 1)
+
+
+class _Vars:
+    """Variable blocks, numbered in the order they are added."""
+
+    def __init__(self):
         self.names = []
         self.lower = []
         self.upper = []
         self.integer = []
-        self.index = {}
-        self.row_names = []
-        self.row_lower = []
-        self.row_upper = []
-        self.indptr = [0]
-        self.indices = []
-        self.data = []
 
-    def var(self, name, lo=0.0, hi=np.inf, is_int=False):
-        i = len(self.names)
-        self.index[name] = i
-        self.names.append(name)
-        self.lower.append(lo)
-        self.upper.append(hi)
-        self.integer.append(is_int)
-        return i
+    def add(self, names, lo=0.0, hi=np.inf, is_int=False) -> np.ndarray:
+        start, n = len(self.names), len(names)
+        self.names.extend(names)
+        self.lower.append(np.broadcast_to(lo, n))
+        self.upper.append(np.broadcast_to(hi, n))
+        self.integer.append(np.full(n, is_int))
+        return np.arange(start, start + n)
 
-    def binary(self, name, pin=None):
-        if pin is None:
-            return self.var(name, 0.0, 1.0, True)
-        return self.var(name, float(pin), float(pin), True)
+    def binaries(self, names, pins=None) -> np.ndarray:
+        """Binary block; pinned entry-wise to ``pins`` (0/1) when given."""
+        if pins is None:
+            return self.add(names, 0.0, 1.0, True)
+        pins = np.asarray(pins, dtype=np.float64).ravel()
+        return self.add(names, pins, pins, True)
 
-    def row(self, name, terms, lo=-np.inf, hi=np.inf):
-        self.row_names.append(name)
-        self.row_lower.append(lo)
-        self.row_upper.append(hi)
+
+class _Rows:
+    """Row families as COO blocks at precomputed row positions.
+
+    Families that interleave (say the four per-job rows) reserve one span
+    together and each take a column of its slots, which keeps the model's
+    row order independent of the order families are added in.
+    """
+
+    def __init__(self):
+        self.count = 0
+        self.blocks = []
+        self.labels = []
+
+    def reserve(self, *shape) -> np.ndarray:
+        """Row positions for a span of ``prod(shape)`` rows, in that shape."""
+        start = self.count
+        self.count += int(np.prod(shape))
+        return np.arange(start, self.count).reshape(shape)
+
+    def add(self, rows, name, keys, terms, lo=-np.inf, hi=np.inf):
+        """One family: row ``rows[r]`` is named ``name`` filled with ``keys[.][r]``.
+
+        ``terms`` lists (columns, coefficients) pairs.  Columns are a
+        variable index shared by every row, an (n,) array with one variable
+        per row, or an (n, k) array with k per row; coefficients broadcast
+        against their columns the same way.
+        """
+        n = len(rows)
+        cols, coefs = [], []
         for col, coef in terms:
-            self.indices.append(col)
-            self.data.append(coef)
-        self.indptr.append(len(self.indices))
+            col = _as_columns(col)
+            col = np.broadcast_to(col, (n, col.shape[1]))
+            cols.append(col)
+            coefs.append(np.broadcast_to(_as_columns(coef), col.shape))
+        self.blocks.append((rows, np.hstack(cols), np.hstack(coefs),
+                            np.broadcast_to(lo, n), np.broadcast_to(hi, n)))
+        self.labels.append((rows, name, keys))
 
-    def finish(self, objective_var, big_a, warm_start):
-        objective = np.zeros(len(self.names))
-        objective[objective_var] = 1.0
-        return MilpModel(
-            self.kind, self.names, self.lower, self.upper, self.integer,
-            objective, self.row_names, self.row_lower, self.row_upper,
-            self.indptr, self.indices, self.data, big_a, warm_start,
-        )
+    def csr(self):
+        """(row_lower, row_upper, indptr, indices, data) of every block."""
+        width = np.zeros(self.count, dtype=np.int64)
+        for rows, cols, _, _, _ in self.blocks:
+            width[rows] = cols.shape[1]
+        indptr = np.zeros(self.count + 1, dtype=np.int64)
+        np.cumsum(width, out=indptr[1:])
+        indices = np.empty(indptr[-1], dtype=np.int64)
+        data = np.empty(indptr[-1], dtype=np.float64)
+        row_lower = np.empty(self.count)
+        row_upper = np.empty(self.count)
+        for rows, cols, coefs, lo, hi in self.blocks:
+            at = indptr[rows][:, None] + np.arange(cols.shape[1])
+            indices[at] = cols
+            data[at] = coefs
+            row_lower[rows] = lo
+            row_upper[rows] = hi
+        return row_lower, row_upper, indptr, indices, data
+
+    def namer(self):
+        """Zero-argument callable producing every row name in row order."""
+        labels, count = self.labels, self.count
+
+        def names():
+            out = [""] * count
+            for rows, name, keys in labels:
+                for r, label in zip(rows.tolist(), _labels(name, keys)):
+                    out[r] = label
+            return out
+        return names
 
 
 def _one_hot(values, width):
     out = np.zeros((len(values), width))
     out[np.arange(len(values)), values] = 1.0
     return out
+
+
+def _link_products(rows, slots, name, keys, p, a1, a2):
+    # p = a1 * a2 for binaries; slots is (n, 3)
+    rows.add(slots[:, 0], name + ":le1", keys, [(p, 1.0), (a1, -1.0)], hi=0.0)
+    rows.add(slots[:, 1], name + ":le2", keys, [(p, 1.0), (a2, -1.0)], hi=0.0)
+    rows.add(slots[:, 2], name + ":ge", keys, [(p, 1.0), (a1, -1.0), (a2, -1.0)], lo=-1.0)
 
 
 def _build(env: GridEnvironment, x_const=None, order_const=None, z_const=None,
@@ -187,11 +279,12 @@ def _build(env: GridEnvironment, x_const=None, order_const=None, z_const=None,
                      if c is not None)
     kind = f"fixed-{pinned}" if pinned else "monolithic"
 
+    x01 = y01 = z01 = None
     if x_const is not None:
         x_const = np.asarray(x_const, dtype=np.int64)
         if x_const.shape != (nj,) or x_const.min() < 0 or x_const.max() >= nc:
             raise ModelError("x_const must assign every job a valid CN")
-    y01 = None
+        x01 = _one_hot(x_const, nc)
     if order_const is not None:
         order_const = np.asarray(order_const, dtype=np.int64)
         if not np.array_equal(np.sort(order_const), np.arange(nj)):
@@ -203,6 +296,7 @@ def _build(env: GridEnvironment, x_const=None, order_const=None, z_const=None,
         z_const = np.asarray(z_const, dtype=np.int64)
         if z_const.shape != (nd,) or z_const.min() < 0 or z_const.max() >= nl:
             raise ModelError("z_const must place every object on a valid local SN")
+        z01 = _one_hot(z_const, nl)
 
     if warm_schedule is not None:
         if x_const is not None and not np.array_equal(warm_schedule.job_cn, x_const):
@@ -218,157 +312,125 @@ def _build(env: GridEnvironment, x_const=None, order_const=None, z_const=None,
     ld = sizes[:, None, None] / env.lan_bandwidth[None, :, :]       # (D, L, C)
     exec_coef = env.gamma * env.job_input_sizes()[:, None] / env.cn_speeds[None, :]
 
-    b = _Builder(kind)
-    m = b.var("m")
-    u = [b.var(f"u[{j}]") for j in range(nj)]
-    v = [b.var(f"v[{j}]") for j in range(nj)]
-    e = [b.var(f"e[{j}]") for j in range(nj)]
-    t = [b.var(f"t[{d}]") for d in range(nd)]
-    x = [[b.binary(f"X[{j},{c}]",
-                   None if x_const is None else int(x_const[j] == c))
-          for c in range(nc)] for j in range(nj)]
-    y = {}
-    for i in range(nj):
-        for j in range(nj):
-            if i != j:
-                y[i, j] = b.binary(f"Y[{i},{j}]",
-                                   None if y01 is None else int(y01[i, j]))
-    z = [[b.binary(f"Z[{d},{l}]",
-                   None if z_const is None else int(z_const[d] == l))
-          for l in range(nl)] for d in range(nd)]
+    jobs, objs = np.arange(nj), np.arange(nd)
+    cns, sns = np.arange(nc), np.arange(nl)
+    # ordered job pairs i != j, i-major
+    off = ~np.eye(nj, dtype=bool)
+    off_i, off_j = np.nonzero(off)
+    # (job, input object) pairs in job_inputs order
+    ids, offsets = env.flat_inputs()
+    in_j, in_d = np.repeat(jobs, np.diff(offsets)), ids
 
-    for j in range(nj):
-        b.row(f"makespan[{j}]", [(m, 1.0), (v[j], -1.0), (e[j], -1.0)], lo=0.0)
-        b.row(f"assign[{j}]", [(x[j][c], 1.0) for c in range(nc)], lo=1.0, hi=1.0)
-        b.row(f"exec[{j}]",
-              [(e[j], 1.0)] + [(x[j][c], -exec_coef[j, c]) for c in range(nc)],
-              lo=0.0, hi=0.0)
-        b.row(f"vu[{j}]", [(v[j], 1.0), (u[j], -1.0)], lo=0.0)
-    for i in range(nj):
-        for j in range(i + 1, nj):
-            b.row(f"orderpair[{i},{j}]", [(y[i, j], 1.0), (y[j, i], 1.0)],
-                  lo=1.0, hi=1.0)
-    for d in range(nd):
-        b.row(f"replica[{d}]", [(z[d][l], 1.0) for l in range(nl)], lo=1.0, hi=1.0)
-        b.row(f"tdelay[{d}]",
-              [(t[d], 1.0)] + [(z[d][l], -rd[d, l]) for l in range(nl)],
-              lo=0.0, hi=0.0)
+    var = _Vars()
+    m = var.add(["m"])[0]
+    u = var.add(_labels("u[{}]", (jobs,)))
+    v = var.add(_labels("v[{}]", (jobs,)))
+    e = var.add(_labels("e[{}]", (jobs,)))
+    t = var.add(_labels("t[{}]", (objs,)))
+    x = var.binaries(_labels("X[{},{}]", (jobs.repeat(nc), np.tile(cns, nj))),
+                     x01).reshape(nj, nc)
+    y = np.full((nj, nj), -1)
+    y[off_i, off_j] = var.binaries(_labels("Y[{},{}]", (off_i, off_j)),
+                                   None if y01 is None else y01[off_i, off_j])
+    z = var.binaries(_labels("Z[{},{}]", (objs.repeat(nl), np.tile(sns, nd))),
+                     z01).reshape(nd, nl)
+
+    rows = _Rows()
+    slots = rows.reserve(nj, 4)
+    rows.add(slots[:, 0], "makespan[{}]", (jobs,), [(m, 1.0), (v, -1.0), (e, -1.0)], lo=0.0)
+    rows.add(slots[:, 1], "assign[{}]", (jobs,), [(x, 1.0)], lo=1.0, hi=1.0)
+    rows.add(slots[:, 2], "exec[{}]", (jobs,), [(e, 1.0), (x, -exec_coef)], lo=0.0, hi=0.0)
+    rows.add(slots[:, 3], "vu[{}]", (jobs,), [(v, 1.0), (u, -1.0)], lo=0.0)
+    pair_i, pair_j = np.triu_indices(nj, 1)
+    rows.add(rows.reserve(pair_i.size), "orderpair[{},{}]", (pair_i, pair_j),
+             [(y[pair_i, pair_j], 1.0), (y[pair_j, pair_i], 1.0)], lo=1.0, hi=1.0)
+    slots = rows.reserve(nd, 2)
+    rows.add(slots[:, 0], "replica[{}]", (objs,), [(z, 1.0)], lo=1.0, hi=1.0)
+    rows.add(slots[:, 1], "tdelay[{}]", (objs,), [(t, 1.0), (z, -rd)], lo=0.0, hi=0.0)
 
     # precedence coupling: whenever i precedes j on a shared CN, j's slot
     # starts no earlier than i completes
-    products = {}
+    products = []   # (p, a1, a2) index arrays with p = a1 * a2
     if x_const is None and y01 is None:
-        for i in range(nj):
-            for j in range(nj):
-                if i == j:
-                    continue
-                for c in range(nc):
-                    w1 = b.binary(f"W1[{i},{j},{c}]")
-                    w2 = b.binary(f"W2[{i},{j},{c}]")
-                    products[f"W1[{i},{j},{c}]"] = (y[i, j], x[i][c])
-                    products[f"W2[{i},{j},{c}]"] = (y[i, j], x[j][c])
-                    _link_product(b, f"W1[{i},{j},{c}]", w1, y[i, j], x[i][c])
-                    _link_product(b, f"W2[{i},{j},{c}]", w2, y[i, j], x[j][c])
-                    b.row(f"prec[{i},{j},{c}]",
-                          [(u[j], 1.0), (w1, -big_a), (w2, -big_a),
-                           (y[i, j], big_a), (v[i], -1.0), (e[i], -1.0)],
-                          lo=-big_a)
+        pi, pj, pc = off_i.repeat(nc), off_j.repeat(nc), np.tile(cns, off_i.size)
+        keys = (pi, pj, pc)
+        w = var.binaries([f"W{k}[{i},{j},{c}]" for i, j, c in zip(*(a.tolist() for a in keys))
+                          for k in (1, 2)]).reshape(-1, 2)
+        yij = y[pi, pj]
+        slots = rows.reserve(pi.size, 7)
+        for k, other in enumerate((x[pi, pc], x[pj, pc])):
+            products.append((w[:, k], yij, other))
+            _link_products(rows, slots[:, 3 * k:3 * k + 3], f"W{k + 1}[{{}},{{}},{{}}]",
+                           keys, w[:, k], yij, other)
+        rows.add(slots[:, 6], "prec[{},{},{}]", keys,
+                 [(u[pj], 1.0), (w[:, 0], -big_a), (w[:, 1], -big_a), (yij, big_a),
+                  (v[pi], -1.0), (e[pi], -1.0)], lo=-big_a)
     elif x_const is None:
         # order known: couple only realized predecessor pairs, across every
         # CN they might share
-        for i in range(nj):
-            for j in range(nj):
-                if i != j and y01[i, j]:
-                    for c in range(nc):
-                        b.row(f"prec[{i},{j},{c}]",
-                              [(u[j], 1.0), (x[i][c], -big_a), (x[j][c], -big_a),
-                               (v[i], -1.0), (e[i], -1.0)],
-                              lo=-2.0 * big_a)
-    elif y01 is None:
-        # assignment known: couple ordered pairs that actually share a CN
-        for i in range(nj):
-            for j in range(nj):
-                if i != j and x_const[i] == x_const[j]:
-                    b.row(f"prec[{i},{j}]",
-                          [(u[j], 1.0), (y[i, j], -big_a),
-                           (v[i], -1.0), (e[i], -1.0)],
-                          lo=-big_a)
+        pi, pj = np.nonzero(y01)
+        pi, pj, pc = pi.repeat(nc), pj.repeat(nc), np.tile(cns, pi.size)
+        rows.add(rows.reserve(pi.size), "prec[{},{},{}]", (pi, pj, pc),
+                 [(u[pj], 1.0), (x[pi, pc], -big_a), (x[pj, pc], -big_a),
+                  (v[pi], -1.0), (e[pi], -1.0)], lo=-2.0 * big_a)
     else:
-        for i in range(nj):
-            for j in range(nj):
-                if i != j and x_const[i] == x_const[j] and y01[i, j]:
-                    b.row(f"prec[{i},{j}]",
-                          [(u[j], 1.0), (v[i], -1.0), (e[i], -1.0)], lo=0.0)
+        # assignment known: couple ordered pairs that actually share a CN
+        # (and, with the order known too, only realized predecessor pairs)
+        shared = x_const[:, None] == x_const[None, :]
+        if y01 is None:
+            pi, pj = np.nonzero(shared & off)
+            terms, lo = [(u[pj], 1.0), (y[pi, pj], -big_a)], -big_a
+        else:
+            pi, pj = np.nonzero(shared & (y01 == 1))
+            terms, lo = [(u[pj], 1.0)], 0.0
+        rows.add(rows.reserve(pi.size), "prec[{},{}]", (pi, pj),
+                 terms + [(v[pi], -1.0), (e[pi], -1.0)], lo=lo)
 
     # transfer stages: inputs reach the CN only after replication (via t_d)
     # and no earlier than the job's slot start
-    for j in range(nj):
-        for d in env.job_inputs[j]:
-            if x_const is None and z_const is None:
-                terms_t = [(v[j], 1.0), (t[d], -1.0)]
-                terms_u = [(v[j], 1.0), (u[j], -1.0)]
-                for l in range(nl):
-                    for c in range(nc):
-                        name = f"XZ[{j},{d},{l},{c}]"
-                        p = b.binary(name)
-                        products[name] = (x[j][c], z[d][l])
-                        _link_product(b, name, p, x[j][c], z[d][l])
-                        terms_t.append((p, -ld[d, l, c]))
-                        terms_u.append((p, -ld[d, l, c]))
-                b.row(f"stage_t[{j},{d}]", terms_t, lo=0.0)
-                b.row(f"stage_u[{j},{d}]", terms_u, lo=0.0)
-            elif x_const is None:
-                l = int(z_const[d])
-                coefs = [(x[j][c], -ld[d, l, c]) for c in range(nc)]
-                b.row(f"stage_t[{j},{d}]", [(v[j], 1.0), (t[d], -1.0)] + coefs, lo=0.0)
-                b.row(f"stage_u[{j},{d}]", [(v[j], 1.0), (u[j], -1.0)] + coefs, lo=0.0)
-            elif z_const is None:
-                c = int(x_const[j])
-                coefs = [(z[d][l], -ld[d, l, c]) for l in range(nl)]
-                b.row(f"stage_t[{j},{d}]", [(v[j], 1.0), (t[d], -1.0)] + coefs, lo=0.0)
-                b.row(f"stage_u[{j},{d}]", [(v[j], 1.0), (u[j], -1.0)] + coefs, lo=0.0)
-            else:
-                delay = ld[d, int(z_const[d]), int(x_const[j])]
-                b.row(f"stage_t[{j},{d}]", [(v[j], 1.0), (t[d], -1.0)], lo=delay)
-                b.row(f"stage_u[{j},{d}]", [(v[j], 1.0), (u[j], -1.0)], lo=delay)
+    n = in_d.size
+    if x_const is None and z_const is None:
+        k = nl * nc
+        keys = (in_j.repeat(k), in_d.repeat(k), np.tile(sns.repeat(nc), n), np.tile(cns, n * nl))
+        xz = var.binaries(_labels("XZ[{},{},{},{}]", keys))
+        slots = rows.reserve(n, 3 * k + 2)
+        other = (x[keys[0], keys[3]], z[keys[1], keys[2]])
+        products.append((xz, *other))
+        _link_products(rows, slots[:, :3 * k].reshape(-1, 3), "XZ[{},{},{},{}]",
+                       keys, xz, *other)
+        transfer, lo = [(xz.reshape(n, k), -ld[in_d].reshape(n, k))], 0.0
+    else:
+        slots = rows.reserve(n, 2)
+        if x_const is None:
+            transfer, lo = [(x[in_j], -ld[in_d, z_const[in_d], :])], 0.0
+        elif z_const is None:
+            transfer, lo = [(z[in_d], -ld[in_d, :, x_const[in_j]])], 0.0
+        else:
+            transfer, lo = [], ld[in_d, z_const[in_d], x_const[in_j]]
+    rows.add(slots[:, -2], "stage_t[{},{}]", (in_j, in_d),
+             [(v[in_j], 1.0), (t[in_d], -1.0)] + transfer, lo=lo)
+    rows.add(slots[:, -1], "stage_u[{},{}]", (in_j, in_d),
+             [(v[in_j], 1.0), (u[in_j], -1.0)] + transfer, lo=lo)
 
     warm = None
     if warm_schedule is not None:
-        warm = _warm_values(env, b.names, products, warm_schedule)
-    return b.finish(m, big_a, warm)
+        rep = evaluate(env, warm_schedule)
+        point = np.empty(len(var.names))
+        point[m] = rep.makespan
+        point[u], point[v], point[e] = rep.exec_start, rep.ready, rep.exec_length
+        point[t] = rep.replication_done
+        point[x] = _one_hot(warm_schedule.job_cn, nc)
+        point[y[off_i, off_j]] = warm_schedule.precedence_matrix()[off_i, off_j]
+        point[z] = _one_hot(warm_schedule.object_sn, nl)
+        for p, a1, a2 in products:
+            point[p] = point[a1] * point[a2]
+        warm = dict(zip(var.names, point.tolist()))
 
-
-def _link_product(b, name, p, a1, a2):
-    # p = a1 * a2 for binaries
-    b.row(f"{name}:le1", [(p, 1.0), (a1, -1.0)], hi=0.0)
-    b.row(f"{name}:le2", [(p, 1.0), (a2, -1.0)], hi=0.0)
-    b.row(f"{name}:ge", [(p, 1.0), (a1, -1.0), (a2, -1.0)], lo=-1.0)
-
-
-def _warm_values(env, names, products, schedule: Schedule) -> dict[str, float]:
-    rep = evaluate(env, schedule)
-    xs = _one_hot(schedule.job_cn, env.num_cns)
-    zs = _one_hot(schedule.object_sn, env.num_local_sns)
-    ys = schedule.precedence_matrix()
-    values = {"m": rep.makespan}
-    for j in range(env.num_jobs):
-        values[f"u[{j}]"] = float(rep.exec_start[j])
-        values[f"v[{j}]"] = float(rep.ready[j])
-        values[f"e[{j}]"] = float(rep.exec_length[j])
-        for c in range(env.num_cns):
-            values[f"X[{j},{c}]"] = xs[j, c]
-    for i in range(env.num_jobs):
-        for j in range(env.num_jobs):
-            if i != j:
-                values[f"Y[{i},{j}]"] = float(ys[i, j])
-    for d in range(env.num_objects):
-        values[f"t[{d}]"] = float(rep.replication_done[d])
-        for l in range(env.num_local_sns):
-            values[f"Z[{d},{l}]"] = zs[d, l]
-    flat = {name: values[name] for name in names if name in values}
-    for name, (i1, i2) in products.items():
-        flat[name] = values[names[i1]] * values[names[i2]]
-    return flat
+    objective = np.zeros(len(var.names))
+    objective[m] = 1.0
+    return MilpModel(kind, var.names, np.concatenate(var.lower), np.concatenate(var.upper),
+                     np.concatenate(var.integer), objective, rows.namer(), *rows.csr(),
+                     big_a, warm)
 
 
 # -- public builders ----------------------------------------------------------

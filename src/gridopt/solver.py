@@ -20,11 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
-import scipy.sparse
 
 from .environment import GridEnvironment
 from .evaluator import makespan_of
-from .model import MilpModel
+from .model import CHECK_TOL, MilpModel
 from .schedule import Schedule
 
 log = logging.getLogger(__name__)
@@ -34,6 +33,12 @@ log = logging.getLogger(__name__)
 # reported wall time is still the truth.
 GRACE_FRACTION = 0.1
 GRACE_FLOOR = 0.25
+
+# A claimed optimum is distrusted only when the warm start beats it by more
+# than this fraction of its magnitude (at least 1).  Both points passed the
+# check at CHECK_TOL, so their objectives are only known to that relative
+# accuracy; a smaller gap is no evidence against the proof.
+OPTIMUM_TOL = CHECK_TOL
 
 
 @dataclass(frozen=True)
@@ -63,14 +68,10 @@ class HighsBackend:
 
     def solve_raw(self, model: MilpModel, budget: float):
         """Return (x or None, raw_status, message) without postprocessing."""
-        n = model.num_vars
-        a = scipy.sparse.csr_matrix(
-            (model.data, model.indices, model.indptr),
-            shape=(model.num_rows, n),
-        )
         res = scipy.optimize.milp(
             c=model.objective,
-            constraints=scipy.optimize.LinearConstraint(a, model.row_lower, model.row_upper),
+            constraints=scipy.optimize.LinearConstraint(model.matrix, model.row_lower,
+                                                        model.row_upper),
             bounds=scipy.optimize.Bounds(model.lower, model.upper),
             integrality=model.integer.astype(np.int64),
             options={
@@ -162,18 +163,20 @@ def solve(model: MilpModel, budget: float, backend=None) -> SolveResult:
 
     # keep whichever of backend incumbent / warm start is better
     use_warm = warm_x is not None and (inc_obj is None or warm_obj < inc_obj - 1e-12)
+    # a warm start clearly better than a claimed optimum means the proof
+    # cannot be trusted
+    distrusted = use_warm and (
+        inc_obj is None or warm_obj < inc_obj - OPTIMUM_TOL * max(1.0, abs(inc_obj)))
     if use_warm and inc_obj is not None:
         notes.append("warm start beat the backend incumbent; kept the warm start")
     if use_warm:
         incumbent, inc_obj = warm_x, warm_obj
 
     def pack(values):
-        return dict(zip(model.names, (float(val) for val in values)))
+        return dict(zip(model.names, values.tolist()))
 
     if raw == "optimal":
-        if use_warm:
-            # a warm start strictly better than a claimed optimum means the
-            # proof cannot be trusted
+        if distrusted:
             return SolveResult("feasible-timeout", inc_obj, pack(incumbent), wall,
                                "; ".join(notes) or message)
         return SolveResult("optimal", inc_obj, pack(incumbent), wall,

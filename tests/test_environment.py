@@ -174,6 +174,7 @@ def _valid_env_kwargs():
     dict(wan_bandwidth=[[5.0], [7.0]]),       # wan columns vs lan rows
     dict(hosting=[0]),                        # hosting shorter than objects
     dict(job_inputs=()),                      # no jobs
+    dict(job_inputs=((1, 0), (1,))),          # inputs not sorted ascending
 ])
 def test_environment_invariants_rejected(mutation):
     kwargs = _valid_env_kwargs()

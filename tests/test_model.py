@@ -1,6 +1,12 @@
+import hashlib
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gridopt.environment import generate, preset_config
 from gridopt.evaluator import evaluate
 from gridopt.model import (MilpModel, ModelError, build_fixed_all,
                            build_fixed_x, build_fixed_yz, build_monolithic,
@@ -159,6 +165,12 @@ def test_check_assignment_reports_violations():
     problems = mdl.check_assignment(torn)
     assert any(p.startswith("row makespan[") for p in problems)
 
+    for bad in (np.nan, np.inf):
+        broken = dict(good)
+        broken["u[0]"] = bad
+        problems = mdl.check_assignment(broken)
+        assert any(p.startswith("u[0] = ") and "not finite" in p for p in problems)
+
     with pytest.raises(KeyError):
         incomplete = dict(good)
         del incomplete["m"]
@@ -182,3 +194,119 @@ def test_write_mps_structure(tmp_path):
     assert "[" not in text.replace("'MARKER'", "")
     assert sum(1 for line in text.splitlines() if line.startswith(" E ")) == \
         sum(1 for lo, hi in zip(mdl.row_lower, mdl.row_upper) if lo == hi)
+
+
+# -- the array-native layer against the models and checks it replaced --------
+
+_MODEL_FIELDS = (("lower", "<f8"), ("upper", "<f8"), ("integer", "|b1"),
+                 ("objective", "<f8"), ("row_lower", "<f8"), ("row_upper", "<f8"),
+                 ("indptr", "<i8"), ("indices", "<i8"), ("data", "<f8"))
+
+
+def _fingerprint(mdl):
+    h = hashlib.sha256()
+    for field, dtype in _MODEL_FIELDS:
+        h.update(np.ascontiguousarray(getattr(mdl, field), dtype=dtype).tobytes())
+    if mdl.warm_start is not None:
+        h.update(np.array([mdl.warm_start[n] for n in mdl.names], dtype="<f8").tobytes())
+    h.update("\n".join(mdl.names).encode())
+    h.update("\n".join(mdl.row_names).encode())
+    return h.hexdigest()
+
+
+def _every_builder(env, s):
+    return {
+        "monolithic": build_monolithic(env, warm_schedule=s),
+        "fixed-yz": build_fixed_yz(env, s.order, s.object_sn, warm_cn=s.job_cn),
+        "fixed-x": build_fixed_x(env, s.job_cn, warm_order=s.order,
+                                 warm_object_sn=s.object_sn),
+        "fixed-xy": build_fixed_x(env, s.job_cn, warm_order=s.order,
+                                  warm_object_sn=s.object_sn, fix_order=s.order),
+        "fixed-xyz": build_fixed_all(env, s),
+    }
+
+
+# sha256 of every array, the warm start and all names, as emitted by the
+# per-row builder the block emitter replaced
+_FINGERPRINTS = {
+    ("tiny", "monolithic"): "5dd0fccfb4db69a43ea61c6692609267de3beaaac9ec41f28599338cbadb36c4",
+    ("tiny", "fixed-yz"): "2c1c87c1f76c46e23b8dc12a18ed3b30f4591e139cb961bc651feb970f0a2d75",
+    ("tiny", "fixed-x"): "003044f62eb137e7c4a9cb856166de2a1d4ddf72f16f367601e0153f68c54396",
+    ("tiny", "fixed-xy"): "401ffecf1aacabb0df6026edb30eb35708b5486fc3badd229292033387a81892",
+    ("tiny", "fixed-xyz"): "0506e77615662dd8641657e8f6dd1cf7d688d541b9c3bcbfc4c9817008f40899",
+    ("small", "monolithic"): "25d6aa99044f909fea77dbd0a9f57de182768c445a2831e271b7ccb651f7d32d",
+    ("small", "fixed-yz"): "1a4b3f0363e173d2be9c984435c54cc00591cee477ef2a63350c079de02aca83",
+    ("small", "fixed-x"): "f115467a36a7c9b1ad74afc680fdd421dd31513f72ca28ff8633c8509d580035",
+    ("small", "fixed-xy"): "2e1ec0cf056666d129c83d5ddef20e8c265b7af737cccd38d5087f9e87431ae6",
+    ("small", "fixed-xyz"): "9aa4a68fd3530e9553ed8421a008a4f67b61c8375ef24ad6dc7d109a994f9b1f",
+}
+
+
+def test_block_emitted_models_match_recorded_fingerprints():
+    envs = {"tiny": tiny_env(3), "small": generate(preset_config("small"), seed=0)}
+    got = {}
+    for label, env in envs.items():
+        for kind, mdl in _every_builder(env, random_schedule(env, 3)).items():
+            got[label, kind] = _fingerprint(mdl)
+    assert got == _FINGERPRINTS
+
+
+def _loop_check(mdl, x, tol=1e-6):
+    """Row-by-row reference check: (flagged var names, flagged row names, unsure rows).
+
+    A row is unsure when its activity lies within 1e-12 relative of a
+    threshold, where summation order alone can flip the verdict.
+    """
+    flagged = set()
+    for i in np.flatnonzero(mdl.integer):
+        if abs(x[i] - round(x[i])) > tol:
+            flagged.add(mdl.names[i])
+    scale = np.maximum(1.0, np.maximum(np.abs(mdl.lower), np.abs(mdl.upper)))
+    scale[~np.isfinite(scale)] = 1.0
+    for i in np.flatnonzero((x < mdl.lower - tol * scale) | (x > mdl.upper + tol * scale)):
+        flagged.add(mdl.names[i])
+    rows, unsure = set(), set()
+    for r in range(mdl.num_rows):
+        cols, coefs = mdl.row_terms(r)
+        terms = coefs * x[cols]
+        act = terms.sum()
+        slack = tol * max(1.0, np.abs(terms).sum())
+        lo, hi = mdl.row_lower[r] - slack, mdl.row_upper[r] + slack
+        if act < lo or act > hi:
+            rows.add(mdl.row_names[r])
+        near = 1e-12 * max(1.0, abs(act))
+        if abs(act - lo) <= near or abs(act - hi) <= near:
+            unsure.add(mdl.row_names[r])
+    return flagged, rows, unsure
+
+
+def _vector_check(mdl, x):
+    flagged, rows = set(), set()
+    for problem in mdl.check_assignment(x):
+        if problem.startswith("row "):
+            rows.add(re.match(r"row (\S+): activity", problem).group(1))
+        else:
+            flagged.add(problem.split(" = ", 1)[0])
+    return flagged, rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(env_seed=st.integers(0, 30), kind=st.sampled_from(sorted({k for _, k in _FINGERPRINTS})),
+       noise_seed=st.integers(0, 2**32 - 1), moved=st.integers(1, 40),
+       spread=st.sampled_from([1e-9, 1e-6, 1e-3, 1.0, 1e3]))
+def test_vector_check_flags_what_the_row_loop_flags(env_seed, kind, noise_seed, moved, spread):
+    env = tiny_env(env_seed)
+    models = _every_builder(env, random_schedule(env, env_seed))
+    mdl = models[kind]
+    # the monolithic warm start names every variable of the family
+    x = mdl.vector_from(models["monolithic"].warm_start)
+    rng = np.random.default_rng(noise_seed)
+    at = rng.choice(mdl.num_vars, size=min(moved, mdl.num_vars), replace=False)
+    x[at] += spread * rng.standard_normal(at.size) * np.maximum(1.0, np.abs(x[at]))
+    flips = at[mdl.integer[at] & (rng.random(at.size) < 0.3)]
+    x[flips] = 1.0 - np.round(x[flips])
+
+    want_vars, want_rows, unsure = _loop_check(mdl, x)
+    got_vars, got_rows = _vector_check(mdl, x)
+    assert got_vars == want_vars
+    assert got_rows - unsure == want_rows - unsure
