@@ -6,8 +6,7 @@ the transfer/execution pipeline, and optimizes them with alternating MILP
 solves plus a set of reference baselines and a benchmark harness.
 """
 
-from .alternating import (AlterMilpConfig, OptimizationTrace, random_init,
-                          run as run_altermilp)
+from .alternating import AlterMilpConfig, OptimizationTrace, run as run_altermilp
 from .environment import (GenerationConfig, GridEnvironment, GRID_PRESETS,
                           PRESET_BUDGETS, environment_from_document, generate,
                           load_environment, preset_config)
@@ -28,7 +27,7 @@ __all__ = [
     "build_fixed_yz", "build_monolithic", "candidate_count", "compute_big_a",
     "environment_from_document", "evaluate", "execution_time",
     "extract_schedule", "generate", "get_backend", "load_environment",
-    "load_schedule", "order_from_tournament", "preset_config", "random_init",
+    "load_schedule", "order_from_tournament", "preset_config",
     "random_schedule", "run_altermilp", "schedule_from_document", "solve",
     "write_mps",
 ]

@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .environment import GridEnvironment
-from .evaluator import makespan_of
+from .evaluator import makespan_of, makespans_of
 from .model import build_fixed_x, build_fixed_yz, extract_schedule
-from .schedule import Schedule, random_schedule
+from .schedule import Schedule, random_schedule, validate_batch
 from .solver import solve
 
 
@@ -84,6 +84,37 @@ def greedy_data_assignment(env: GridEnvironment) -> np.ndarray:
     return np.argmin(rd + mean_ld, axis=1).astype(np.int64)
 
 
+def _greedy_batch(env: GridEnvironment, object_sn, orders) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy dispatch of B job orders in lockstep: ((B, J) job_cns, (B,) makespans).
+
+    Step k visits the k-th job of every order; each takes its own
+    schedule's earliest-free CN, ties to the lowest CN id.  The simulation
+    is the replay of the schedule it builds, with the same float operations
+    as the scalar replay, so its final CN availability is the makespan.
+    """
+    in_ids, in_mask = env.input_table()
+    t_remote = env.object_sizes / env.wan_bandwidth[env.hosting, object_sn]
+    # padded inputs become -inf and never win a max
+    ready_at = np.where(in_mask, t_remote[in_ids], -np.inf)                 # (J, M)
+    transfer = np.where(in_mask[:, :, None],
+                        env.object_sizes[in_ids][:, :, None]
+                        / env.lan_bandwidth[object_sn[in_ids]], -np.inf)   # (J, M, C)
+    length = env.gamma * env.job_input_sizes()[:, None] / env.cn_speeds    # (J, C)
+    n_batch, n_jobs = orders.shape
+    rows = np.arange(n_batch)
+    cn_free = np.zeros((n_batch, env.num_cns))
+    job_cns = np.zeros((n_batch, n_jobs), dtype=np.int64)
+    for k in range(n_jobs):
+        j = orders[:, k]
+        c = cn_free.argmin(axis=1)
+        job_cns[rows, j] = c
+        start = cn_free[rows, c]
+        done = np.maximum(start[:, None], ready_at[j])
+        done += transfer[j, :, c]
+        cn_free[rows, c] = np.maximum(start, done.max(axis=1)) + length[j, c]
+    return job_cns, cn_free.max(axis=1)
+
+
 def greedy(env: GridEnvironment, order=None) -> BaselineRun:
     """First-come-first-served onto whichever CN frees up first.
 
@@ -96,21 +127,12 @@ def greedy(env: GridEnvironment, order=None) -> BaselineRun:
     else:
         order = np.asarray(order, dtype=np.int64)
     object_sn = greedy_data_assignment(env)
-    t_remote = env.object_sizes / env.wan_bandwidth[env.hosting, object_sn]
-    cn_free = np.zeros(env.num_cns)
-    job_cn = np.zeros(env.num_jobs, dtype=np.int64)
-    for j in order:
-        c = int(np.argmin(cn_free))
-        job_cn[j] = c
-        start = cn_free[c]
-        ready = start
-        total = 0.0
-        for d in env.job_inputs[j]:
-            begin = max(start, t_remote[d])
-            ready = max(ready, begin + env.object_sizes[d] / env.lan_bandwidth[object_sn[d], c])
-            total += env.object_sizes[d]
-        cn_free[c] = ready + env.gamma * total / env.cn_speeds[c]
-    return _finish(env, Schedule(job_cn=job_cn, order=order, object_sn=object_sn))
+    job_cns, _ = _greedy_batch(env, object_sn, order[None, :])
+    return _finish(env, Schedule(job_cn=job_cns[0], order=order, object_sn=object_sn))
+
+
+# greedy orders simulated per lockstep block in ensemble_greedy
+GREEDY_BLOCK = 256
 
 
 def ensemble_greedy(env: GridEnvironment, seed, runs: int | None = None,
@@ -119,30 +141,39 @@ def ensemble_greedy(env: GridEnvironment, seed, runs: int | None = None,
 
     ``runs`` fixes the ensemble size.  When omitted, runs keep going until
     ``budget`` seconds have elapsed, with a floor of 10; with neither given
-    the size defaults to 50.
+    the size defaults to 50.  Orders are simulated in lockstep blocks, and
+    the budget is checked between blocks.  The first order reaching the
+    smallest makespan wins.
     """
     if runs is not None and runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
+    if runs is None and budget is None:
+        runs = 50
     rng = np.random.default_rng(seed)
     start = time.perf_counter()
-    best: BaselineRun | None = None
+    object_sn = greedy_data_assignment(env)
+    best = None
     done = 0
     while True:
-        order = rng.permutation(env.num_jobs)
-        candidate = greedy(env, order=order)
-        if best is None or candidate.makespan < best.makespan:
-            best = candidate
-        done += 1
+        if runs is not None:
+            size = min(GREEDY_BLOCK, runs - done)
+        else:
+            size = 10 if done == 0 else GREEDY_BLOCK
+        orders = np.stack([rng.permutation(env.num_jobs) for _ in range(size)])
+        job_cns, makespans = _greedy_batch(env, object_sn, orders)
+        validate_batch(env, job_cns, orders, object_sn[None])
+        i = int(makespans.argmin())
+        if best is None or makespans[i] < best[0]:
+            best = (makespans[i], job_cns[i], orders[i])
+        done += size
         if runs is not None:
             if done >= runs:
                 break
-        elif budget is not None:
-            if done >= 10 and time.perf_counter() - start >= budget:
-                break
-        elif done >= 50:
+        elif time.perf_counter() - start >= budget:
             break
-    return BaselineRun(schedule=best.schedule, makespan=best.makespan,
-                       extra={"runs": done})
+    _, job_cn, order = best
+    return _finish(env, Schedule(job_cn=job_cn, order=order, object_sn=object_sn),
+                   runs=done)
 
 
 def classify_jobs(env: GridEnvironment, object_sn, threshold: float) -> tuple[np.ndarray, np.ndarray]:
@@ -235,8 +266,9 @@ def ga(env: GridEnvironment, config: GaConfig | None = None, **overrides) -> Bas
 
     Tournament selection, one-point crossover on the index vectors, order
     crossover on the permutation, per-gene mutation, elitist survival.
-    Stops at the generation cap or when the wall budget runs out, and
-    returns the best individual ever evaluated.
+    Each generation is scored by one batched replay.  Stops at the
+    generation cap or when the wall budget runs out, and returns the best
+    individual ever evaluated.
     """
     if config is None:
         config = GaConfig(**overrides)
@@ -252,11 +284,11 @@ def ga(env: GridEnvironment, config: GaConfig | None = None, **overrides) -> Bas
                 rng.permutation(nj),
                 rng.integers(0, nl, size=nd))
 
-    def fitness(ind):
-        return makespan_of(env, Schedule(job_cn=ind[0], order=ind[1], object_sn=ind[2]))
+    def fitness(pop):
+        return makespans_of(env, *(np.stack([ind[g] for ind in pop]) for g in range(3)))
 
     population = [make_random() for _ in range(config.population)]
-    scores = np.array([fitness(ind) for ind in population])
+    scores = fitness(population)
     best_idx = int(scores.argmin())
     best, best_score = population[best_idx], float(scores[best_idx])
     history = [best_score]
@@ -287,7 +319,7 @@ def ga(env: GridEnvironment, config: GaConfig | None = None, **overrides) -> Bas
                 sn[k] = rng.integers(0, nl)
             nxt.append((cn, order, sn))
         population = nxt
-        scores = np.array([fitness(ind) for ind in population])
+        scores = fitness(population)
         generations_done += 1
         gen_best = int(scores.argmin())
         if scores[gen_best] < best_score:

@@ -10,6 +10,7 @@ in KB/s, compute speeds in ops/s, gamma in ops/KB, all delays in seconds.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -153,20 +154,50 @@ class GridEnvironment:
         """(D, L) table of replication delays for every placement choice."""
         return self.object_sizes[:, None] / self.wan_bandwidth[self.hosting, :]
 
+    # -- replay inputs, built once per environment and read-only ------------
+
     def job_input_sizes(self) -> np.ndarray:
-        """(J,) total KB read by each job."""
-        return np.array(
-            [self.object_sizes[list(objs)].sum() for objs in self.job_inputs]
-        )
+        """(J,) total KB read by each job, summed in input order."""
+        return self._job_kb
 
     def flat_inputs(self) -> tuple[np.ndarray, np.ndarray]:
         """Job inputs in CSR-ish form: (object ids, offsets of length J+1)."""
-        ids = np.array(
-            [d for objs in self.job_inputs for d in objs], dtype=np.int64
-        )
+        return self._flat_inputs
+
+    def input_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Job inputs as a padded (J, M) id table and its (J, M) mask.
+
+        M is the largest input count; row j holds ``job_inputs[j]`` followed
+        by zeros, and the mask is True on the real entries.
+        """
+        return self._input_table
+
+    @functools.cached_property
+    def _flat_inputs(self):
+        ids = _frozen([d for objs in self.job_inputs for d in objs], np.int64)
         offsets = np.zeros(self.num_jobs + 1, dtype=np.int64)
         np.cumsum([len(objs) for objs in self.job_inputs], out=offsets[1:])
+        offsets.setflags(write=False)
         return ids, offsets
+
+    @functools.cached_property
+    def _input_table(self):
+        ids, offsets = self._flat_inputs
+        counts = np.diff(offsets)
+        mask = np.arange(counts.max()) < counts[:, None]
+        table = np.zeros(mask.shape, dtype=np.int64)
+        table[mask] = ids
+        table.setflags(write=False)
+        mask.setflags(write=False)
+        return table, mask
+
+    @functools.cached_property
+    def _job_kb(self):
+        # cumsum adds left to right, as the replay does; a plain sum would
+        # pair terms up and differ in the last bit for eight or more inputs
+        table, mask = self._input_table
+        padded = np.where(mask, self.object_sizes[table], 0.0)
+        return _frozen(np.cumsum(padded, axis=1)[:, -1], np.float64)
 
     @staticmethod
     def _check_index(label, value, size):

@@ -90,12 +90,26 @@ def makespan_of(env: GridEnvironment, schedule: Schedule) -> float:
     return float(kernels.replay(*replay_arguments(env, schedule))[3])
 
 
+def makespans_of(env: GridEnvironment, job_cns, orders, object_sns) -> np.ndarray:
+    """(B,) makespans of B schedules given as rows, no validation.
+
+    ``job_cns`` and ``orders`` are (B, J), ``object_sns`` is (B, D); row b
+    scores exactly as ``makespan_of`` scores the schedule built from it.
+    """
+    object_sns = np.asarray(object_sns, dtype=np.int64)
+    in_ids, in_mask = env.input_table()
+    t_remote = env.object_sizes / env.wan_bandwidth[env.hosting, object_sns]
+    return kernels.replay_batch(
+        np.asarray(orders, dtype=np.int64), np.asarray(job_cns, dtype=np.int64),
+        object_sns, in_ids, in_mask, env.job_input_sizes(), t_remote,
+        env.object_sizes, env.lan_bandwidth, env.cn_speeds, env.gamma)
+
+
 def execution_time(env: GridEnvironment, job: int, cn: int) -> float:
     """Compute time of ``job`` on ``cn``: gamma * total input KB / speed."""
     env._check_index("job", job, env.num_jobs)
     env._check_index("CN", cn, env.num_cns)
-    total = env.object_sizes[list(env.job_inputs[job])].sum()
-    return float(env.gamma * total / env.cn_speeds[cn])
+    return float(env.gamma * env.job_input_sizes()[job] / env.cn_speeds[cn])
 
 
 def compute_big_a(env: GridEnvironment) -> float:

@@ -1,14 +1,19 @@
 """Pipeline-replay kernels.
 
 The replay walks jobs in priority order and simulates overlapped transfer
-and execution on each CN queue.  It is the hot loop of the whole package:
-brute force, the genetic baseline and the greedy ensembles call it up to
-millions of times per run, so the reference loop implementation is compiled
-with numba when available.  A vectorized numpy fallback with identical
-semantics is kept alongside; set ``GRIDOPT_DISABLE_NUMBA=1`` (or any of
-"true", "yes", "on") before import to force the fallback.
+and execution on each CN queue.  It is the hot loop of the whole package,
+so it comes in three forms with one semantics:
 
-All kernels share one calling convention, arrays only:
+* :func:`replay_loops`, the scalar reference loop over one schedule;
+* ``replay_jit``, the same loop compiled with numba when numba is
+  importable (set ``GRIDOPT_DISABLE_NUMBA=1``, or any of "true", "yes",
+  "on", before import to leave it out);
+* :func:`replay_batch`, the makespans of B schedules at once, for callers
+  that score many candidates (the genetic baseline, brute force).
+
+:func:`replay` is the compiled loop when it exists and the scalar loop
+otherwise.  The single-schedule kernels share one calling convention,
+arrays only:
 
     order      (J,) int64   job ids, highest priority first
     job_cn     (J,) int64   CN id per job
@@ -71,33 +76,41 @@ def replay_loops(order, job_cn, obj_ids, obj_off, object_sn, t_remote,
     return u, v, e, makespan
 
 
-def replay_numpy(order, job_cn, obj_ids, obj_off, object_sn, t_remote,
-                 sizes, lan_bw, speeds, gamma):
-    """Replay with the per-job inner loop vectorized over input objects."""
-    n_jobs = order.shape[0]
-    cn_free = np.zeros(speeds.shape[0], dtype=np.float64)
-    u = np.zeros(n_jobs, dtype=np.float64)
-    v = np.zeros(n_jobs, dtype=np.float64)
-    e = np.zeros(n_jobs, dtype=np.float64)
-    makespan = 0.0
-    for j in order:
-        c = job_cn[j]
-        start = cn_free[c]
-        ds = obj_ids[obj_off[j]:obj_off[j + 1]]
-        ready = start
-        total_kb = 0.0
-        if ds.size:
-            begin = np.maximum(start, t_remote[ds])
-            done = begin + sizes[ds] / lan_bw[object_sn[ds], c]
-            ready = max(start, float(done.max()))
-            total_kb = float(sizes[ds].sum())
-        length = gamma * total_kb / speeds[c]
-        u[j] = start
-        v[j] = ready
-        e[j] = length
-        cn_free[c] = ready + length
-        makespan = max(makespan, cn_free[c])
-    return u, v, e, makespan
+def replay_batch(orders, job_cns, object_sns, in_ids, in_mask, job_kb,
+                 t_remote, sizes, lan_bw, speeds, gamma):
+    """Makespans of B schedules, bit-identical to :func:`replay_loops`.
+
+    ``orders`` and ``job_cns`` are (B, J), ``object_sns`` and ``t_remote``
+    (B, D); ``in_ids``/``in_mask`` are the (J, M) padded input table and its
+    mask, and ``job_kb`` the (J,) input KB per job summed in input order.
+    Everything that does not depend on when a CN frees up is gathered once,
+    laid out by priority position; the loop over the J positions then only
+    carries the B CN queues forward.  Every float operation is the one the
+    scalar loop does, on the same operands, so results match to the bit.
+    """
+    n_batch, n_jobs = orders.shape
+    n_cns = speeds.shape[0]
+    cns = np.take_along_axis(job_cns, orders, axis=1)             # (B, J)
+    ids = in_ids[orders]                                          # (B, J, M)
+    flat = ids.reshape(n_batch, -1)
+    shape = ids.shape
+    ready_at = np.take_along_axis(t_remote, flat, axis=1).reshape(shape)
+    sn = np.take_along_axis(object_sns, flat, axis=1).reshape(shape)
+    transfer = sizes[ids] / lan_bw[sn, cns[:, :, None]]
+    # padded inputs become -inf and never win a max
+    real = in_mask[orders]
+    ready_at = np.where(real, ready_at, -np.inf).transpose(1, 0, 2).copy()
+    transfer = np.where(real, transfer, -np.inf).transpose(1, 0, 2).copy()
+    length = (gamma * job_kb[orders] / speeds[cns]).T.copy()      # (J, B)
+    slots = (cns + n_cns * np.arange(n_batch)[:, None]).T.copy()  # (J, B)
+    cn_free = np.zeros(n_batch * n_cns, dtype=np.float64)
+    for k in range(n_jobs):
+        slot = slots[k]
+        start = cn_free[slot]
+        done = np.maximum(start[:, None], ready_at[k])
+        done += transfer[k]
+        cn_free[slot] = np.maximum(start, done.max(axis=1)) + length[k]
+    return cn_free.reshape(n_batch, n_cns).max(axis=1)
 
 
 NUMBA_DISABLED = _flag("GRIDOPT_DISABLE_NUMBA")
@@ -111,7 +124,7 @@ if not NUMBA_DISABLED:
     except ImportError:  # numba comes with the optional [jit] extra
         replay_jit = None
 
-replay = replay_jit if replay_jit is not None else replay_numpy
+replay = replay_jit if replay_jit is not None else replay_loops
 
 
 def numba_active() -> bool:
@@ -120,4 +133,4 @@ def numba_active() -> bool:
 
 
 def backend_name() -> str:
-    return "numba" if numba_active() else "numpy"
+    return "numba" if numba_active() else "loops"

@@ -31,7 +31,9 @@ class Schedule:
 
     def __post_init__(self):
         for name in ("job_cn", "order", "object_sn"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=np.int64)
+            # always a copy: a row of a batch array would otherwise keep the
+            # whole batch alive for as long as the schedule lives
+            arr = np.array(getattr(self, name), dtype=np.int64)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if self.job_cn.ndim != 1 or self.order.ndim != 1 or self.object_sn.ndim != 1:
@@ -41,20 +43,7 @@ class Schedule:
 
     def validate(self, env: GridEnvironment) -> None:
         """Raise :class:`InvalidScheduleError` unless consistent with ``env``."""
-        if self.job_cn.size != env.num_jobs:
-            raise InvalidScheduleError(
-                f"job_cn has {self.job_cn.size} entries for {env.num_jobs} jobs"
-            )
-        if self.object_sn.size != env.num_objects:
-            raise InvalidScheduleError(
-                f"object_sn has {self.object_sn.size} entries for {env.num_objects} objects"
-            )
-        if np.any(self.job_cn < 0) or np.any(self.job_cn >= env.num_cns):
-            raise InvalidScheduleError("job_cn contains an out-of-range CN id")
-        if np.any(self.object_sn < 0) or np.any(self.object_sn >= env.num_local_sns):
-            raise InvalidScheduleError("object_sn contains an out-of-range local SN id")
-        if not np.array_equal(np.sort(self.order), np.arange(env.num_jobs)):
-            raise InvalidScheduleError("order is not a permutation of all job ids")
+        validate_batch(env, self.job_cn[None], self.order[None], self.object_sn[None])
 
     def positions(self) -> np.ndarray:
         """(J,) priority position of each job (0 = runs first on its queue)."""
@@ -81,6 +70,28 @@ class Schedule:
         with open(path, "w") as fh:
             json.dump(self.to_document(), fh, indent=2)
             fh.write("\n")
+
+
+def validate_batch(env: GridEnvironment, job_cns, orders, object_sns) -> None:
+    """:meth:`Schedule.validate` for B schedules given as rows.
+
+    ``job_cns`` and ``orders`` are (B, J) and ``object_sns`` is (B, D); a
+    single row of ``object_sns`` stands for a placement the batch shares.
+    """
+    if job_cns.shape[1] != env.num_jobs:
+        raise InvalidScheduleError(
+            f"job_cn has {job_cns.shape[1]} entries for {env.num_jobs} jobs"
+        )
+    if object_sns.shape[1] != env.num_objects:
+        raise InvalidScheduleError(
+            f"object_sn has {object_sns.shape[1]} entries for {env.num_objects} objects"
+        )
+    if np.any(job_cns < 0) or np.any(job_cns >= env.num_cns):
+        raise InvalidScheduleError("job_cn contains an out-of-range CN id")
+    if np.any(object_sns < 0) or np.any(object_sns >= env.num_local_sns):
+        raise InvalidScheduleError("object_sn contains an out-of-range local SN id")
+    if np.any(np.sort(orders, axis=1) != np.arange(env.num_jobs)):
+        raise InvalidScheduleError("order is not a permutation of all job ids")
 
 
 def schedule_from_document(doc: dict) -> Schedule:

@@ -16,13 +16,14 @@ import logging
 import math
 import os
 import time
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
 
 from .environment import GridEnvironment
-from .evaluator import makespan_of
+from .evaluator import makespans_of
 from .model import CHECK_TOL, MilpModel
 from .schedule import Schedule
 
@@ -68,18 +69,30 @@ class HighsBackend:
 
     def solve_raw(self, model: MilpModel, budget: float):
         """Return (x or None, raw_status, message) without postprocessing."""
-        res = scipy.optimize.milp(
-            c=model.objective,
-            constraints=scipy.optimize.LinearConstraint(model.matrix, model.row_lower,
-                                                        model.row_upper),
-            bounds=scipy.optimize.Bounds(model.lower, model.upper),
-            integrality=model.integer.astype(np.int64),
-            options={
-                "time_limit": budget,
-                "mip_rel_gap": 0.0,  # never accept a suboptimal proof
-                "presolve": True,
-            },
-        )
+        with warnings.catch_warnings():
+            # scipy passes options it does not know on to HiGHS, with a warning
+            warnings.filterwarnings("ignore", message="Unrecognized options detected")
+            res = scipy.optimize.milp(
+                c=model.objective,
+                constraints=scipy.optimize.LinearConstraint(model.matrix, model.row_lower,
+                                                            model.row_upper),
+                bounds=scipy.optimize.Bounds(model.lower, model.upper),
+                integrality=model.integer.astype(np.int64),
+                options={
+                    "time_limit": budget,
+                    "mip_rel_gap": 0.0,  # never accept a suboptimal proof
+                    "presolve": True,
+                    # Heuristics that hunt for an incumbent, which the wrapper
+                    # already holds when a warm start is given.  Feasibility
+                    # jump runs before the root node and ignores the time limit
+                    # (1-2 s on a medium assignment model, whatever the budget);
+                    # RINS and RENS solve sub-MIPs on model copies, which made
+                    # peak memory and solve time depend on how far they got.
+                    "mip_heuristic_run_feasibility_jump": False,
+                    "mip_heuristic_run_rins": False,
+                    "mip_heuristic_run_rens": False,
+                },
+            )
         x = res.x if res.x is not None else None
         if res.status == 0:
             raw = "optimal"
@@ -213,35 +226,40 @@ def candidate_count(env: GridEnvironment) -> int:
             * env.num_local_sns ** env.num_objects)
 
 
+# candidates scored per batched replay in brute_force_optimal
+BRUTE_FORCE_BLOCK = 4096
+
+
+def _digits(index: np.ndarray, base: int, width: int) -> np.ndarray:
+    """Base-``base`` digits of each index, most significant first: (n, width)."""
+    return index[:, None] // base ** np.arange(width - 1, -1, -1) % base
+
+
 def brute_force_optimal(env: GridEnvironment, max_candidates: int = 2_000_000
                         ) -> tuple[Schedule, float]:
     """Exact optimum by enumeration; refuses instances beyond ``max_candidates``.
 
-    Ties break lexicographically on (job_cn, order, object_sn) so the
-    returned schedule is deterministic.
+    Candidates are enumerated lexicographically on (job_cn, order,
+    object_sn), scored in blocks by one batched replay each, and the first
+    strict minimum wins, so the returned schedule is deterministic.
     """
     count = candidate_count(env)
     if count > max_candidates:
         raise InstanceTooLargeError(count, max_candidates)
 
     nj, nc, nd, nl = env.num_jobs, env.num_cns, env.num_objects, env.num_local_sns
+    perms = np.array(list(itertools.permutations(range(nj))), dtype=np.int64)
+    n_sn = nl ** nd
     best = math.inf
-    best_tuple = None
-    for cn_pick in itertools.product(range(nc), repeat=nj):
-        job_cn = np.array(cn_pick, dtype=np.int64)
-        for order_pick in itertools.permutations(range(nj)):
-            order = np.array(order_pick, dtype=np.int64)
-            for sn_pick in itertools.product(range(nl), repeat=nd):
-                schedule = Schedule(job_cn=job_cn, order=order,
-                                    object_sn=np.array(sn_pick, dtype=np.int64))
-                makespan = makespan_of(env, schedule)
-                if makespan < best:
-                    best = makespan
-                    best_tuple = (cn_pick, order_pick, sn_pick)
-    cn_pick, order_pick, sn_pick = best_tuple
-    winner = Schedule(
-        job_cn=np.array(cn_pick, dtype=np.int64),
-        order=np.array(order_pick, dtype=np.int64),
-        object_sn=np.array(sn_pick, dtype=np.int64),
-    )
+    winner = None
+    for lo in range(0, count, BRUTE_FORCE_BLOCK):
+        index = np.arange(lo, min(lo + BRUTE_FORCE_BLOCK, count), dtype=np.int64)
+        job_cns = _digits(index // (len(perms) * n_sn), nc, nj)
+        orders = perms[index // n_sn % len(perms)]
+        object_sns = _digits(index % n_sn, nl, nd)
+        makespans = makespans_of(env, job_cns, orders, object_sns)
+        i = int(makespans.argmin())
+        if makespans[i] < best:
+            best = float(makespans[i])
+            winner = Schedule(job_cn=job_cns[i], order=orders[i], object_sn=object_sns[i])
     return winner, best

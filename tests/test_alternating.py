@@ -1,14 +1,22 @@
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from gridopt.alternating import (AlterMilpConfig, OptimizationTrace, TraceStep,
-                                 random_init, run, trace_from_document)
+                                 run, trace_from_document)
+from gridopt.baselines import greedy
 from gridopt.environment import GenerationConfig, generate
 from gridopt.evaluator import makespan_of
-from gridopt.solver import brute_force_optimal, register_backend
+from gridopt.solver import HighsBackend, brute_force_optimal, register_backend
 
 from conftest import tiny_env
+
+
+def greedy_start(env, seed):
+    order = np.random.default_rng(seed).permutation(env.num_jobs)
+    return greedy(env, order=order).schedule
 
 
 def test_config_validation():
@@ -39,11 +47,17 @@ def test_step_budgets_front_loaded():
     assert budgets[2] == pytest.approx(2 * budgets[4])
 
 
-def test_random_init_is_deterministic(env_tiny):
-    a = random_init(env_tiny, 7)
-    b = random_init(env_tiny, 7)
-    assert a.to_document() == b.to_document()
-    assert a.to_document() != random_init(env_tiny, 8).to_document()
+def test_start_is_the_greedy_schedule_of_a_seeded_order(env_tiny):
+    register_backend("always-infeasible", _InfeasibleBackend)
+
+    def start(seed):
+        _, trace = run(env_tiny, AlterMilpConfig(iterations=1, total_budget=2.0, seed=seed,
+                                                 backend="always-infeasible"))
+        return trace.steps[0].schedule.to_document()
+
+    assert start(7) == greedy_start(env_tiny, 7).to_document()
+    assert start(7) == start(7)
+    assert start(7) != start(8)
 
 
 def test_single_iteration_trace_shape(env_tiny):
@@ -103,7 +117,7 @@ def test_optimize_order_false_freezes_same_cn_order(env_tiny):
     cfg = AlterMilpConfig(iterations=2, total_budget=8.0, seed=6,
                           optimize_order=False, early_stop=False)
     final, trace = run(env_tiny, cfg)
-    start = random_init(env_tiny, 6)
+    start = greedy_start(env_tiny, 6)
     # the global list gets re-canonicalized as assignments move, but two
     # jobs sharing a CN must keep the precedence the start dictated
     start_pos = start.positions()
@@ -115,6 +129,38 @@ def test_optimize_order_false_freezes_same_cn_order(env_tiny):
                         == (final_pos[i] < final_pos[j]))
     mks = trace.makespans()
     assert all(b <= a + 1e-12 for a, b in zip(mks, mks[1:]))
+
+
+class _RecordingBackend(HighsBackend):
+    name = "recording"
+    solved = []     # (kind, digest of the model arrays, raw status) per backend call
+
+    def solve_raw(self, model, budget):
+        out = super().solve_raw(model, budget)
+        arrays = (model.lower, model.upper, model.row_lower, model.row_upper,
+                  model.matrix.indptr, model.matrix.indices, model.matrix.data)
+        digest = hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+        self.solved.append((model.kind, digest, out[1]))
+        return out
+
+
+def test_optimal_sub_solve_is_not_repeated(env_tiny):
+    register_backend("recording", _RecordingBackend)
+    _RecordingBackend.solved.clear()
+    _, trace = run(env_tiny, AlterMilpConfig(iterations=4, total_budget=8.0, seed=2,
+                                             backend="recording", early_stop=False))
+    solved = _RecordingBackend.solved
+    proven = set()
+    for kind, digest, raw in solved:
+        assert (kind, digest) not in proven
+        if raw == "optimal":
+            proven.add((kind, digest))
+    skipped = [(a, b) for a, b in zip(trace.steps, trace.steps[1:]) if b.wall_time == 0.0]
+    assert len(solved) + len(skipped) == 8 and skipped
+    for before, step in skipped:
+        assert step.status == "optimal"
+        assert step.makespan == before.makespan
+        assert step.schedule.to_document() == before.schedule.to_document()
 
 
 class _InfeasibleBackend:
@@ -131,7 +177,7 @@ def test_all_failed_solves_mark_the_trace_degraded(env_tiny):
     final, trace = run(env_tiny, cfg)
     assert trace.degraded
     assert all(s.status == "error" for s in trace.steps[1:])
-    start = random_init(env_tiny, 4)
+    start = greedy_start(env_tiny, 4)
     assert final.to_document() == start.to_document()
     assert trace.makespans() == [makespan_of(env_tiny, start)] * len(trace.steps)
 

@@ -1,12 +1,17 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from gridopt.baselines import (BaselineRun, GaConfig, _order_crossover,
-                               classify_jobs, diana, ensemble_greedy, ga,
-                               greedy, greedy_data_assignment, min_exe,
-                               min_trans, random_baseline)
-from gridopt.environment import GenerationConfig, GridEnvironment, generate
+from gridopt.baselines import (GREEDY_BLOCK, BaselineRun, GaConfig,
+                               _order_crossover, classify_jobs, diana,
+                               ensemble_greedy, ga, greedy,
+                               greedy_data_assignment, min_exe, min_trans,
+                               random_baseline)
+from gridopt.environment import (GenerationConfig, GridEnvironment, generate,
+                                 preset_config)
 from gridopt.evaluator import makespan_of
+from gridopt.schedule import Schedule
 from gridopt.solver import brute_force_optimal, register_backend
 
 from conftest import tiny_env
@@ -176,6 +181,65 @@ def test_ensemble_defaults_to_fifty_runs(tiny_oracle):
     assert ensemble_greedy(env, seed=1).extra["runs"] == 50
 
 
+def _scalar_greedy(env, order):
+    """Greedy one job at a time, scored by a separate replay."""
+    object_sn = greedy_data_assignment(env)
+    t_remote = env.object_sizes / env.wan_bandwidth[env.hosting, object_sn]
+    cn_free = np.zeros(env.num_cns)
+    job_cn = np.zeros(env.num_jobs, dtype=np.int64)
+    for j in order:
+        c = int(np.argmin(cn_free))
+        job_cn[j] = c
+        start = cn_free[c]
+        ready = start
+        total = 0.0
+        for d in env.job_inputs[j]:
+            begin = max(start, t_remote[d])
+            ready = max(ready, begin + env.object_sizes[d] / env.lan_bandwidth[object_sn[d], c])
+            total += env.object_sizes[d]
+        cn_free[c] = ready + env.gamma * total / env.cn_speeds[c]
+    schedule = Schedule(job_cn=job_cn, order=order, object_sn=object_sn)
+    return schedule, makespan_of(env, schedule)
+
+
+_REFERENCE_ENVS = {
+    "tiny": lambda: tiny_env(0),
+    "small": lambda: generate(preset_config("small"), seed=0),
+    "many-inputs": lambda: generate(GenerationConfig(
+        num_jobs=12, num_objects=30, num_cns=3, num_local_sns=4,
+        num_remote_sns=3, objects_per_job=(6, 12), rng_seed=4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REFERENCE_ENVS))
+def test_greedy_matches_the_scalar_reference(name):
+    env = _REFERENCE_ENVS[name]()
+    rng = np.random.default_rng(8)
+    for order in [np.arange(env.num_jobs)] + [rng.permutation(env.num_jobs) for _ in range(5)]:
+        run = greedy(env, order=order)
+        schedule, makespan = _scalar_greedy(env, order)
+        assert run.schedule.to_document() == schedule.to_document()
+        assert run.makespan == makespan
+
+
+@pytest.mark.parametrize("name", sorted(_REFERENCE_ENVS))
+def test_ensemble_matches_the_scalar_reference(name):
+    env = _REFERENCE_ENVS[name]()
+    counts = [*range(1, 31), GREEDY_BLOCK + 3]      # the last spans two blocks
+    rng = np.random.default_rng(3)
+    candidates = [_scalar_greedy(env, rng.permutation(env.num_jobs))
+                  for _ in range(max(counts))]
+    for runs in counts:
+        best = candidates[0]
+        for candidate in candidates[1:runs]:
+            if candidate[1] < best[1]:
+                best = candidate
+        run = ensemble_greedy(env, seed=3, runs=runs)
+        assert run.schedule.to_document() == best[0].to_document(), runs
+        assert run.makespan == best[1], runs
+        assert run.extra["runs"] == runs
+
+
 # -- diana ---------------------------------------------------------------------
 
 
@@ -281,6 +345,29 @@ def test_ga_on_a_one_point_search_space():
     run = ga(env, GaConfig(population=4, generations=5, seed=0))
     assert run.makespan == pytest.approx(oracle)
     assert run.extra["history"] == [run.makespan] * 5
+
+
+# sha256 over (job_cn, order, object_sn, [makespan] + history, generations)
+# of the returned run, recorded when every individual was replayed on its own
+_GA_FINGERPRINTS = {
+    "tiny3": (lambda: tiny_env(3), dict(population=12, generations=20, seed=5),
+              "3b7a3a3ae8e9d6d8fa769a2f990408d5af04bf168e88de4a0d0df19171f13b1b"),
+    "small": (lambda: generate(preset_config("small"), seed=0),
+              dict(population=30, generations=40, seed=1),
+              "9c0210436e1eaec7e6c2892a71c6f5aefb5e4ea9a6c55c05ef54fbc41777e30b"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GA_FINGERPRINTS))
+def test_ga_matches_recorded_fingerprints(name):
+    make_env, params, expected = _GA_FINGERPRINTS[name]
+    run = ga(make_env(), GaConfig(**params))
+    digest = hashlib.sha256()
+    for arr in (run.schedule.job_cn, run.schedule.order, run.schedule.object_sn):
+        digest.update(np.ascontiguousarray(arr, dtype=np.int64).tobytes())
+    digest.update(np.asarray([run.makespan] + run.extra["history"], dtype=np.float64).tobytes())
+    digest.update(str(run.extra["generations"]).encode())
+    assert digest.hexdigest() == expected
 
 
 def test_ga_budget_cuts_the_run_short(tiny_oracle):

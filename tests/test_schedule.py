@@ -4,7 +4,7 @@ import pytest
 from gridopt.environment import DocumentError
 from gridopt.schedule import (InvalidScheduleError, Schedule, load_schedule,
                               order_from_tournament, random_schedule,
-                              schedule_from_document)
+                              schedule_from_document, validate_batch)
 
 from conftest import tiny_env
 
@@ -36,6 +36,16 @@ def test_validate_rejects_inconsistent_schedules(env_tiny, mutation):
     fields.update(mutation)
     with pytest.raises(InvalidScheduleError):
         Schedule(**fields).validate(env_tiny)
+
+
+def test_validate_batch_checks_every_row(env_tiny):
+    cns, orders = np.array([[0, 1, 0], [1, 1, 0]]), np.array([[2, 0, 1], [0, 1, 2]])
+    shared_placement = np.array([[0, 1, 0]])
+    validate_batch(env_tiny, cns, orders, shared_placement)
+    with pytest.raises(InvalidScheduleError, match="permutation"):
+        validate_batch(env_tiny, cns, np.array([[2, 0, 1], [0, 1, 1]]), shared_placement)
+    with pytest.raises(InvalidScheduleError, match="CN id"):
+        validate_batch(env_tiny, np.array([[0, 1, 0], [1, 1, 9]]), orders, shared_placement)
 
 
 def test_order_and_job_cn_length_mismatch_rejected():

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from gridopt.environment import GenerationConfig, generate
+from gridopt.baselines import greedy
+from gridopt.environment import GenerationConfig, generate, preset_config
 from gridopt.evaluator import evaluate, makespan_of
 from gridopt.model import build_fixed_all, build_fixed_yz, build_monolithic
 from gridopt.schedule import random_schedule
@@ -30,6 +31,18 @@ def test_optimal_solve_passes_its_own_check(env_tiny):
     assert mdl.check_assignment(res.assignment) == []
     assert res.objective == pytest.approx(mdl.objective_value(res.assignment))
     assert res.wall_time >= 0
+
+
+def test_short_budget_binds_on_a_medium_assignment_model():
+    # HiGHS's feasibility-jump heuristic ignores the time limit and ran for
+    # 1-2 s on this model before the root node
+    env = generate(preset_config("medium"), seed=2968811710)
+    start = greedy(env, order=np.random.default_rng(2968811710).permutation(env.num_jobs))
+    s = start.schedule
+    mdl = build_fixed_yz(env, s.order, s.object_sn, warm_cn=s.job_cn)
+    res = solve(mdl, budget=0.1)
+    assert res.ok
+    assert res.wall_time < 1.0
 
 
 def test_warm_started_solve_never_regresses():
