@@ -15,8 +15,7 @@ from .model import (build_fixed_all, build_fixed_x, build_fixed_yz,
                     build_monolithic, extract_schedule, write_mps)
 from .schedule import (Schedule, load_schedule, order_from_tournament,
                        random_schedule, schedule_from_document)
-from .solver import (SolveResult, brute_force_optimal, candidate_count,
-                     get_backend, solve)
+from .solver import SolveResult, brute_force_optimal, candidate_count, solve
 
 __version__ = "0.1.0"
 
@@ -26,7 +25,7 @@ __all__ = [
     "SolveResult", "brute_force_optimal", "build_fixed_all", "build_fixed_x",
     "build_fixed_yz", "build_monolithic", "candidate_count", "compute_big_a",
     "environment_from_document", "evaluate", "execution_time",
-    "extract_schedule", "generate", "get_backend", "load_environment",
+    "extract_schedule", "generate", "load_environment",
     "load_schedule", "order_from_tournament", "preset_config",
     "random_schedule", "run_altermilp", "schedule_from_document", "solve",
     "write_mps",

@@ -29,6 +29,10 @@ from .solver import solve
 
 TRACE_SCHEMA = "optimization-trace/1"
 
+# an iteration improving the makespan by less than this fraction is quiet;
+# two quiet iterations in a row stop the loop early
+EARLY_STOP_REL = 1e-9
+
 
 @dataclass(frozen=True)
 class AlterMilpConfig:
@@ -36,10 +40,9 @@ class AlterMilpConfig:
     total_budget: float = 3.0       # seconds of solver time over all 2T solves
     budget_split: str = "equal"     # "equal" or "front-loaded"
     seed: int = 0                   # seeds the job order of the greedy start
-    backend: str | None = None
+    backend: object | None = None   # solver backend; None -> HiGHS
     optimize_order: bool = True     # False pins the order in the second half-step
     early_stop: bool = True
-    early_stop_rel: float = 1e-9
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -183,7 +186,7 @@ def run(env: GridEnvironment, config: AlterMilpConfig) -> tuple[Schedule, Optimi
             steps.append(TraceStep(it, stage, res.status, res.objective,
                                    current_mk, res.wall_time, current))
         improvement = (mk_before - current_mk) / max(1.0, mk_before)
-        quiet_iterations = quiet_iterations + 1 if improvement < config.early_stop_rel else 0
+        quiet_iterations = quiet_iterations + 1 if improvement < EARLY_STOP_REL else 0
         if config.early_stop and quiet_iterations >= 2 and it < config.iterations:
             trace = OptimizationTrace(tuple(steps), "converged", not any_success)
             return current, trace

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import inspect
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -21,15 +22,13 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines
-from .alternating import AlterMilpConfig, run as altermilp_run
+from .alternating import AlterMilpConfig, OptimizationTrace, run as altermilp_run
 from .environment import (DocumentError, GenerationConfig, GRID_PRESETS,
                           config_from_document, generate, preset_config)
 from .evaluator import makespan_of
+from .schedule import Schedule
 
 EXPERIMENT_SCHEMA = "experiment-config/1"
-
-METHODS = ("random", "mintrans", "minexe", "greedy", "ensgreedy", "diana",
-           "ga", "altermilp")
 
 ROWS_HEADER = ["setup", "seed", "method", "makespan", "wall_time_s", "status",
                "solver_statuses", "rel_improvement_vs_random", "budget",
@@ -39,6 +38,71 @@ AGGREGATE_HEADER = ["setup", "method", "budget", "iterations", "n_rows",
                     "n_failed", "mean_makespan", "min_makespan",
                     "max_makespan", "mean_rel_improvement_vs_random",
                     "mean_wall_time_s", "rank"]
+
+
+@dataclass(frozen=True)
+class MethodRun:
+    """What one method run returns to the bench and the CLI."""
+
+    schedule: Schedule
+    solver_statuses: tuple[str, ...]
+    degraded: bool
+    log: str
+    trace: OptimizationTrace | None = None   # altermilp only
+
+
+def _baseline(out: baselines.BaselineRun) -> MethodRun:
+    log = f"statuses={out.solver_statuses} degraded={out.degraded}"
+    if out.extra:
+        log += f" extra={json.dumps({k: v for k, v in out.extra.items() if k != 'history'})}"
+    return MethodRun(out.schedule, out.solver_statuses, out.degraded, log)
+
+
+def _ga(env, seed, budget, *, population=50, generations=1_000_000, tournament=3,
+        mutation_rate=None, elitism=1) -> MethodRun:
+    return _baseline(baselines.ga(env, baselines.GaConfig(
+        population=population, generations=generations, tournament=tournament,
+        mutation_rate=mutation_rate, elitism=elitism, seed=seed, budget=budget)))
+
+
+def _altermilp(env, seed, budget, *, iterations=3, budget_split="equal",
+               optimize_order=True, early_stop=True) -> MethodRun:
+    schedule, trace = altermilp_run(env, AlterMilpConfig(
+        iterations=iterations, total_budget=budget, budget_split=budget_split,
+        seed=seed, optimize_order=optimize_order, early_stop=early_stop))
+    statuses = tuple(s.status for s in trace.steps if s.stage != "init")
+    log = "\n".join(
+        f"iter {s.iteration} {s.stage}: status={s.status} "
+        f"makespan={s.makespan!r} wall={s.wall_time:.3f}s"
+        for s in trace.steps
+    ) + f"\nstop_reason={trace.stop_reason}"
+    return MethodRun(schedule, statuses, trace.degraded, log, trace)
+
+
+# The method registry: name -> runner(env, seed, budget, **params).  A
+# runner's keyword-only parameters are the params the method takes, and
+# their defaults are the method's defaults.
+RUNNERS = {
+    "random": lambda env, seed, budget: _baseline(baselines.random_baseline(env, seed)),
+    "mintrans": lambda env, seed, budget: _baseline(baselines.min_trans(env, budget, seed)),
+    "minexe": lambda env, seed, budget: _baseline(baselines.min_exe(env, budget, seed)),
+    "greedy": lambda env, seed, budget: _baseline(baselines.greedy(env)),
+    "ensgreedy": lambda env, seed, budget, *, runs=None: _baseline(
+        baselines.ensemble_greedy(env, seed, runs=runs, budget=budget)),
+    "diana": lambda env, seed, budget, *, threshold=1.0: _baseline(
+        baselines.diana(env, threshold=threshold)),
+    "ga": _ga,
+    "altermilp": _altermilp,
+}
+
+METHODS = tuple(RUNNERS)
+
+
+def method_params(method: str) -> dict:
+    """The params ``method`` takes, name -> default."""
+    return {p.name: p.default
+            for p in inspect.signature(RUNNERS[method]).parameters.values()
+            if p.kind is p.KEYWORD_ONLY}
 
 
 @dataclass(frozen=True)
@@ -54,6 +118,13 @@ class MethodSpec:
             raise ValueError(
                 f"unknown method {self.method!r}; known: {', '.join(METHODS)}"
             )
+        takes = method_params(self.method)
+        for name in self.params:
+            if name not in takes:
+                raise ValueError(
+                    f"method {self.method!r} takes no param {name!r}; "
+                    f"known: {', '.join(takes) or 'none'}"
+                )
 
     @property
     def name(self) -> str:
@@ -183,6 +254,7 @@ class ResultRow:
     budget: float
     iterations: int | None
     log: str = ""
+    schedule: Schedule | None = None   # None when the run failed
 
     def as_csv(self) -> list:
         return [
@@ -230,96 +302,47 @@ class ExperimentResult:
 
 
 def run_method(env, spec: MethodSpec, seed: int, budget: float,
-               reproduction_mode: bool = False):
-    """Dispatch one method run; returns (schedule, statuses, degraded, log)."""
-    p = dict(spec.params)
-    backend = p.pop("backend", None)
-    if spec.method == "random":
-        out = baselines.random_baseline(env, seed)
-    elif spec.method == "mintrans":
-        out = baselines.min_trans(env, budget, seed, backend=backend)
-    elif spec.method == "minexe":
-        out = baselines.min_exe(env, budget, seed, backend=backend)
-    elif spec.method == "greedy":
-        out = baselines.greedy(env)
-    elif spec.method == "ensgreedy":
-        out = baselines.ensemble_greedy(env, seed, runs=p.pop("runs", None),
-                                        budget=budget)
-    elif spec.method == "diana":
-        out = baselines.diana(env, threshold=p.pop("threshold", 1.0))
-    elif spec.method == "ga":
-        cfg = baselines.GaConfig(
-            population=p.pop("population", 50),
-            generations=p.pop("generations", 1_000_000),
-            tournament=p.pop("tournament", 3),
-            mutation_rate=p.pop("mutation_rate", None),
-            elitism=p.pop("elitism", 1),
-            seed=seed,
-            budget=budget,
-        )
-        out = baselines.ga(env, cfg)
-    elif spec.method == "altermilp":
-        cfg = AlterMilpConfig(
-            iterations=p.pop("iterations", 3),
-            total_budget=budget,
-            budget_split=p.pop("budget_split", "equal"),
-            seed=seed,
-            backend=backend,
-            optimize_order=p.pop("optimize_order", True),
-            early_stop=p.pop("early_stop", True) and not reproduction_mode,
-        )
-        schedule, trace = altermilp_run(env, cfg)
-        statuses = tuple(s.status for s in trace.steps if s.stage != "init")
-        log = "\n".join(
-            f"iter {s.iteration} {s.stage}: status={s.status} "
-            f"makespan={s.makespan!r} wall={s.wall_time:.3f}s"
-            for s in trace.steps
-        ) + f"\nstop_reason={trace.stop_reason}"
-        return schedule, statuses, trace.degraded, log
-    else:  # pragma: no cover - MethodSpec validation blocks this
-        raise ValueError(f"unknown method {spec.method!r}")
-    log = f"statuses={out.solver_statuses} degraded={out.degraded}"
-    if out.extra:
-        log += f" extra={json.dumps({k: v for k, v in out.extra.items() if k != 'history'})}"
-    return out.schedule, out.solver_statuses, out.degraded, log
+               reproduction_mode: bool = False) -> MethodRun:
+    """Run one method through the registry.
 
-
-def _execute_item(payload):
-    """One (method, seed) work item; module-level so pools can pickle it."""
-    (config_doc, seed, spec_doc, budget, iterations_label) = payload
-    config = experiment_from_document(config_doc)
-    spec = MethodSpec(method=spec_doc["method"], label=spec_doc.get("label"),
-                      params=dict(spec_doc.get("params") or {}))
-    env = config.environment_for(seed)
-    random_ref = baselines.random_baseline(env, seed).makespan
-    start = time.perf_counter()
-    try:
-        schedule, statuses, degraded, log = run_method(
-            env, spec, seed, budget, config.reproduction_mode)
-        wall = time.perf_counter() - start
-        makespan = makespan_of(env, schedule)
-        rel = (random_ref - makespan) / random_ref
-        status = "degraded" if degraded else "ok"
-    except Exception as exc:
-        wall = time.perf_counter() - start
-        return ResultRow(config.setup_name, seed, spec.name, None, wall,
-                         "failed", (), None, budget, iterations_label,
-                         log=f"failed: {exc!r}")
-    return ResultRow(config.setup_name, seed, spec.name, makespan, wall,
-                     status, statuses, rel, budget, iterations_label, log=log)
+    ``reproduction_mode`` switches early stopping off for every method that
+    has it, so that all iterations run.
+    """
+    params = dict(spec.params)
+    if reproduction_mode and "early_stop" in method_params(spec.method):
+        params["early_stop"] = False
+    return RUNNERS[spec.method](env, seed, budget, **params)
 
 
 def _iterations_label(spec: MethodSpec) -> int | None:
-    if spec.method == "altermilp":
-        return int(spec.params.get("iterations", 3))
-    return None
+    """The iteration count of a method that takes one, default included."""
+    default = method_params(spec.method).get("iterations")
+    if default is None:
+        return None
+    return int(spec.params.get("iterations", default))
 
 
-def _run_items(config: ExperimentConfig, payloads):
-    if config.parallelism > 1:
-        with ProcessPoolExecutor(max_workers=config.parallelism) as pool:
-            return list(pool.map(_execute_item, payloads))
-    return [_execute_item(p) for p in payloads]
+def _execute_item(payload) -> ResultRow:
+    """One (seed, method, budget) run; module-level so pools can pickle it."""
+    config, seed, spec, budget = payload
+    env = config.environment_for(seed)
+    random_ref = baselines.random_baseline(env, seed).makespan
+    iterations = _iterations_label(spec)
+    start = time.perf_counter()
+    try:
+        run = run_method(env, spec, seed, budget, config.reproduction_mode)
+        wall = time.perf_counter() - start
+        makespan = makespan_of(env, run.schedule)
+        rel = (random_ref - makespan) / random_ref
+        status = "degraded" if run.degraded else "ok"
+    except Exception as exc:
+        wall = time.perf_counter() - start
+        return ResultRow(config.setup_name, seed, spec.name, None, wall,
+                         "failed", (), None, budget, iterations,
+                         log=f"failed: {exc!r}")
+    return ResultRow(config.setup_name, seed, spec.name, makespan, wall,
+                     status, run.solver_statuses, rel, budget, iterations,
+                     log=run.log, schedule=run.schedule)
 
 
 def aggregate_rows(rows) -> list[AggregateRow]:
@@ -391,11 +414,7 @@ def average_ranks(tables: list[list[AggregateRow]]) -> dict[str, float]:
     return {m: float(np.mean(r)) for m, r in sorted(seen.items())}
 
 
-def _persist(config: ExperimentConfig, result: ExperimentResult,
-             out_dir: Path | None) -> None:
-    if out_dir is None:
-        return
-    out_dir = Path(out_dir)
+def _persist(config: ExperimentConfig, result: ExperimentResult, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "rows.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -422,42 +441,45 @@ def _persist(config: ExperimentConfig, result: ExperimentResult,
     result.output_dir = out_dir
 
 
+def _run_and_persist(config: ExperimentConfig, cells, out_dir) -> ExperimentResult:
+    """Run (seed, spec, budget) cells, aggregate the rows and persist them.
+
+    ``out_dir`` (or else ``config.output_dir``) receives rows.csv,
+    aggregate.csv, config.json and per-run logs; with neither, nothing is
+    written.
+    """
+    payloads = [(config, seed, spec, float(budget)) for seed, spec, budget in cells]
+    if config.parallelism > 1:
+        with ProcessPoolExecutor(max_workers=config.parallelism) as pool:
+            rows = list(pool.map(_execute_item, payloads))
+    else:
+        rows = [_execute_item(p) for p in payloads]
+    result = ExperimentResult(rows=rows, aggregates=aggregate_rows(rows))
+    target = out_dir if out_dir is not None else config.output_dir
+    if target:
+        _persist(config, result, Path(target))
+    return result
+
+
 def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentResult:
     """All (seed, method) cells of one experiment, plus aggregates.
 
-    ``out_dir`` (or ``config.output_dir``) receives rows.csv, aggregate.csv,
-    config.json and per-run logs.  Deterministic given the config, except
-    for wall times and budget-dependent method internals.
+    Deterministic given the config, except for wall times and
+    budget-dependent method internals.
     """
-    doc = config.to_document()
-    payloads = [
-        (doc, seed, spec.to_document(), config.budget, _iterations_label(spec))
-        for seed in config.seeds
-        for spec in config.methods
-    ]
-    rows = _run_items(config, payloads)
-    result = ExperimentResult(rows=rows, aggregates=aggregate_rows(rows))
-    target = out_dir if out_dir is not None else config.output_dir
-    _persist(config, result, Path(target) if target else None)
-    return result
+    return _run_and_persist(config, [(seed, spec, config.budget)
+                                     for seed in config.seeds
+                                     for spec in config.methods], out_dir)
 
 
 def sweep_budget(config: ExperimentConfig, budgets, out_dir=None) -> ExperimentResult:
     """Rerun every method at each budget; rows carry their budget."""
     if not budgets:
         raise ValueError("budgets must be non-empty")
-    doc = config.to_document()
-    payloads = [
-        (doc, seed, spec.to_document(), float(budget), _iterations_label(spec))
-        for budget in budgets
-        for seed in config.seeds
-        for spec in config.methods
-    ]
-    rows = _run_items(config, payloads)
-    result = ExperimentResult(rows=rows, aggregates=aggregate_rows(rows))
-    target = out_dir if out_dir is not None else config.output_dir
-    _persist(config, result, Path(target) if target else None)
-    return result
+    return _run_and_persist(config, [(seed, spec, budget)
+                                     for budget in budgets
+                                     for seed in config.seeds
+                                     for spec in config.methods], out_dir)
 
 
 def sweep_iterations(config: ExperimentConfig, ts, mode: str,
@@ -467,33 +489,23 @@ def sweep_iterations(config: ExperimentConfig, ts, mode: str,
     mode "divided": config.budget is the fixed total, so more iterations
     mean less time per iteration.  mode "same": config.budget is the fixed
     per-iteration allowance, so the total grows linearly with T.  Specs for
-    other methods run once per T with their usual budget (flat reference
-    lines).
+    other methods run once, with their usual budget (flat reference lines).
     """
     if mode not in ("divided", "same"):
         raise ValueError(f"mode must be 'divided' or 'same', got {mode!r}")
     if not ts or any(t < 1 for t in ts):
         raise ValueError("ts must be a non-empty list of positive iteration counts")
-    doc = config.to_document()
-    payloads = []
+    cells = []
     for t in ts:
         for seed in config.seeds:
             for spec in config.methods:
                 if spec.method != "altermilp":
                     continue
-                params = dict(spec.params)
-                params["iterations"] = int(t)
-                spec_t = MethodSpec(spec.method, spec.label, params)
+                spec_t = MethodSpec(spec.method, spec.label,
+                                    {**spec.params, "iterations": int(t)})
                 budget = config.budget if mode == "divided" else config.budget * t
-                payloads.append((doc, seed, spec_t.to_document(), budget, int(t)))
+                cells.append((seed, spec_t, budget))
     # non-iterative methods give one flat reference row set, not one per T
-    for seed in config.seeds:
-        for spec in config.methods:
-            if spec.method != "altermilp":
-                payloads.append((doc, seed, spec.to_document(), config.budget,
-                                 _iterations_label(spec)))
-    rows = _run_items(config, payloads)
-    result = ExperimentResult(rows=rows, aggregates=aggregate_rows(rows))
-    target = out_dir if out_dir is not None else config.output_dir
-    _persist(config, result, Path(target) if target else None)
-    return result
+    cells += [(seed, spec, config.budget) for seed in config.seeds
+              for spec in config.methods if spec.method != "altermilp"]
+    return _run_and_persist(config, cells, out_dir)

@@ -7,10 +7,8 @@ import json
 import sys
 import time
 
-from . import baselines
-from .alternating import AlterMilpConfig, run as altermilp_run
-from .bench import (load_experiment, run_experiment, sweep_budget,
-                    sweep_iterations)
+from .bench import (METHODS, MethodSpec, load_experiment, run_experiment,
+                    run_method, sweep_budget, sweep_iterations)
 from .environment import (GRID_PRESETS, GenerationConfig, generate,
                           load_environment, preset_config)
 from .evaluator import evaluate
@@ -94,83 +92,49 @@ def _cmd_evaluate(args) -> int:
 def _add_optimize(sub):
     p = sub.add_parser("optimize", help="run one optimization method")
     p.add_argument("--env", required=True)
-    p.add_argument("--method", required=True,
-                   choices=["random", "mintrans", "minexe", "greedy",
-                            "ensgreedy", "diana", "ga", "altermilp"])
+    p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--budget", type=float, default=3.0,
                    help="solver/wall budget in seconds")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the resulting schedule JSON here")
     p.add_argument("--trace", help="write the optimization trace JSON here (altermilp)")
-    p.add_argument("--backend", help="solver backend key (default: highs)")
-    p.add_argument("--iters", type=int, default=3, help="altermilp iterations")
-    p.add_argument("--budget-split", choices=["equal", "front-loaded"],
-                   default="equal")
-    p.add_argument("--no-early-stop", action="store_true",
-                   help="always run all altermilp iterations")
-    p.add_argument("--no-order-opt", action="store_true",
-                   help="pin the job order in altermilp's second half-step")
-    p.add_argument("--runs", type=int, help="ensemble size for ensgreedy")
-    p.add_argument("--threshold", type=float, default=1.0, help="diana ratio threshold")
-    p.add_argument("--population", type=int, default=50, help="ga population")
-    p.add_argument("--generations", type=int, help="ga generation cap")
-    p.add_argument("--mutation-rate", type=float, help="ga per-gene mutation rate")
+    p.add_argument("--param", action="append", default=[], metavar="NAME=VALUE",
+                   help="method param, as in an experiment's params; VALUE is read "
+                        "as JSON, or else kept as a string (repeatable)")
+
+
+def _parse_params(items) -> dict:
+    params = {}
+    for item in items:
+        name, sep, text = item.partition("=")
+        if not (sep and name):
+            raise ValueError(f"--param expects NAME=VALUE, got {item!r}")
+        try:
+            params[name] = json.loads(text)
+        except json.JSONDecodeError:
+            params[name] = text
+    return params
 
 
 def _cmd_optimize(args) -> int:
+    spec = MethodSpec(args.method, params=_parse_params(args.param))
     env = load_environment(args.env)
     start = time.perf_counter()
-    trace = None
-    if args.method == "altermilp":
-        cfg = AlterMilpConfig(
-            iterations=args.iters,
-            total_budget=args.budget,
-            budget_split=args.budget_split,
-            seed=args.seed,
-            backend=args.backend,
-            optimize_order=not args.no_order_opt,
-            early_stop=not args.no_early_stop,
-        )
-        schedule, trace = altermilp_run(env, cfg)
-        statuses = tuple(s.status for s in trace.steps if s.stage != "init")
-        degraded = trace.degraded
-    else:
-        if args.method == "random":
-            out = baselines.random_baseline(env, args.seed)
-        elif args.method == "mintrans":
-            out = baselines.min_trans(env, args.budget, args.seed, backend=args.backend)
-        elif args.method == "minexe":
-            out = baselines.min_exe(env, args.budget, args.seed, backend=args.backend)
-        elif args.method == "greedy":
-            out = baselines.greedy(env)
-        elif args.method == "ensgreedy":
-            out = baselines.ensemble_greedy(env, args.seed, runs=args.runs,
-                                            budget=args.budget)
-        elif args.method == "diana":
-            out = baselines.diana(env, threshold=args.threshold)
-        else:
-            out = baselines.ga(env, baselines.GaConfig(
-                population=args.population,
-                generations=args.generations or 1_000_000,
-                mutation_rate=args.mutation_rate,
-                seed=args.seed,
-                budget=args.budget,
-            ))
-        schedule, statuses, degraded = out.schedule, out.solver_statuses, out.degraded
+    run = run_method(env, spec, args.seed, args.budget)
     wall = time.perf_counter() - start
-    makespan = evaluate(env, schedule).makespan
+    makespan = evaluate(env, run.schedule).makespan
     if args.out:
-        schedule.save(args.out)
-    if args.trace and trace is not None:
-        trace.save(args.trace)
+        run.schedule.save(args.out)
+    if args.trace and run.trace is not None:
+        run.trace.save(args.trace)
     print(json.dumps({
         "method": args.method,
         "makespan": makespan,
         "wall_time_s": round(wall, 6),
-        "solver_statuses": list(statuses),
-        "degraded": degraded,
+        "solver_statuses": list(run.solver_statuses),
+        "degraded": run.degraded,
         "schedule_file": args.out,
-        "trace_file": args.trace if trace is not None else None,
+        "trace_file": args.trace if run.trace is not None else None,
     }))
     return 0
 
@@ -238,7 +202,8 @@ def main(argv=None) -> int:
     }
     try:
         return commands[args.command](args)
-    except (OSError, ValueError, KeyError) as exc:
+    # TypeError: a --param value of the wrong type, e.g. population=abc
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

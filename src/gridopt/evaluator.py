@@ -70,10 +70,9 @@ def replay_arguments(env: GridEnvironment, schedule: Schedule) -> tuple:
     )
 
 
-def evaluate(env: GridEnvironment, schedule: Schedule, validate: bool = True) -> MakespanReport:
-    """Replay ``schedule`` on ``env`` and report exact per-job timings."""
-    if validate:
-        schedule.validate(env)
+def evaluate(env: GridEnvironment, schedule: Schedule) -> MakespanReport:
+    """Validate ``schedule`` on ``env``, replay it and report exact per-job timings."""
+    schedule.validate(env)
     args = replay_arguments(env, schedule)
     u, v, e, makespan = kernels.replay(*args)
     return MakespanReport(

@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-import os
 import time
 import warnings
 from dataclasses import dataclass
@@ -93,7 +92,6 @@ class HighsBackend:
                     "mip_heuristic_run_rens": False,
                 },
             )
-        x = res.x if res.x is not None else None
         if res.status == 0:
             raw = "optimal"
         elif res.status == 1:
@@ -102,24 +100,7 @@ class HighsBackend:
             raw = "infeasible"
         else:
             raw = f"failed({res.status})"
-        return x, raw, str(res.message)
-
-
-_BACKENDS = {"highs": HighsBackend}
-
-
-def get_backend(name: str | None = None):
-    """Backend instance by name, or from GRIDOPT_BACKEND, default highs."""
-    key = name or os.environ.get("GRIDOPT_BACKEND", "highs")
-    try:
-        return _BACKENDS[key]()
-    except KeyError:
-        known = ", ".join(sorted(_BACKENDS))
-        raise KeyError(f"unknown solver backend {key!r}; known: {known}") from None
-
-
-def register_backend(name: str, factory) -> None:
-    _BACKENDS[name] = factory
+        return res.x, raw, str(res.message)
 
 
 def solve(model: MilpModel, budget: float, backend=None) -> SolveResult:
@@ -129,12 +110,13 @@ def solve(model: MilpModel, budget: float, backend=None) -> SolveResult:
     (GRACE_FRACTION of the budget, at least GRACE_FLOOR seconds) to absorb
     conversion overhead.  Every candidate solution, backend or warm start,
     is validated against the model; invalid ones are dropped with a note in
-    ``diagnostics``.
+    ``diagnostics``.  ``backend`` is any object with ``name`` and
+    ``solve_raw(model, budget)``; the default is a :class:`HighsBackend`.
     """
     if not (math.isfinite(budget) and budget > 0):
         raise ValueError(f"budget must be a positive number of seconds, got {budget!r}")
-    if backend is None or isinstance(backend, str):
-        backend = get_backend(backend)
+    if backend is None:
+        backend = HighsBackend()
 
     notes = []
     warm_x = None

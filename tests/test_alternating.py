@@ -9,7 +9,7 @@ from gridopt.alternating import (AlterMilpConfig, OptimizationTrace, TraceStep,
 from gridopt.baselines import greedy
 from gridopt.environment import GenerationConfig, generate
 from gridopt.evaluator import makespan_of
-from gridopt.solver import HighsBackend, brute_force_optimal, register_backend
+from gridopt.solver import HighsBackend, brute_force_optimal
 
 from conftest import tiny_env
 
@@ -48,11 +48,9 @@ def test_step_budgets_front_loaded():
 
 
 def test_start_is_the_greedy_schedule_of_a_seeded_order(env_tiny):
-    register_backend("always-infeasible", _InfeasibleBackend)
-
     def start(seed):
         _, trace = run(env_tiny, AlterMilpConfig(iterations=1, total_budget=2.0, seed=seed,
-                                                 backend="always-infeasible"))
+                                                 backend=_InfeasibleBackend()))
         return trace.steps[0].schedule.to_document()
 
     assert start(7) == greedy_start(env_tiny, 7).to_document()
@@ -133,7 +131,9 @@ def test_optimize_order_false_freezes_same_cn_order(env_tiny):
 
 class _RecordingBackend(HighsBackend):
     name = "recording"
-    solved = []     # (kind, digest of the model arrays, raw status) per backend call
+
+    def __init__(self):
+        self.solved = []    # (kind, digest of the model arrays, raw status) per call
 
     def solve_raw(self, model, budget):
         out = super().solve_raw(model, budget)
@@ -145,11 +145,10 @@ class _RecordingBackend(HighsBackend):
 
 
 def test_optimal_sub_solve_is_not_repeated(env_tiny):
-    register_backend("recording", _RecordingBackend)
-    _RecordingBackend.solved.clear()
+    backend = _RecordingBackend()
     _, trace = run(env_tiny, AlterMilpConfig(iterations=4, total_budget=8.0, seed=2,
-                                             backend="recording", early_stop=False))
-    solved = _RecordingBackend.solved
+                                             backend=backend, early_stop=False))
+    solved = backend.solved
     proven = set()
     for kind, digest, raw in solved:
         assert (kind, digest) not in proven
@@ -171,9 +170,8 @@ class _InfeasibleBackend:
 
 
 def test_all_failed_solves_mark_the_trace_degraded(env_tiny):
-    register_backend("always-infeasible", _InfeasibleBackend)
     cfg = AlterMilpConfig(iterations=2, total_budget=2.0, seed=4,
-                          backend="always-infeasible", early_stop=False)
+                          backend=_InfeasibleBackend(), early_stop=False)
     final, trace = run(env_tiny, cfg)
     assert trace.degraded
     assert all(s.status == "error" for s in trace.steps[1:])

@@ -12,7 +12,7 @@ from gridopt.environment import (GenerationConfig, GridEnvironment, generate,
                                  preset_config)
 from gridopt.evaluator import makespan_of
 from gridopt.schedule import Schedule
-from gridopt.solver import brute_force_optimal, register_backend
+from gridopt.solver import brute_force_optimal
 
 from conftest import tiny_env
 
@@ -80,9 +80,8 @@ class _RefusingBackend:
 
 def test_solver_failure_degrades_to_the_initial_schedule(tiny_oracle):
     env, _ = tiny_oracle
-    register_backend("refuses", _RefusingBackend)
     for method in (min_trans, min_exe):
-        run = method(env, budget=1.0, seed=3, backend="refuses")
+        run = method(env, budget=1.0, seed=3, backend=_RefusingBackend())
         assert run.degraded
         assert run.solver_statuses == ("error",)
         assert run.makespan == pytest.approx(random_baseline(env, 3).makespan)

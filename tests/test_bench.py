@@ -7,8 +7,8 @@ from gridopt.bench import (AGGREGATE_HEADER, METHODS, ROWS_HEADER,
                            ExperimentConfig, MethodSpec, ResultRow,
                            aggregate_rows, average_ranks,
                            experiment_from_document, load_experiment,
-                           rank_by_value, run_experiment, sweep_budget,
-                           sweep_iterations)
+                           method_params, rank_by_value, run_experiment,
+                           sweep_budget, sweep_iterations)
 from gridopt.environment import DocumentError
 
 from conftest import tiny_config
@@ -32,6 +32,16 @@ def test_method_spec_validation():
         MethodSpec("simulated-annealing")
     assert MethodSpec("random").name == "random"
     assert MethodSpec("random", label="baseline").name == "baseline"
+    # params are checked against the method's runner when the spec is built
+    assert method_params("greedy") == {}
+    assert method_params("altermilp")["iterations"] == 3
+    assert set(method_params("ga")) == {"population", "generations", "tournament",
+                                        "mutation_rate", "elitism"}
+    MethodSpec("ga", params={"tournament": 2, "elitism": 0})
+    with pytest.raises(ValueError, match="'ga' takes no param 'populaton'"):
+        MethodSpec("ga", params={"populaton": 4, "generations": 2})
+    with pytest.raises(ValueError, match="'altermilp' takes no param 'backend'"):
+        MethodSpec("altermilp", params={"backend": "highs"})
 
 
 def _config(**overrides):
@@ -94,6 +104,11 @@ def test_experiment_document_rejections():
     bad["methods"] = [{"method": "simulated-annealing"}]
     with pytest.raises(DocumentError):
         experiment_from_document(bad)
+    # a misspelt or foreign param fails loudly instead of running on defaults
+    for method, param in (("ga", "populaton"), ("greedy", "threshold")):
+        bad["methods"] = [{"method": method, "params": {param: 4}}]
+        with pytest.raises(DocumentError, match=f"'{method}'.*'{param}'"):
+            experiment_from_document(bad)
 
 
 def _fast_methods():

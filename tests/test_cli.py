@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from gridopt.bench import ExperimentConfig, MethodSpec
+from gridopt.bench import ExperimentConfig, MethodSpec, run_experiment
 from gridopt.cli import main
 from gridopt.environment import load_environment
 from gridopt.evaluator import makespan_of
@@ -121,9 +121,9 @@ def test_evaluate_missing_file_exits_one(tmp_path, capsys):
 @pytest.mark.parametrize("extra", [
     ["--method", "random"],
     ["--method", "greedy"],
-    ["--method", "diana", "--threshold", "2.0"],
-    ["--method", "ensgreedy", "--runs", "3"],
-    ["--method", "ga", "--population", "6", "--generations", "3"],
+    ["--method", "diana", "--param", "threshold=2.0"],
+    ["--method", "ensgreedy", "--param", "runs=3"],
+    ["--method", "ga", "--param", "population=6", "--param", "generations=3"],
     ["--method", "mintrans", "--budget", "2.0"],
     ["--method", "minexe", "--budget", "2.0"],
 ])
@@ -146,7 +146,7 @@ def test_optimize_altermilp_writes_a_trace(env_file, tmp_path, capsys):
     out = tmp_path / "sched.json"
     trace_path = tmp_path / "trace.json"
     code, stdout, _ = run_cli(capsys, "optimize", "--env", str(env_path),
-                              "--method", "altermilp", "--iters", "1",
+                              "--method", "altermilp", "--param", "iterations=1",
                               "--budget", "2.0", "--out", str(out),
                               "--trace", str(trace_path))
     assert code == 0
@@ -159,6 +159,50 @@ def test_optimize_altermilp_writes_a_trace(env_file, tmp_path, capsys):
     assert info["makespan"] == pytest.approx(makespan_of(env, final))
     # the written schedule is the trace's last iterate
     assert trace_doc["steps"][-1]["schedule"] == final.to_document()
+
+
+def test_optimize_rejects_an_unknown_param(env_file, capsys):
+    _, env_path = env_file
+    code, stdout, err = run_cli(capsys, "optimize", "--env", str(env_path),
+                                "--method", "greedy", "--param", "threshold=2.0")
+    assert code == 1 and stdout == ""
+    assert err.startswith("error:")
+    assert "'greedy'" in err and "'threshold'" in err
+    for bad in ("population", "population=abc"):
+        code, stdout, err = run_cli(capsys, "optimize", "--env", str(env_path),
+                                    "--method", "ga", "--param", bad)
+        assert code == 1 and stdout == ""
+        assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("method, params", [
+    ("random", {}),
+    ("mintrans", {}),
+    ("minexe", {}),
+    ("greedy", {}),
+    ("ensgreedy", {"runs": 4}),
+    ("diana", {"threshold": 0.5}),
+    ("ga", {"population": 6, "generations": 3, "tournament": 2, "elitism": 2,
+            "mutation_rate": 0.2}),
+    ("altermilp", {"iterations": 1, "budget_split": "front-loaded"}),
+])
+def test_optimize_matches_the_bench(tmp_path, capsys, method, params):
+    seed, budget = 2, 3.0
+    cfg = ExperimentConfig(methods=(MethodSpec(method, params=params),),
+                           seeds=(seed,), budget=budget, generation=tiny_config(0))
+    env_path = tmp_path / "env.json"
+    cfg.environment_for(seed).save(env_path)
+    out = tmp_path / "sched.json"
+    argv = ["optimize", "--env", str(env_path), "--method", method,
+            "--seed", str(seed), "--budget", str(budget), "--out", str(out)]
+    for name, value in params.items():
+        argv += ["--param", f"{name}={value}"]
+    code, stdout, _ = run_cli(capsys, *argv)
+    assert code == 0
+    [row] = run_experiment(cfg).rows
+    assert row.status == "ok"
+    assert json.loads(out.read_text()) == row.schedule.to_document()
+    assert json.loads(stdout)["makespan"] == row.makespan
 
 
 def _experiment_file(tmp_path, methods):

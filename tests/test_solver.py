@@ -8,9 +8,8 @@ from gridopt.environment import GenerationConfig, generate, preset_config
 from gridopt.evaluator import evaluate, makespan_of
 from gridopt.model import build_fixed_all, build_fixed_yz, build_monolithic
 from gridopt.schedule import random_schedule
-from gridopt.solver import (HighsBackend, InstanceTooLargeError, SolveResult,
-                            brute_force_optimal, candidate_count, get_backend,
-                            register_backend, solve)
+from gridopt.solver import (InstanceTooLargeError, SolveResult,
+                            brute_force_optimal, candidate_count, solve)
 
 from conftest import tiny_env
 
@@ -54,18 +53,6 @@ def test_warm_started_solve_never_regresses():
         res = solve(mdl, budget=10.0)
         assert res.ok
         assert res.objective <= warm_mk + 1e-9
-
-
-def test_backend_registry(monkeypatch):
-    assert isinstance(get_backend(), HighsBackend)
-    assert isinstance(get_backend("highs"), HighsBackend)
-    with pytest.raises(KeyError, match="highs"):
-        get_backend("gurobi")
-    monkeypatch.setenv("GRIDOPT_BACKEND", "nope")
-    with pytest.raises(KeyError):
-        get_backend()
-    monkeypatch.setenv("GRIDOPT_BACKEND", "highs")
-    assert isinstance(get_backend(), HighsBackend)
 
 
 class _StubBackend:
@@ -157,20 +144,6 @@ def test_claimed_optimum_worse_than_warm_start_is_distrusted():
         # the better point comes back either way
         assert res.objective == warm_mk
         assert "warm start beat" in res.diagnostics
-
-
-def test_register_backend_round_trip():
-    register_backend("stub-ok", lambda: _StubBackend((None, "limit")))
-    backend = get_backend("stub-ok")
-    assert backend.name == "stub"
-
-
-def test_solve_accepts_backend_by_key():
-    mdl, warm_mk = _warm_model()
-    register_backend("stub-limit", lambda: _StubBackend((None, "limit")))
-    res = solve(mdl, 1.0, backend="stub-limit")
-    assert res.status == "feasible-timeout"
-    assert res.objective == pytest.approx(warm_mk)
 
 
 def test_candidate_count_formula(env_tiny):
