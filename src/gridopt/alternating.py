@@ -15,7 +15,6 @@ is not solved again: the current iterate attains that optimum.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,7 @@ from .environment import GridEnvironment
 from .evaluator import makespan_of
 from .model import build_fixed_x, build_fixed_yz, extract_schedule
 from .schedule import Schedule, schedule_from_document
-from .solver import solve
+from .solver import check_budget, solve
 
 TRACE_SCHEMA = "optimization-trace/1"
 
@@ -47,8 +46,7 @@ class AlterMilpConfig:
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
-        if not (math.isfinite(self.total_budget) and self.total_budget > 0):
-            raise ValueError(f"total_budget must be positive, got {self.total_budget}")
+        check_budget(self.total_budget, "total_budget")
         if self.budget_split not in ("equal", "front-loaded"):
             raise ValueError(f"unknown budget_split {self.budget_split!r}")
 

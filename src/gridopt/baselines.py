@@ -22,7 +22,7 @@ from .environment import GridEnvironment
 from .evaluator import makespan_of, makespans_of
 from .model import build_fixed_x, build_fixed_yz, extract_schedule
 from .schedule import Schedule, random_schedule, validate_batch
-from .solver import solve
+from .solver import check_budget, solve
 
 
 @dataclass(frozen=True)
@@ -147,6 +147,8 @@ def ensemble_greedy(env: GridEnvironment, seed, runs: int | None = None,
     """
     if runs is not None and runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
+    if budget is not None:
+        check_budget(budget)
     if runs is None and budget is None:
         runs = 50
     rng = np.random.default_rng(seed)
@@ -245,6 +247,8 @@ class GaConfig:
             raise ValueError("mutation_rate must be in [0, 1]")
         if self.elitism < 0 or self.elitism >= self.population:
             raise ValueError("elitism must be in [0, population)")
+        if self.budget is not None:
+            check_budget(self.budget)
 
 
 def _order_crossover(rng, a, b):

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy.stats
 
 from . import baselines
 from .alternating import AlterMilpConfig, OptimizationTrace, run as altermilp_run
@@ -27,6 +28,7 @@ from .environment import (DocumentError, GenerationConfig, GRID_PRESETS,
                           config_from_document, generate, preset_config)
 from .evaluator import makespan_of
 from .schedule import Schedule
+from .solver import check_budget
 
 EXPERIMENT_SCHEMA = "experiment-config/1"
 
@@ -119,11 +121,23 @@ class MethodSpec:
                 f"unknown method {self.method!r}; known: {', '.join(METHODS)}"
             )
         takes = method_params(self.method)
-        for name in self.params:
+        for name, value in self.params.items():
             if name not in takes:
                 raise ValueError(
                     f"method {self.method!r} takes no param {name!r}; "
                     f"known: {', '.join(takes) or 'none'}"
+                )
+            # a value must have its default's type (an int will do for a
+            # float); a None default leaves the check to the method
+            default = takes[name]
+            if default is None:
+                continue
+            is_float = type(default) is float
+            kind = (int, float) if is_float else type(default)
+            if isinstance(value, bool) != isinstance(default, bool) or not isinstance(value, kind):
+                expected = "int or float" if is_float else type(default).__name__
+                raise ValueError(
+                    f"method {self.method!r} param {name!r} must be {expected}, got {value!r}"
                 )
 
     @property
@@ -160,8 +174,7 @@ class ExperimentConfig:
             raise ValueError("an experiment needs at least one method")
         if not self.seeds:
             raise ValueError("an experiment needs at least one seed")
-        if not self.budget > 0:
-            raise ValueError(f"budget must be positive, got {self.budget}")
+        check_budget(self.budget)
         if (self.preset is None) == (self.generation is None):
             raise ValueError("give exactly one of preset and generation")
         if self.preset is not None and self.preset not in GRID_PRESETS:
@@ -203,6 +216,20 @@ class ExperimentConfig:
             fh.write("\n")
 
 
+def _field_names(cls) -> set[str]:
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+def _method_from_document(entry) -> MethodSpec:
+    if not isinstance(entry, dict):
+        raise DocumentError(f"method entry must be a JSON object, got {entry!r}")
+    unknown = sorted(set(entry) - _field_names(MethodSpec))
+    if unknown:
+        raise DocumentError("unknown method field(s): " + ", ".join(unknown))
+    return MethodSpec(method=entry["method"], label=entry.get("label"),
+                      params=dict(entry.get("params") or {}))
+
+
 def experiment_from_document(doc: dict) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise DocumentError("experiment document must be a JSON object")
@@ -210,15 +237,14 @@ def experiment_from_document(doc: dict) -> ExperimentConfig:
         raise DocumentError(
             f"field 'schema': expected {EXPERIMENT_SCHEMA!r}, got {doc.get('schema')!r}"
         )
+    unknown = sorted(set(doc) - {"schema"} - _field_names(ExperimentConfig))
+    if unknown:
+        raise DocumentError("unknown field(s): " + ", ".join(unknown))
     for name in ("methods", "seeds", "budget"):
         if name not in doc:
             raise DocumentError(f"missing field: {name}")
     try:
-        methods = tuple(
-            MethodSpec(method=m["method"], label=m.get("label"),
-                       params=dict(m.get("params") or {}))
-            for m in doc["methods"]
-        )
+        methods = tuple(_method_from_document(m) for m in doc["methods"])
         generation = doc.get("generation")
         return ExperimentConfig(
             methods=methods,
@@ -306,8 +332,10 @@ def run_method(env, spec: MethodSpec, seed: int, budget: float,
     """Run one method through the registry.
 
     ``reproduction_mode`` switches early stopping off for every method that
-    has it, so that all iterations run.
+    has it, so that all iterations run.  The budget is checked even for
+    methods that ignore it.
     """
+    check_budget(budget)
     params = dict(spec.params)
     if reproduction_mode and "early_stop" in method_params(spec.method):
         params["early_stop"] = False
@@ -389,19 +417,7 @@ def aggregate_rows(rows) -> list[AggregateRow]:
 
 def rank_by_value(values) -> list[float]:
     """Competition ranks (1 = smallest), ties averaged."""
-    order = np.argsort(values, kind="stable")
-    ranks = [0.0] * len(values)
-    i = 0
-    values = list(values)
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        shared = (i + j) / 2 + 1
-        for k in range(i, j + 1):
-            ranks[order[k]] = shared
-        i = j + 1
-    return ranks
+    return scipy.stats.rankdata(values, method="average").tolist()
 
 
 def average_ranks(tables: list[list[AggregateRow]]) -> dict[str, float]:
@@ -476,6 +492,8 @@ def sweep_budget(config: ExperimentConfig, budgets, out_dir=None) -> ExperimentR
     """Rerun every method at each budget; rows carry their budget."""
     if not budgets:
         raise ValueError("budgets must be non-empty")
+    for budget in budgets:
+        check_budget(budget)
     return _run_and_persist(config, [(seed, spec, budget)
                                      for budget in budgets
                                      for seed in config.seeds

@@ -1,19 +1,13 @@
 """Pipeline-replay kernels.
 
 The replay walks jobs in priority order and simulates overlapped transfer
-and execution on each CN queue.  It is the hot loop of the whole package,
-so it comes in three forms with one semantics:
+and execution on each CN queue.  It comes in two forms with one semantics:
 
-* :func:`replay_loops`, the scalar reference loop over one schedule;
-* ``replay_jit``, the same loop compiled with numba when numba is
-  importable (set ``GRIDOPT_DISABLE_NUMBA=1``, or any of "true", "yes",
-  "on", before import to leave it out);
+* :func:`replay`, the scalar reference loop over one schedule;
 * :func:`replay_batch`, the makespans of B schedules at once, for callers
   that score many candidates (the genetic baseline, brute force).
 
-:func:`replay` is the compiled loop when it exists and the scalar loop
-otherwise.  The single-schedule kernels share one calling convention,
-arrays only:
+:func:`replay` takes arrays only:
 
     order      (J,) int64   job ids, highest priority first
     job_cn     (J,) int64   CN id per job
@@ -32,18 +26,12 @@ by job id.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 
-def _flag(name: str) -> bool:
-    return os.environ.get(name, "").strip().lower() in {"1", "true", "yes", "on"}
-
-
-def replay_loops(order, job_cn, obj_ids, obj_off, object_sn, t_remote,
-                 sizes, lan_bw, speeds, gamma):
-    """Scalar-loop replay, the reference semantics (and the numba source)."""
+def replay(order, job_cn, obj_ids, obj_off, object_sn, t_remote,
+           sizes, lan_bw, speeds, gamma):
+    """Scalar-loop replay, the reference semantics."""
     n_jobs = order.shape[0]
     n_cns = speeds.shape[0]
     cn_free = np.zeros(n_cns, dtype=np.float64)
@@ -78,7 +66,7 @@ def replay_loops(order, job_cn, obj_ids, obj_off, object_sn, t_remote,
 
 def replay_batch(orders, job_cns, object_sns, in_ids, in_mask, job_kb,
                  t_remote, sizes, lan_bw, speeds, gamma):
-    """Makespans of B schedules, bit-identical to :func:`replay_loops`.
+    """Makespans of B schedules, bit-identical to :func:`replay`.
 
     ``orders`` and ``job_cns`` are (B, J), ``object_sns`` and ``t_remote``
     (B, D); ``in_ids``/``in_mask`` are the (J, M) padded input table and its
@@ -113,24 +101,6 @@ def replay_batch(orders, job_cns, object_sns, in_ids, in_mask, job_kb,
     return cn_free.reshape(n_batch, n_cns).max(axis=1)
 
 
-NUMBA_DISABLED = _flag("GRIDOPT_DISABLE_NUMBA")
-
-replay_jit = None
-if not NUMBA_DISABLED:
-    try:
-        import numba
-
-        replay_jit = numba.njit(cache=True)(replay_loops)
-    except ImportError:  # numba comes with the optional [jit] extra
-        replay_jit = None
-
-replay = replay_jit if replay_jit is not None else replay_loops
-
-
-def numba_active() -> bool:
-    """True when the compiled kernel is the one behind :func:`replay`."""
-    return replay is replay_jit and replay_jit is not None
-
-
 def backend_name() -> str:
-    return "numba" if numba_active() else "loops"
+    """Name of the replay implementation, recorded in benchmark provenance."""
+    return "loops"

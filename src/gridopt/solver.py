@@ -103,6 +103,12 @@ class HighsBackend:
         return res.x, raw, str(res.message)
 
 
+def check_budget(budget: float, name: str = "budget") -> None:
+    """Reject a budget that could never stop a run: only finite seconds > 0 pass."""
+    if not (math.isfinite(budget) and budget > 0):
+        raise ValueError(f"{name} must be a finite number of seconds > 0, got {budget!r}")
+
+
 def solve(model: MilpModel, budget: float, backend=None) -> SolveResult:
     """Solve ``model`` within ``budget`` seconds of backend time.
 
@@ -113,8 +119,7 @@ def solve(model: MilpModel, budget: float, backend=None) -> SolveResult:
     ``diagnostics``.  ``backend`` is any object with ``name`` and
     ``solve_raw(model, budget)``; the default is a :class:`HighsBackend`.
     """
-    if not (math.isfinite(budget) and budget > 0):
-        raise ValueError(f"budget must be a positive number of seconds, got {budget!r}")
+    check_budget(budget)
     if backend is None:
         backend = HighsBackend()
 

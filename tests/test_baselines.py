@@ -156,6 +156,9 @@ def test_ensemble_rejects_nonpositive_runs(tiny_oracle):
     env, _ = tiny_oracle
     with pytest.raises(ValueError, match="runs"):
         ensemble_greedy(env, seed=0, runs=0)
+    for budget in (float("nan"), float("inf"), 0.0):
+        with pytest.raises(ValueError, match="budget"):
+            ensemble_greedy(env, seed=0, budget=budget)
 
 
 def test_ensemble_is_deterministic_and_monotone_in_runs(tiny_oracle):
@@ -299,6 +302,9 @@ def test_ga_config_validation():
         GaConfig(population=5, tournament=6)
     with pytest.raises(ValueError):
         GaConfig(mutation_rate=1.5)
+    for budget in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ValueError, match="budget"):
+            GaConfig(budget=budget)
     with pytest.raises(ValueError):
         GaConfig(population=5, elitism=5)
 

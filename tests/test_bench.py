@@ -42,6 +42,15 @@ def test_method_spec_validation():
         MethodSpec("ga", params={"populaton": 4, "generations": 2})
     with pytest.raises(ValueError, match="'altermilp' takes no param 'backend'"):
         MethodSpec("altermilp", params={"backend": "highs"})
+    # values must have the type of the runner's default
+    MethodSpec("diana", params={"threshold": 2})
+    MethodSpec("ga", params={"mutation_rate": 0.5})
+    for method, param, value in (("ga", "population", "abc"), ("ga", "population", True),
+                                 ("ga", "population", 8.0), ("diana", "threshold", False),
+                                 ("altermilp", "early_stop", 1),
+                                 ("altermilp", "budget_split", 2)):
+        with pytest.raises(ValueError, match=f"'{method}' param '{param}' must be"):
+            MethodSpec(method, params={param: value})
 
 
 def _config(**overrides):
@@ -60,8 +69,9 @@ def test_experiment_config_validation():
         _config(methods=())
     with pytest.raises(ValueError, match="seed"):
         _config(seeds=())
-    with pytest.raises(ValueError, match="budget"):
-        _config(budget=0.0)
+    for budget in (0.0, float("inf")):
+        with pytest.raises(ValueError, match="budget"):
+            _config(budget=budget)
     with pytest.raises(ValueError, match="exactly one"):
         _config(preset="small")
     with pytest.raises(ValueError, match="exactly one"):
@@ -100,6 +110,11 @@ def test_experiment_document_rejections():
         del doc[missing]
         with pytest.raises(DocumentError, match=missing):
             experiment_from_document(doc)
+    with pytest.raises(DocumentError, match="parallelizm"):
+        experiment_from_document({**good, "parallelizm": 4})
+    with pytest.raises(DocumentError, match="parms"):
+        experiment_from_document({**good, "methods": [{"method": "ga",
+                                                       "parms": {"populaton": 9}}]})
     bad = dict(good)
     bad["methods"] = [{"method": "simulated-annealing"}]
     with pytest.raises(DocumentError):
@@ -231,6 +246,8 @@ def test_sweep_budget_tags_rows(tmp_path):
                   seeds=(0,), budget=1.0)
     with pytest.raises(ValueError, match="budgets"):
         sweep_budget(cfg, [])
+    with pytest.raises(ValueError, match="budget"):
+        sweep_budget(cfg, [0.5, float("nan")])
     result = sweep_budget(cfg, [0.5, 1.5], out_dir=tmp_path / "sweep")
     assert len(result.rows) == 2 * 2
     assert sorted({r.budget for r in result.rows}) == [0.5, 1.5]

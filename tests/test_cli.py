@@ -168,11 +168,23 @@ def test_optimize_rejects_an_unknown_param(env_file, capsys):
     assert code == 1 and stdout == ""
     assert err.startswith("error:")
     assert "'greedy'" in err and "'threshold'" in err
-    for bad in ("population", "population=abc"):
+    for bad in ("population", "population=abc", "population=true"):
         code, stdout, err = run_cli(capsys, "optimize", "--env", str(env_path),
                                     "--method", "ga", "--param", bad)
         assert code == 1 and stdout == ""
         assert err.startswith("error:")
+        assert "'population'" in err
+
+
+# nan and inf could never stop a budget-bound loop, and 0 or less is no budget
+@pytest.mark.parametrize("method", ["ensgreedy", "ga", "greedy"])
+@pytest.mark.parametrize("budget", ["nan", "inf", "0", "-1"])
+def test_optimize_rejects_a_budget_that_cannot_stop_a_run(env_file, capsys, method, budget):
+    _, env_path = env_file
+    code, stdout, err = run_cli(capsys, "optimize", "--env", str(env_path),
+                                "--method", method, "--budget", budget)
+    assert code == 1 and stdout == ""
+    assert err.startswith("error:") and "budget" in err
 
 
 @pytest.mark.parametrize("method, params", [
