@@ -251,29 +251,85 @@ class GaConfig:
             check_budget(self.budget)
 
 
-def _order_crossover(rng, a, b):
-    # classic OX: keep a slice of parent a, fill the rest in parent b's order
-    n = a.size
-    child = np.full(n, -1, dtype=np.int64)
-    lo, hi = sorted(rng.choice(n + 1, size=2, replace=False))
-    child[lo:hi] = a[lo:hi]
-    taken = set(child[lo:hi].tolist())
-    fill = [g for g in b if g not in taken]
-    spots = [k for k in range(n) if not lo <= k < hi]
-    for k, g in zip(spots, fill):
-        child[k] = g
+def _order_crossover_rows(a, b, lo, hi) -> np.ndarray:
+    """Order crossover (OX, Davis 1985) of R parent pairs at once: (R, n) children.
+
+    Rows of ``a`` and ``b`` are permutations of ``range(n)``.  Child r keeps
+    ``a[r, lo[r]:hi[r]]`` in place and fills its other slots, left to right,
+    with the genes of ``b[r]`` that the slice lacks, in ``b[r]``'s order.
+    """
+    rows = np.arange(a.shape[0])[:, None]
+    pos = np.arange(a.shape[1])
+    kept = (lo[:, None] <= pos) & (pos < hi[:, None])
+    taken = np.empty(a.shape, dtype=bool)
+    taken[rows, a] = kept                   # taken[r, g]: gene g is in row r's slice
+    child = a.copy()
+    # both masks hold n - (hi - lo) entries per row, read row by row
+    child[~kept] = b[~taken[rows, b]]
     return child
+
+
+def _breed(rng, config: GaConfig, mut: float, num_cns: int, num_local_sns: int,
+           scores, job_cn, order, object_sn) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The next population: the elites, then P - elitism children.
+
+    One loop makes every random draw, child by child and in a fixed order:
+    two tournaments, the CN cut, the OX slice, the SN cut, then the CN, order
+    and SN mutation masks, each followed by its per-hit draws.  The children
+    are then bred from the recorded draws in array operations.
+    """
+    size, nj = order.shape
+    nd = object_sn.shape[1]
+    n = size - config.elitism
+    integers, random, choice, t = rng.integers, rng.random, rng.choice, config.tournament
+    draws, cn_hits, swaps, sn_hits = [], [], [], []
+    for i in range(n):
+        # tuple items are evaluated left to right, in draw order
+        draws.append((integers(0, size, size=t), integers(0, size, size=t),
+                      integers(0, nj + 1), choice(nj + 1, size=2, replace=False),
+                      integers(0, nd + 1)))
+        for k in (random(nj) < mut).nonzero()[0].tolist():
+            cn_hits.append((i, k, integers(0, num_cns)))
+        for k in (random(nj) < mut).nonzero()[0].tolist():
+            swaps.append((i, k, integers(0, nj)))
+        for k in (random(nd) < mut).nonzero()[0].tolist():
+            sn_hits.append((i, k, integers(0, num_local_sns)))
+
+    picks_a, picks_b, cut_cn, ends, cut_sn = (np.array(part) for part in zip(*draws))
+    rows = np.arange(n)
+    # a tournament's winner is its first pick with the lowest score
+    pa = picks_a[rows, scores[picks_a].argmin(axis=1)]
+    pb = picks_b[rows, scores[picks_b].argmin(axis=1)]
+    child_cn = np.where(np.arange(nj) < cut_cn[:, None], job_cn[pa], job_cn[pb])
+    lo, hi = np.sort(ends, axis=1).T
+    child_order = _order_crossover_rows(order[pa], order[pb], lo, hi)
+    child_sn = np.where(np.arange(nd) < cut_sn[:, None], object_sn[pa], object_sn[pb])
+    for child, hits in ((child_cn, cn_hits), (child_sn, sn_hits)):
+        if hits:
+            ids, cols, values = zip(*hits)
+            child[ids, cols] = values
+    for i, k, other in swaps:                     # in draw order: swaps can chain
+        row = child_order[i]
+        row[k], row[other] = row[other], row[k]
+
+    elite = np.argsort(scores)[:config.elitism]
+    return (np.concatenate([job_cn[elite], child_cn]),
+            np.concatenate([order[elite], child_order]),
+            np.concatenate([object_sn[elite], child_sn]))
 
 
 def ga(env: GridEnvironment, config: GaConfig | None = None, **overrides) -> BaselineRun:
     """Genetic search over (assignment, order, placement) triples.
 
     Tournament selection, one-point crossover on the index vectors, order
-    crossover on the permutation, per-gene mutation, elitist survival.
-    Each generation is scored by one batched replay.  Stops at the
-    generation cap or when the wall budget runs out, and returns the best
-    individual ever evaluated.
+    crossover on the permutation, per-gene mutation, elitist survival.  The
+    population is three int64 arrays, (P, J) assignments, (P, J) orders and
+    (P, D) placements; each generation is bred by :func:`_breed` and scored
+    by one batched replay.  Stops at the generation cap or when the wall
+    budget, counted from entry, runs out, and returns the best individual
+    ever evaluated.
     """
+    start = time.perf_counter()
     if config is None:
         config = GaConfig(**overrides)
     elif overrides:
@@ -283,51 +339,26 @@ def ga(env: GridEnvironment, config: GaConfig | None = None, **overrides) -> Bas
     genome_len = 2 * nj + nd
     mut = config.mutation_rate if config.mutation_rate is not None else 1.0 / genome_len
 
-    def make_random():
-        return (rng.integers(0, nc, size=nj),
-                rng.permutation(nj),
-                rng.integers(0, nl, size=nd))
-
-    def fitness(pop):
-        return makespans_of(env, *(np.stack([ind[g] for ind in pop]) for g in range(3)))
-
-    population = [make_random() for _ in range(config.population)]
-    scores = fitness(population)
+    initial = [(rng.integers(0, nc, size=nj), rng.permutation(nj), rng.integers(0, nl, size=nd))
+               for _ in range(config.population)]
+    population = tuple(np.stack(genes) for genes in zip(*initial))
+    scores = makespans_of(env, *population)
     best_idx = int(scores.argmin())
-    best, best_score = population[best_idx], float(scores[best_idx])
+    best = tuple(genes[best_idx] for genes in population)
+    best_score = float(scores[best_idx])
     history = [best_score]
 
-    start = time.perf_counter()
     generations_done = 0
     for _ in range(config.generations - 1):
         if config.budget is not None and time.perf_counter() - start >= config.budget:
             break
-        elite_ids = np.argsort(scores)[:config.elitism]
-        nxt = [tuple(np.copy(g) for g in population[i]) for i in elite_ids]
-        while len(nxt) < config.population:
-            pa = population[min(rng.integers(0, config.population, size=config.tournament),
-                                key=lambda i: scores[i])]
-            pb = population[min(rng.integers(0, config.population, size=config.tournament),
-                                key=lambda i: scores[i])]
-            cut_cn = int(rng.integers(0, nj + 1))
-            cn = np.concatenate([pa[0][:cut_cn], pb[0][cut_cn:]])
-            order = _order_crossover(rng, pa[1], pb[1])
-            cut_sn = int(rng.integers(0, nd + 1))
-            sn = np.concatenate([pa[2][:cut_sn], pb[2][cut_sn:]])
-            for k in np.flatnonzero(rng.random(nj) < mut):
-                cn[k] = rng.integers(0, nc)
-            for k in np.flatnonzero(rng.random(nj) < mut):
-                other = int(rng.integers(0, nj))
-                order[k], order[other] = order[other], order[k]
-            for k in np.flatnonzero(rng.random(nd) < mut):
-                sn[k] = rng.integers(0, nl)
-            nxt.append((cn, order, sn))
-        population = nxt
-        scores = fitness(population)
+        population = _breed(rng, config, mut, nc, nl, scores, *population)
+        scores = makespans_of(env, *population)
         generations_done += 1
         gen_best = int(scores.argmin())
         if scores[gen_best] < best_score:
-            best, best_score = population[gen_best], float(scores[gen_best])
+            best = tuple(genes[gen_best] for genes in population)
+            best_score = float(scores[gen_best])
         history.append(best_score)
 
     schedule = Schedule(job_cn=best[0], order=best[1], object_sn=best[2])

@@ -388,14 +388,17 @@ def generate(config: GenerationConfig, seed: int | None = None) -> GridEnvironme
                       size=(config.num_local_sns, config.num_cns))
     hosting = rng.integers(0, config.num_remote_sns, size=d)
 
-    weights = _zipf_weights(d, config.zipf_exponent)
+    # rng.choice(d, p=weights) normalises this CDF and searches it with one
+    # rng.random() on every call; build it once and draw the same uniforms
+    cdf = _zipf_weights(d, config.zipf_exponent).cumsum()
+    cdf /= cdf[-1]
     lo, hi = config.resolved_objects_per_job()
     job_inputs = []
     for _ in range(j):
         want = int(rng.integers(lo, hi, endpoint=True))
-        picked: set[int] = set()
+        picked = set(cdf.searchsorted(rng.random(want), side="right").tolist())
         while len(picked) < want:
-            picked.add(int(rng.choice(d, p=weights)))
+            picked.add(int(cdf.searchsorted(rng.random(), side="right")))
         job_inputs.append(tuple(sorted(picked)))
 
     return GridEnvironment(

@@ -1,16 +1,20 @@
 import hashlib
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gridopt import baselines
 from gridopt.baselines import (GREEDY_BLOCK, BaselineRun, GaConfig,
-                               _order_crossover, classify_jobs, diana,
+                               _order_crossover_rows, classify_jobs, diana,
                                ensemble_greedy, ga, greedy,
                                greedy_data_assignment, min_exe, min_trans,
                                random_baseline)
 from gridopt.environment import (GenerationConfig, GridEnvironment, generate,
                                  preset_config)
-from gridopt.evaluator import makespan_of
+from gridopt.evaluator import makespan_of, makespans_of
 from gridopt.schedule import Schedule
 from gridopt.solver import brute_force_optimal
 
@@ -315,13 +319,49 @@ def test_ga_rejects_config_plus_overrides(tiny_oracle):
         ga(env, GaConfig(), seed=1)
 
 
+def _scalar_order_crossover(a, b, lo, hi):
+    """Classic OX on one pair: keep a[lo:hi], fill the rest in b's order."""
+    n = a.size
+    child = np.full(n, -1, dtype=np.int64)
+    child[lo:hi] = a[lo:hi]
+    taken = set(child[lo:hi].tolist())
+    fill = [g for g in b if g not in taken]
+    spots = [k for k in range(n) if not lo <= k < hi]
+    for k, g in zip(spots, fill):
+        child[k] = g
+    return child
+
+
 def test_order_crossover_yields_permutations():
     rng = np.random.default_rng(0)
     for _ in range(50):
         n = int(rng.integers(2, 9))
         a, b = rng.permutation(n), rng.permutation(n)
-        child = _order_crossover(rng, a, b)
+        lo, hi = sorted(rng.choice(n + 1, size=2, replace=False))
+        child = _order_crossover_rows(a[None], b[None], np.array([lo]), np.array([hi]))[0]
         assert sorted(child.tolist()) == list(range(n))
+
+
+@st.composite
+def _crossover_cases(draw):
+    n = draw(st.integers(1, 12))
+    rows = draw(st.integers(1, 8))
+    perms = st.permutations(range(n))
+    a = np.array([draw(perms) for _ in range(rows)], dtype=np.int64)
+    b = np.array([draw(perms) for _ in range(rows)], dtype=np.int64)
+    lo = [draw(st.integers(0, n - 1)) for _ in range(rows)]
+    hi = [draw(st.integers(low + 1, n)) for low in lo]
+    return a, b, np.array(lo), np.array(hi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_crossover_cases())
+def test_order_crossover_rows_matches_the_scalar_reference(case):
+    a, b, lo, hi = case
+    children = _order_crossover_rows(a, b, lo, hi)
+    assert children.shape == a.shape
+    for r in range(a.shape[0]):
+        assert children[r].tolist() == _scalar_order_crossover(a[r], b[r], lo[r], hi[r]).tolist()
 
 
 def test_ga_history_tracks_the_best_ever(tiny_oracle):
@@ -360,6 +400,11 @@ _GA_FINGERPRINTS = {
     "small": (lambda: generate(preset_config("small"), seed=0),
               dict(population=30, generations=40, seed=1),
               "9c0210436e1eaec7e6c2892a71c6f5aefb5e4ea9a6c55c05ef54fbc41777e30b"),
+    # the shape the search benchmark runs; recorded when each child was bred
+    # by its own Python operators
+    "medium": (lambda: generate(preset_config("medium"), seed=0),
+               dict(population=50, generations=10, seed=0),
+               "fb2da9e9ead5f515d7d647067f0ba317ee32c732069ebc9adfa4776ea69bf230"),
 }
 
 
@@ -380,3 +425,20 @@ def test_ga_budget_cuts_the_run_short(tiny_oracle):
     run = ga(env, GaConfig(population=10, generations=1000, seed=0, budget=1e-9))
     assert run.extra["generations"] == 1
     assert len(run.extra["history"]) == 1
+
+
+def test_ga_budget_counts_the_initial_population(tiny_oracle, monkeypatch):
+    env, _ = tiny_oracle
+    budget = 0.05
+    calls = []
+
+    def slow_first_call(*args):
+        if not calls:
+            time.sleep(2 * budget)
+        calls.append(1)
+        return makespans_of(*args)
+
+    monkeypatch.setattr(baselines, "makespans_of", slow_first_call)
+    run = ga(env, GaConfig(population=10, generations=1000, seed=0, budget=budget))
+    assert run.extra["generations"] == 1
+    assert len(calls) == 1

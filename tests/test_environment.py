@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -25,6 +26,28 @@ def test_generation_is_deterministic_per_seed():
     assert a.to_document() == b.to_document()
     c = generate(_config(), seed=99)
     assert c.to_document() != a.to_document()
+
+
+# sha256 of json.dumps(to_document(), sort_keys=True), recorded when every
+# input draw called rng.choice(d, p=weights) on its own
+_ENVIRONMENT_DIGESTS = {
+    ("small", 0): "2578a9fe9451a88a245bab0815ab2972f9554e20211c3e6f128515a08aa353b2",
+    ("small", 1): "e321cd77bd054071c8770afb8ea1e1ed2f4c2ae354f8ce3d421b3726ac98a6e8",
+    ("small", 2): "6000ac458f7a40e7dd63ac8c6031d4b56089970c2ec867d5d298d9bd37e15792",
+    ("medium", 0): "5343317d2484f6225319ccb1a836717bbd62db8c045862398d9f30923b3ecefe",
+    ("medium", 1): "0cc5e18ef2bdf2fae157d424cf5cf1a187bf518e2aae709acda52691e740f9c5",
+    ("medium", 2): "c7e192ed8c6ec9cf15159543a8fe3327558e9d75b057dfa4a645bc03a8ec0023",
+    ("large", 0): "8a3f2bc6d467d70f4db7f38a1e7413ba05f444f7f47ae55be51c113f0c98235e",
+    ("large", 1): "41569986e2f5a3497a1f3dc852c8287b99c5809cbd38f91c7a2df6d6429d387f",
+    ("large", 2): "48d63a5ba3cf8293ed1c699dad24e61e7fa94d26722937115b94156303e28bea",
+}
+
+
+@pytest.mark.parametrize("preset,seed", sorted(_ENVIRONMENT_DIGESTS))
+def test_generation_matches_recorded_digests(preset, seed):
+    doc = generate(preset_config(preset), seed=seed).to_document()
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    assert digest == _ENVIRONMENT_DIGESTS[preset, seed]
 
 
 def test_generated_fields_respect_ranges():
