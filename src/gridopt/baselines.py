@@ -161,7 +161,7 @@ def ensemble_greedy(env: GridEnvironment, seed, runs: int | None = None,
             size = min(GREEDY_BLOCK, runs - done)
         else:
             size = 10 if done == 0 else GREEDY_BLOCK
-        orders = np.stack([rng.permutation(env.num_jobs) for _ in range(size)])
+        orders = rng.permuted(np.tile(np.arange(env.num_jobs), (size, 1)), axis=1)
         job_cns, makespans = _greedy_batch(env, object_sn, orders)
         validate_batch(env, job_cns, orders, object_sn[None])
         i = int(makespans.argmin())
@@ -269,47 +269,51 @@ def _order_crossover_rows(a, b, lo, hi) -> np.ndarray:
     return child
 
 
+def _ox_slice_ends(first, offset, span) -> tuple[np.ndarray, np.ndarray]:
+    """OX slice bounds (lo, hi) from a first end and an offset to the second.
+
+    With ``first`` uniform on [0, span) and ``offset`` uniform on [1, span),
+    ``(first, (first + offset) % span)`` is a uniform ordered pair of distinct
+    ends, the distribution of ``choice(span, 2, replace=False)``.
+    """
+    second = (first + offset) % span
+    return np.minimum(first, second), np.maximum(first, second)
+
+
 def _breed(rng, config: GaConfig, mut: float, num_cns: int, num_local_sns: int,
            scores, job_cn, order, object_sn) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The next population: the elites, then P - elitism children.
 
-    One loop makes every random draw, child by child and in a fixed order:
-    two tournaments, the CN cut, the OX slice, the SN cut, then the CN, order
-    and SN mutation masks, each followed by its per-hit draws.  The children
-    are then bred from the recorded draws in array operations.
+    Each draw kind is made for the whole generation in one call, in a fixed
+    order: the tournament picks, the CN cuts, the OX slice ends, the SN cuts,
+    the CN, order and SN mutation masks, then the new CNs, swap partners and
+    SNs of the mutation hits.  The children are bred in array operations.
     """
     size, nj = order.shape
     nd = object_sn.shape[1]
     n = size - config.elitism
-    integers, random, choice, t = rng.integers, rng.random, rng.choice, config.tournament
-    draws, cn_hits, swaps, sn_hits = [], [], [], []
-    for i in range(n):
-        # tuple items are evaluated left to right, in draw order
-        draws.append((integers(0, size, size=t), integers(0, size, size=t),
-                      integers(0, nj + 1), choice(nj + 1, size=2, replace=False),
-                      integers(0, nd + 1)))
-        for k in (random(nj) < mut).nonzero()[0].tolist():
-            cn_hits.append((i, k, integers(0, num_cns)))
-        for k in (random(nj) < mut).nonzero()[0].tolist():
-            swaps.append((i, k, integers(0, nj)))
-        for k in (random(nd) < mut).nonzero()[0].tolist():
-            sn_hits.append((i, k, integers(0, num_local_sns)))
+    integers, random = rng.integers, rng.random
+    picks = integers(0, size, size=(2, n, config.tournament))
+    cut_cn = integers(0, nj + 1, size=n)
+    lo, hi = _ox_slice_ends(integers(0, nj + 1, size=n), integers(1, nj + 1, size=n), nj + 1)
+    cut_sn = integers(0, nd + 1, size=n)
+    cn_hits = random((n, nj)) < mut
+    swap_hits = random((n, nj)) < mut
+    sn_hits = random((n, nd)) < mut
+    cn_values = integers(0, num_cns, size=int(cn_hits.sum()))
+    partners = integers(0, nj, size=int(swap_hits.sum()))
+    sn_values = integers(0, num_local_sns, size=int(sn_hits.sum()))
 
-    picks_a, picks_b, cut_cn, ends, cut_sn = (np.array(part) for part in zip(*draws))
-    rows = np.arange(n)
     # a tournament's winner is its first pick with the lowest score
-    pa = picks_a[rows, scores[picks_a].argmin(axis=1)]
-    pb = picks_b[rows, scores[picks_b].argmin(axis=1)]
+    rows = np.arange(n)
+    pa, pb = (p[rows, scores[p].argmin(axis=1)] for p in picks)
     child_cn = np.where(np.arange(nj) < cut_cn[:, None], job_cn[pa], job_cn[pb])
-    lo, hi = np.sort(ends, axis=1).T
     child_order = _order_crossover_rows(order[pa], order[pb], lo, hi)
     child_sn = np.where(np.arange(nd) < cut_sn[:, None], object_sn[pa], object_sn[pb])
-    for child, hits in ((child_cn, cn_hits), (child_sn, sn_hits)):
-        if hits:
-            ids, cols, values = zip(*hits)
-            child[ids, cols] = values
-    for i, k, other in swaps:                     # in draw order: swaps can chain
-        row = child_order[i]
+    child_cn[cn_hits] = cn_values                 # boolean masks fill row-major
+    child_sn[sn_hits] = sn_values
+    for i, k, other in zip(*swap_hits.nonzero(), partners.tolist()):
+        row = child_order[i]                      # in draw order: swaps can chain
         row[k], row[other] = row[other], row[k]
 
     elite = np.argsort(scores)[:config.elitism]
@@ -339,9 +343,10 @@ def ga(env: GridEnvironment, config: GaConfig | None = None, **overrides) -> Bas
     genome_len = 2 * nj + nd
     mut = config.mutation_rate if config.mutation_rate is not None else 1.0 / genome_len
 
-    initial = [(rng.integers(0, nc, size=nj), rng.permutation(nj), rng.integers(0, nl, size=nd))
-               for _ in range(config.population)]
-    population = tuple(np.stack(genes) for genes in zip(*initial))
+    size = config.population
+    population = (rng.integers(0, nc, size=(size, nj)),
+                  rng.permuted(np.tile(np.arange(nj), (size, 1)), axis=1),
+                  rng.integers(0, nl, size=(size, nd)))
     scores = makespans_of(env, *population)
     best_idx = int(scores.argmin())
     best = tuple(genes[best_idx] for genes in population)

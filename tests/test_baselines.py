@@ -1,5 +1,7 @@
 import hashlib
+import itertools
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,7 +10,8 @@ from hypothesis import strategies as st
 
 from gridopt import baselines
 from gridopt.baselines import (GREEDY_BLOCK, BaselineRun, GaConfig,
-                               _order_crossover_rows, classify_jobs, diana,
+                               _breed, _order_crossover_rows, _ox_slice_ends,
+                               classify_jobs, diana,
                                ensemble_greedy, ga, greedy,
                                greedy_data_assignment, min_exe, min_trans,
                                random_baseline)
@@ -246,6 +249,19 @@ def test_ensemble_matches_the_scalar_reference(name):
         assert run.extra["runs"] == runs
 
 
+def test_ensemble_orders_are_the_stream_of_one_permutation_per_row():
+    # ensemble_greedy permutes a tiled arange in one call; it must draw the
+    # same orders, and leave the generator in the same state, as one
+    # rng.permutation(J) per row
+    for num_jobs, rows in itertools.product((1, 7, 10, 50, 100), (5, 10, GREEDY_BLOCK)):
+        per_row, batched = np.random.default_rng(11), np.random.default_rng(11)
+        expected = np.stack([per_row.permutation(num_jobs) for _ in range(rows)])
+        orders = batched.permuted(np.tile(np.arange(num_jobs), (rows, 1)), axis=1)
+        assert orders.dtype == expected.dtype
+        assert np.array_equal(orders, expected), (num_jobs, rows)
+        assert batched.bit_generator.state == per_row.bit_generator.state
+
+
 # -- diana ---------------------------------------------------------------------
 
 
@@ -364,6 +380,112 @@ def test_order_crossover_rows_matches_the_scalar_reference(case):
         assert children[r].tolist() == _scalar_order_crossover(a[r], b[r], lo[r], hi[r]).tolist()
 
 
+@pytest.mark.parametrize("span", range(2, 10))
+def test_ox_slice_ends_cover_every_ordered_pair_once(span):
+    first, offset = (a.ravel() for a in np.meshgrid(np.arange(span), np.arange(1, span),
+                                                    indexing="ij"))
+    lo, hi = _ox_slice_ends(first, offset, span)
+    second = lo + hi - first
+    pairs = list(zip(first.tolist(), second.tolist()))
+    # (first, offset) -> (first, second) is a bijection onto the ordered
+    # distinct pairs, the support of choice(span, 2, replace=False), which
+    # it covers uniformly
+    assert sorted(pairs) == list(itertools.permutations(range(span), 2))
+    assert (lo < hi).all()
+    assert Counter(zip(lo.tolist(), hi.tolist())) == Counter(
+        (min(p), max(p)) for p in itertools.permutations(range(span), 2))
+
+
+@st.composite
+def _breed_cases(draw):
+    size = draw(st.integers(2, 7))
+    nj, nd = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    nc, nl = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    config = GaConfig(population=size, tournament=draw(st.integers(1, size)),
+                      elitism=draw(st.integers(0, size - 1)))
+    mut = draw(st.sampled_from([0.0, 0.2, 1.0]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    population = (rng.integers(0, nc, size=(size, nj)),
+                  rng.permuted(np.tile(np.arange(nj), (size, 1)), axis=1),
+                  rng.integers(0, nl, size=(size, nd)))
+    scores = rng.integers(0, 4, size=size).astype(float)   # ties are likely
+    return config, mut, nc, nl, scores, population, seed
+
+
+def _is_splice(child, rows):
+    """Whether ``child`` is rows[a][:cut] + rows[b][cut:] for some a, b, cut."""
+    n = child.size
+    prefix = (rows == child).astype(int).cumprod(axis=1).sum(axis=1)   # matching head
+    suffix = (rows == child)[:, ::-1].astype(int).cumprod(axis=1).sum(axis=1)
+    return prefix.max() + suffix.max() >= n
+
+
+def _is_order_crossover(child, rows):
+    """Whether ``child`` is OX(rows[a], rows[b], lo, hi) for some a, b, lo < hi."""
+    n = child.size
+    for a, b in itertools.product(rows, repeat=2):
+        for lo, hi in itertools.combinations(range(n + 1), 2):
+            if np.array_equal(_scalar_order_crossover(a, b, lo, hi), child):
+                return True
+    return False
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_breed_cases())
+def test_breed_invariants(case):
+    config, mut, nc, nl, scores, (job_cn, order, object_sn), seed = case
+    size, nj = order.shape
+    nd = object_sn.shape[1]
+    new = _breed(np.random.default_rng(seed), config, mut, nc, nl, scores,
+                 job_cn, order, object_sn)
+    assert [a.shape for a in new] == [(size, nj), (size, nj), (size, nd)]
+    elite = np.argsort(scores)[:config.elitism]
+    for old, bred in zip((job_cn, order, object_sn), new):
+        assert np.array_equal(bred[:config.elitism], old[elite])
+    new_cn, new_order, new_sn = new
+    assert (np.sort(new_order, axis=1) == np.arange(nj)).all()
+    assert ((0 <= new_cn) & (new_cn < nc)).all()
+    assert ((0 <= new_sn) & (new_sn < nl)).all()
+    if mut == 0:
+        for r in range(config.elitism, size):
+            assert _is_splice(new_cn[r], job_cn)
+            assert _is_splice(new_sn[r], object_sn)
+            assert _is_order_crossover(new_order[r], order)
+
+
+class _CountingGenerator:
+    """Wraps a Generator and appends the name of each method call to ``calls``."""
+
+    def __init__(self, rng, calls):
+        self._rng, self._calls = rng, calls
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self._calls.append(name)
+            return method(*args, **kwargs)
+        return counted
+
+
+def test_ga_draws_a_fixed_number_of_times_per_generation(monkeypatch):
+    # a generation is a fixed handful of vector draws whatever the population,
+    # so a per-child draw loop cannot come back unnoticed
+    env = generate(preset_config("small"), seed=0)
+    default_rng = np.random.default_rng
+    counts = {}
+    for size in (10, 40):
+        calls = []
+        with monkeypatch.context() as patch:
+            patch.setattr(np.random, "default_rng",
+                          lambda seed: _CountingGenerator(default_rng(seed), calls))
+            ga(env, GaConfig(population=size, generations=6, seed=0, mutation_rate=0.3))
+        counts[size] = len(calls)
+    # three draws for the initial population, eleven per bred generation
+    assert counts == {10: 3 + 11 * 5, 40: 3 + 11 * 5}
+
+
 def test_ga_history_tracks_the_best_ever(tiny_oracle):
     env, oracle = tiny_oracle
     run = ga(env, GaConfig(population=16, generations=20, seed=0))
@@ -393,18 +515,18 @@ def test_ga_on_a_one_point_search_space():
 
 
 # sha256 over (job_cn, order, object_sn, [makespan] + history, generations)
-# of the returned run, recorded when every individual was replayed on its own
+# of the returned run, recorded when each generation drew every kind of
+# random number in one vector call
 _GA_FINGERPRINTS = {
     "tiny3": (lambda: tiny_env(3), dict(population=12, generations=20, seed=5),
-              "3b7a3a3ae8e9d6d8fa769a2f990408d5af04bf168e88de4a0d0df19171f13b1b"),
+              "5227f454fce718f0f27a63ec28c2ec8ea3a55ef21b316e323f7e5d9a9948b4f4"),
     "small": (lambda: generate(preset_config("small"), seed=0),
               dict(population=30, generations=40, seed=1),
-              "9c0210436e1eaec7e6c2892a71c6f5aefb5e4ea9a6c55c05ef54fbc41777e30b"),
-    # the shape the search benchmark runs; recorded when each child was bred
-    # by its own Python operators
+              "7a473c08c94a1a26280dd2c46cd31f4712a3921e4da1ddf12f0bab6856cd2972"),
+    # the shape the search benchmark runs
     "medium": (lambda: generate(preset_config("medium"), seed=0),
                dict(population=50, generations=10, seed=0),
-               "fb2da9e9ead5f515d7d647067f0ba317ee32c732069ebc9adfa4776ea69bf230"),
+               "900a971c870223a31b6af5739f6514bb08451498d00f3ad087e19628b1af1d25"),
 }
 
 
