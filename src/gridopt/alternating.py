@@ -14,13 +14,12 @@ is not solved again: the current iterate attains that optimum.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .baselines import greedy
-from .environment import GridEnvironment
+from .environment import GridEnvironment, check_document, read_field, save_document
 from .evaluator import makespan_of
 from .model import build_fixed_x, build_fixed_yz, extract_schedule
 from .schedule import Schedule, schedule_from_document
@@ -37,7 +36,6 @@ EARLY_STOP_REL = 1e-9
 class AlterMilpConfig:
     iterations: int = 3
     total_budget: float = 3.0       # seconds of solver time over all 2T solves
-    budget_split: str = "equal"     # "equal" or "front-loaded"
     seed: int = 0                   # seeds the job order of the greedy start
     backend: object | None = None   # solver backend; None -> HiGHS
     optimize_order: bool = True     # False pins the order in the second half-step
@@ -47,21 +45,11 @@ class AlterMilpConfig:
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
         check_budget(self.total_budget, "total_budget")
-        if self.budget_split not in ("equal", "front-loaded"):
-            raise ValueError(f"unknown budget_split {self.budget_split!r}")
 
     def step_budgets(self) -> list[float]:
-        """Per-solve budgets, 2 per iteration, summing to the total."""
-        t = self.iterations
-        if self.budget_split == "equal":
-            per = [1.0] * t
-        else:
-            per = [0.5 ** k for k in range(t)]
-        scale = self.total_budget / (2.0 * sum(per))
-        out = []
-        for w in per:
-            out.extend((w * scale, w * scale))
-        return out
+        """Per-solve budgets, 2 per iteration, equal and summing to the total."""
+        solves = 2 * self.iterations
+        return [self.total_budget / solves] * solves
 
 
 @dataclass(frozen=True)
@@ -107,26 +95,27 @@ class OptimizationTrace:
         }
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_document(), fh, indent=2)
-            fh.write("\n")
+        save_document(self.to_document(), path)
 
 
 def trace_from_document(doc: dict) -> OptimizationTrace:
-    steps = tuple(
-        TraceStep(
-            iteration=s["iteration"],
-            stage=s["stage"],
-            status=s["status"],
-            model_objective=s["model_objective"],
-            makespan=s["makespan"],
-            wall_time=s["wall_time"],
+    check_document(doc, TRACE_SCHEMA, ("stop_reason", "degraded", "steps"))
+    steps = []
+    for s in read_field(doc, "steps", dict, 1):
+        check_document(s, None, ("iteration", "stage", "status", "model_objective",
+                                 "makespan", "wall_time", "schedule"))
+        steps.append(TraceStep(
+            iteration=read_field(s, "iteration", int),
+            stage=read_field(s, "stage", str),
+            status=read_field(s, "status", str),
+            model_objective=read_field(s, "model_objective", float, nullable=True),
+            makespan=read_field(s, "makespan", float),
+            wall_time=read_field(s, "wall_time", float),
             schedule=schedule_from_document(s["schedule"]),
-        )
-        for s in doc["steps"]
-    )
-    return OptimizationTrace(steps=steps, stop_reason=doc["stop_reason"],
-                             degraded=doc["degraded"])
+        ))
+    return OptimizationTrace(steps=tuple(steps),
+                             stop_reason=read_field(doc, "stop_reason", str),
+                             degraded=read_field(doc, "degraded", bool))
 
 
 def run(env: GridEnvironment, config: AlterMilpConfig) -> tuple[Schedule, OptimizationTrace]:

@@ -24,8 +24,10 @@ import scipy.stats
 
 from . import baselines
 from .alternating import AlterMilpConfig, OptimizationTrace, run as altermilp_run
-from .environment import (DocumentError, GenerationConfig, GRID_PRESETS,
-                          config_from_document, generate, preset_config)
+from .environment import (GenerationConfig, GRID_PRESETS, build_from_document,
+                          check_document, config_from_document, generate,
+                          is_kind, load_document, preset_config, read_field,
+                          save_document)
 from .evaluator import makespan_of
 from .schedule import Schedule
 from .solver import check_budget
@@ -67,11 +69,11 @@ def _ga(env, seed, budget, *, population=50, generations=1_000_000, tournament=3
         mutation_rate=mutation_rate, elitism=elitism, seed=seed, budget=budget)))
 
 
-def _altermilp(env, seed, budget, *, iterations=3, budget_split="equal",
-               optimize_order=True, early_stop=True) -> MethodRun:
+def _altermilp(env, seed, budget, *, iterations=3, optimize_order=True,
+               early_stop=True) -> MethodRun:
     schedule, trace = altermilp_run(env, AlterMilpConfig(
-        iterations=iterations, total_budget=budget, budget_split=budget_split,
-        seed=seed, optimize_order=optimize_order, early_stop=early_stop))
+        iterations=iterations, total_budget=budget, seed=seed,
+        optimize_order=optimize_order, early_stop=early_stop))
     statuses = tuple(s.status for s in trace.steps if s.stage != "init")
     log = "\n".join(
         f"iter {s.iteration} {s.stage}: status={s.status} "
@@ -127,18 +129,12 @@ class MethodSpec:
                     f"method {self.method!r} takes no param {name!r}; "
                     f"known: {', '.join(takes) or 'none'}"
                 )
-            # a value must have its default's type (an int will do for a
-            # float); a None default leaves the check to the method
-            default = takes[name]
-            if default is None:
-                continue
-            is_float = type(default) is float
-            kind = (int, float) if is_float else type(default)
-            if isinstance(value, bool) != isinstance(default, bool) or not isinstance(value, kind):
-                expected = "int or float" if is_float else type(default).__name__
-                raise ValueError(
-                    f"method {self.method!r} param {name!r} must be {expected}, got {value!r}"
-                )
+            # a value must have its default's type; a None default leaves
+            # the check to the method
+            kind = type(takes[name])
+            if takes[name] is not None and not is_kind(value, kind):
+                raise ValueError(f"method {self.method!r} param {name!r} must be "
+                                 f"{kind.__name__}, got {value!r}")
 
     @property
     def name(self) -> str:
@@ -154,8 +150,7 @@ class ExperimentConfig:
 
     Exactly one of ``preset`` (a named grid size) and ``generation`` (an
     explicit GenerationConfig) must be given.  ``budget`` is the per-run
-    solver/wall budget in seconds.  ``reproduction_mode`` disables the
-    alternating optimizer's early stopping so that all iterations run.
+    solver/wall budget in seconds.
     """
 
     methods: tuple[MethodSpec, ...]
@@ -163,7 +158,6 @@ class ExperimentConfig:
     budget: float
     preset: str | None = None
     generation: GenerationConfig | None = None
-    reproduction_mode: bool = False
     parallelism: int = 1
     output_dir: str | None = None
 
@@ -205,66 +199,46 @@ class ExperimentConfig:
             "methods": [m.to_document() for m in self.methods],
             "seeds": list(self.seeds),
             "budget": self.budget,
-            "reproduction_mode": self.reproduction_mode,
             "parallelism": self.parallelism,
             "output_dir": self.output_dir,
         }
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_document(), fh, indent=2)
-            fh.write("\n")
-
-
-def _field_names(cls) -> set[str]:
-    return {f.name for f in dataclasses.fields(cls)}
+        save_document(self.to_document(), path)
 
 
 def _method_from_document(entry) -> MethodSpec:
-    if not isinstance(entry, dict):
-        raise DocumentError(f"method entry must be a JSON object, got {entry!r}")
-    unknown = sorted(set(entry) - _field_names(MethodSpec))
-    if unknown:
-        raise DocumentError("unknown method field(s): " + ", ".join(unknown))
-    return MethodSpec(method=entry["method"], label=entry.get("label"),
-                      params=dict(entry.get("params") or {}))
+    check_document(entry, None, ("method",), ("label", "params"))
+    return build_from_document(
+        MethodSpec, method=read_field(entry, "method", str),
+        label=read_field(entry, "label", str, nullable=True),
+        params=read_field(entry, "params", dict, nullable=True) or {})
+
+
+# field -> (JSON kind, list depth, nullable) of an experiment document; the
+# first three are required
+_EXPERIMENT_FIELDS = {
+    "methods": (dict, 1, False), "seeds": (int, 1, False),
+    "budget": (float, 0, False), "preset": (str, 0, True),
+    "generation": (dict, 0, True), "parallelism": (int, 0, False),
+    "output_dir": (str, 0, True),
+}
 
 
 def experiment_from_document(doc: dict) -> ExperimentConfig:
-    if not isinstance(doc, dict):
-        raise DocumentError("experiment document must be a JSON object")
-    if doc.get("schema") != EXPERIMENT_SCHEMA:
-        raise DocumentError(
-            f"field 'schema': expected {EXPERIMENT_SCHEMA!r}, got {doc.get('schema')!r}"
-        )
-    unknown = sorted(set(doc) - {"schema"} - _field_names(ExperimentConfig))
-    if unknown:
-        raise DocumentError("unknown field(s): " + ", ".join(unknown))
-    for name in ("methods", "seeds", "budget"):
-        if name not in doc:
-            raise DocumentError(f"missing field: {name}")
-    try:
-        methods = tuple(_method_from_document(m) for m in doc["methods"])
-        generation = doc.get("generation")
-        return ExperimentConfig(
-            methods=methods,
-            seeds=tuple(doc["seeds"]),
-            budget=float(doc["budget"]),
-            preset=doc.get("preset"),
-            generation=None if generation is None else config_from_document(generation),
-            reproduction_mode=bool(doc.get("reproduction_mode", False)),
-            parallelism=int(doc.get("parallelism", 1)),
-            output_dir=doc.get("output_dir"),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, DocumentError):
-            raise
-        raise DocumentError(f"experiment document rejected: {exc}") from exc
+    names = list(_EXPERIMENT_FIELDS)
+    check_document(doc, EXPERIMENT_SCHEMA, names[:3], names[3:])
+    kwargs = {name: read_field(doc, name, *_EXPERIMENT_FIELDS[name])
+              for name in names if name in doc}
+    kwargs["methods"] = tuple(map(_method_from_document, kwargs["methods"]))
+    kwargs["budget"] = float(kwargs["budget"])
+    if kwargs.get("generation") is not None:
+        kwargs["generation"] = config_from_document(kwargs["generation"])
+    return build_from_document(ExperimentConfig, **kwargs)
 
 
 def load_experiment(path) -> ExperimentConfig:
-    with open(path) as fh:
-        return experiment_from_document(json.load(fh))
+    return experiment_from_document(load_document(path))
 
 
 @dataclass(frozen=True)
@@ -327,19 +301,13 @@ class ExperimentResult:
     output_dir: Path | None = None
 
 
-def run_method(env, spec: MethodSpec, seed: int, budget: float,
-               reproduction_mode: bool = False) -> MethodRun:
+def run_method(env, spec: MethodSpec, seed: int, budget: float) -> MethodRun:
     """Run one method through the registry.
 
-    ``reproduction_mode`` switches early stopping off for every method that
-    has it, so that all iterations run.  The budget is checked even for
-    methods that ignore it.
+    The budget is checked even for methods that ignore it.
     """
     check_budget(budget)
-    params = dict(spec.params)
-    if reproduction_mode and "early_stop" in method_params(spec.method):
-        params["early_stop"] = False
-    return RUNNERS[spec.method](env, seed, budget, **params)
+    return RUNNERS[spec.method](env, seed, budget, **spec.params)
 
 
 def _iterations_label(spec: MethodSpec) -> int | None:
@@ -358,7 +326,7 @@ def _execute_item(payload) -> ResultRow:
     iterations = _iterations_label(spec)
     start = time.perf_counter()
     try:
-        run = run_method(env, spec, seed, budget, config.reproduction_mode)
+        run = run_method(env, spec, seed, budget)
         wall = time.perf_counter() - start
         makespan = makespan_of(env, run.schedule)
         rel = (random_ref - makespan) / random_ref

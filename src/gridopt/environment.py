@@ -13,11 +13,13 @@ import dataclasses
 import functools
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 ENVIRONMENT_SCHEMA = "grid-environment/1"
+GENERATION_SCHEMA = "generation-config/1"
 
 KB_PER_MB = 1024.0
 
@@ -32,6 +34,88 @@ class InvalidEnvironmentError(ValueError):
 
 class DocumentError(ValueError):
     """A serialized document is malformed or has the wrong schema tag."""
+
+
+def is_kind(value, kind) -> bool:
+    """The JSON type rule: is ``value`` a ``kind``?
+
+    A bool is never an int or a number, and an int will do for a float.
+    """
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def check_document(doc, schema, required, optional=()) -> None:
+    """Raise :class:`DocumentError`, naming the field, unless ``doc`` is a
+    JSON object tagged ``schema`` (None: an untagged entry) that holds every
+    ``required`` field and no field outside ``required`` and ``optional``.
+    """
+    if not isinstance(doc, dict):
+        raise DocumentError(f"{schema or 'entry'} document must be a JSON object, "
+                            f"got {type(doc).__name__}")
+    allowed = {*required, *optional}
+    if schema is not None:
+        if doc.get("schema") != schema:
+            raise DocumentError(
+                f"field 'schema': expected {schema!r}, got {doc.get('schema')!r}")
+        allowed.add("schema")
+    missing = [name for name in required if name not in doc]
+    if missing:
+        raise DocumentError("missing field(s): " + ", ".join(missing))
+    unknown = sorted(set(doc) - allowed)
+    if unknown:
+        raise DocumentError("unknown field(s): " + ", ".join(unknown))
+
+
+_KIND_NAMES = {int: "int64", float: "number", str: "string", bool: "boolean",
+               dict: "object"}
+
+
+def _holds(value, kind, depth) -> bool:
+    if depth:
+        return (isinstance(value, (list, tuple))
+                and all(_holds(v, kind, depth - 1) for v in value))
+    # numpy takes an int64 and a finite float without rounding or overflow
+    if kind is int:
+        return is_kind(value, int) and -2**63 <= value < 2**63
+    if kind is float:
+        return is_kind(value, float) and abs(value) <= sys.float_info.max
+    return is_kind(value, kind)
+
+
+def read_field(doc, name, kind, depth=0, nullable=False):
+    """``doc.get(name)``, checked to be ``kind`` inside ``depth`` nested
+    lists (or null when ``nullable``); else :class:`DocumentError` naming it.
+
+    An int field holds JSON integers within int64, a float field finite
+    JSON numbers, never strings or booleans.
+    """
+    value = doc.get(name)
+    if not (nullable and value is None or _holds(value, kind, depth)):
+        shape = "list[" * depth + _KIND_NAMES[kind] + "]" * depth
+        raise DocumentError(f"field {name!r} must be {shape}"
+                            + (" or null" if nullable else "") + f", got {value!r:.60}")
+    return value
+
+
+def build_from_document(cls, **fields):
+    """``cls(**fields)``, its rejection of a value raised as a DocumentError."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise DocumentError(f"{cls.__name__} rejected: {exc}") from exc
+
+
+def save_document(doc: dict, path) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
+def load_document(path):
+    with open(path) as fh:
+        return json.load(fh)
 
 
 def _frozen(values, dtype):
@@ -219,56 +303,35 @@ class GridEnvironment:
         }
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_document(), fh, indent=2)
-            fh.write("\n")
+        save_document(self.to_document(), path)
 
 
-_ENV_FIELDS = (
-    "object_sizes_kb",
-    "hosting",
-    "job_inputs",
-    "cn_speeds",
-    "wan_bandwidth",
-    "lan_bandwidth",
-    "gamma",
-)
+# field -> (JSON kind, list depth) of an environment document
+_ENV_FIELDS = {
+    "object_sizes_kb": (float, 1),
+    "hosting": (int, 1),
+    "job_inputs": (int, 2),
+    "cn_speeds": (float, 1),
+    "wan_bandwidth": (float, 2),
+    "lan_bandwidth": (float, 2),
+    "gamma": (float, 0),
+}
 
 
 def environment_from_document(doc: dict) -> GridEnvironment:
     """Rebuild an environment from :meth:`GridEnvironment.to_document` output.
 
     Raises :class:`DocumentError` naming the offending field when the schema
-    tag is wrong or a field is missing or ill-typed.
+    tag is wrong or a field is missing, unknown, ill-typed or invalid.
     """
-    if not isinstance(doc, dict):
-        raise DocumentError("environment document must be a JSON object")
-    schema = doc.get("schema")
-    if schema != ENVIRONMENT_SCHEMA:
-        raise DocumentError(
-            f"field 'schema': expected {ENVIRONMENT_SCHEMA!r}, got {schema!r}"
-        )
-    missing = [name for name in _ENV_FIELDS if name not in doc]
-    if missing:
-        raise DocumentError("missing field(s): " + ", ".join(missing))
-    try:
-        env = GridEnvironment(
-            object_sizes=np.asarray(doc["object_sizes_kb"], dtype=np.float64),
-            hosting=np.asarray(doc["hosting"], dtype=np.int64),
-            job_inputs=tuple(tuple(objs) for objs in doc["job_inputs"]),
-            cn_speeds=np.asarray(doc["cn_speeds"], dtype=np.float64),
-            wan_bandwidth=np.asarray(doc["wan_bandwidth"], dtype=np.float64),
-            lan_bandwidth=np.asarray(doc["lan_bandwidth"], dtype=np.float64),
-            gamma=float(doc["gamma"]),
-        )
-    except (TypeError, ValueError) as exc:
-        raise DocumentError(f"environment document rejected: {exc}") from exc
-    return env
+    check_document(doc, ENVIRONMENT_SCHEMA, _ENV_FIELDS)
+    fields = {name: read_field(doc, name, *spec) for name, spec in _ENV_FIELDS.items()}
+    return build_from_document(GridEnvironment, object_sizes=fields.pop("object_sizes_kb"),
+                               gamma=float(fields.pop("gamma")), **fields)
 
 
 def load_environment(path) -> GridEnvironment:
-    with open(path) as fh:
-        return environment_from_document(json.load(fh))
+    return environment_from_document(load_document(path))
 
 
 # -- generation --------------------------------------------------------------
@@ -340,28 +403,32 @@ class GenerationConfig:
 
     def to_document(self) -> dict:
         doc = dataclasses.asdict(self)
-        doc["schema"] = "generation-config/1"
+        doc["schema"] = GENERATION_SCHEMA
         return doc
 
 
+# field -> (JSON kind, list depth) of a generation-config document; the
+# first five, the dimensions, are required
+_GENERATION_FIELDS = {
+    "num_jobs": (int, 0), "num_objects": (int, 0), "num_cns": (int, 0),
+    "num_local_sns": (int, 0), "num_remote_sns": (int, 0),
+    "object_size_range_kb": (float, 1), "wan_bandwidth_range": (float, 1),
+    "lan_bandwidth_range": (float, 1), "cn_speed_range": (float, 1),
+    "gamma": (float, 0), "zipf_exponent": (float, 0),
+    "objects_per_job": (int, 1), "rng_seed": (int, 0),
+}
+
+
 def config_from_document(doc: dict) -> GenerationConfig:
-    if not isinstance(doc, dict):
-        raise DocumentError("generation config document must be a JSON object")
-    if doc.get("schema") != "generation-config/1":
-        raise DocumentError(f"field 'schema': expected 'generation-config/1', got {doc.get('schema')!r}")
-    kwargs = {k: v for k, v in doc.items() if k != "schema"}
-    names = {f.name for f in dataclasses.fields(GenerationConfig)}
-    unknown = sorted(set(kwargs) - names)
-    if unknown:
-        raise DocumentError("unknown field(s): " + ", ".join(unknown))
-    for key in ("object_size_range_kb", "wan_bandwidth_range", "lan_bandwidth_range",
-                "cn_speed_range", "objects_per_job"):
-        if kwargs.get(key) is not None:
-            kwargs[key] = tuple(kwargs[key])
-    try:
-        return GenerationConfig(**kwargs)
-    except (TypeError, InvalidConfigError) as exc:
-        raise DocumentError(f"generation config rejected: {exc}") from exc
+    names = list(_GENERATION_FIELDS)
+    check_document(doc, GENERATION_SCHEMA, names[:5], names[5:])
+    kwargs = {}
+    for name in names:
+        if name in doc:
+            kind, depth = _GENERATION_FIELDS[name]
+            value = read_field(doc, name, kind, depth, nullable=name == "objects_per_job")
+            kwargs[name] = tuple(value) if depth and value is not None else value
+    return build_from_document(GenerationConfig, **kwargs)
 
 
 def _zipf_weights(n: int, exponent: float) -> np.ndarray:

@@ -11,13 +11,12 @@ completion time.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .environment import GridEnvironment
+from .environment import GridEnvironment, save_document
 from .schedule import Schedule
 
 REPORT_SCHEMA = "makespan-report/1"
@@ -47,9 +46,7 @@ class MakespanReport:
         }
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_document(), fh, indent=2)
-            fh.write("\n")
+        save_document(self.to_document(), path)
 
 
 def replay_arguments(env: GridEnvironment, schedule: Schedule) -> tuple:

@@ -73,7 +73,6 @@ class MilpModel:
         self.data = np.asarray(data, dtype=np.float64)
         self.big_a = big_a
         self.warm_start = warm_start
-        self._index = {name: i for i, name in enumerate(names)}
 
     @property
     def num_vars(self) -> int:
@@ -96,12 +95,6 @@ class MilpModel:
     @functools.cached_property
     def _abs_matrix(self) -> scipy.sparse.csr_matrix:
         return abs(self.matrix)
-
-    def var_index(self, name: str) -> int:
-        try:
-            return self._index[name]
-        except KeyError:
-            raise KeyError(f"model has no variable named {name!r}") from None
 
     def row_terms(self, r: int) -> tuple[np.ndarray, np.ndarray]:
         lo, hi = self.indptr[r], self.indptr[r + 1]

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .environment import DocumentError, GridEnvironment
+from .environment import (GridEnvironment, build_from_document, check_document,
+                          load_document, read_field, save_document)
 
 SCHEDULE_SCHEMA = "grid-schedule/1"
 
@@ -67,9 +67,7 @@ class Schedule:
         }
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_document(), fh, indent=2)
-            fh.write("\n")
+        save_document(self.to_document(), path)
 
 
 def validate_batch(env: GridEnvironment, job_cns, orders, object_sns) -> None:
@@ -95,28 +93,14 @@ def validate_batch(env: GridEnvironment, job_cns, orders, object_sns) -> None:
 
 
 def schedule_from_document(doc: dict) -> Schedule:
-    if not isinstance(doc, dict):
-        raise DocumentError("schedule document must be a JSON object")
-    if doc.get("schema") != SCHEDULE_SCHEMA:
-        raise DocumentError(
-            f"field 'schema': expected {SCHEDULE_SCHEMA!r}, got {doc.get('schema')!r}"
-        )
-    missing = [name for name in ("job_cn", "order", "object_sn") if name not in doc]
-    if missing:
-        raise DocumentError("missing field(s): " + ", ".join(missing))
-    try:
-        return Schedule(
-            job_cn=np.asarray(doc["job_cn"], dtype=np.int64),
-            order=np.asarray(doc["order"], dtype=np.int64),
-            object_sn=np.asarray(doc["object_sn"], dtype=np.int64),
-        )
-    except (TypeError, ValueError) as exc:
-        raise DocumentError(f"schedule document rejected: {exc}") from exc
+    names = ("job_cn", "order", "object_sn")
+    check_document(doc, SCHEDULE_SCHEMA, names)
+    return build_from_document(Schedule, **{name: read_field(doc, name, int, 1)
+                                            for name in names})
 
 
 def load_schedule(path) -> Schedule:
-    with open(path) as fh:
-        return schedule_from_document(json.load(fh))
+    return schedule_from_document(load_document(path))
 
 
 def random_schedule(env: GridEnvironment, rng) -> Schedule:

@@ -26,25 +26,12 @@ def test_config_validation():
         AlterMilpConfig(total_budget=0.0)
     with pytest.raises(ValueError, match="total_budget"):
         AlterMilpConfig(total_budget=float("inf"))
-    with pytest.raises(ValueError, match="budget_split"):
-        AlterMilpConfig(budget_split="back-loaded")
 
 
 def test_step_budgets_equal_split():
     budgets = AlterMilpConfig(iterations=3, total_budget=3.0).step_budgets()
     assert budgets == [0.5] * 6
     assert sum(budgets) == pytest.approx(3.0)
-
-
-def test_step_budgets_front_loaded():
-    cfg = AlterMilpConfig(iterations=3, total_budget=7.0,
-                          budget_split="front-loaded")
-    budgets = cfg.step_budgets()
-    assert sum(budgets) == pytest.approx(7.0)
-    # both half-steps of an iteration share its weight; iterations halve
-    assert budgets[0] == budgets[1]
-    assert budgets[0] == pytest.approx(2 * budgets[2])
-    assert budgets[2] == pytest.approx(2 * budgets[4])
 
 
 def test_start_is_the_greedy_schedule_of_a_seeded_order(env_tiny):

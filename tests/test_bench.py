@@ -48,7 +48,7 @@ def test_method_spec_validation():
     for method, param, value in (("ga", "population", "abc"), ("ga", "population", True),
                                  ("ga", "population", 8.0), ("diana", "threshold", False),
                                  ("altermilp", "early_stop", 1),
-                                 ("altermilp", "budget_split", 2)):
+                                 ("altermilp", "optimize_order", 2)):
         with pytest.raises(ValueError, match=f"'{method}' param '{param}' must be"):
             MethodSpec(method, params={param: value})
 
@@ -89,7 +89,8 @@ def test_experiment_config_validation():
 
 
 def test_experiment_document_round_trip(tmp_path):
-    cfg = _config(reproduction_mode=True, parallelism=2)
+    cfg = _config(methods=(MethodSpec("altermilp", params={"early_stop": False}),),
+                  parallelism=2)
     doc = cfg.to_document()
     assert doc["schema"] == "experiment-config/1"
     again = experiment_from_document(doc)

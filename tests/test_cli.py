@@ -111,6 +111,35 @@ def test_evaluate_rejects_a_mismatched_schedule(env_file, tmp_path, capsys):
     assert err.startswith("error:")
 
 
+def _edit_document(path, **fields):
+    path.write_text(json.dumps({**json.loads(path.read_text()), **fields}))
+
+
+def _fails_naming(capsys, field, *argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert field in err
+
+
+def test_evaluate_names_an_unknown_environment_field(env_file, tmp_path, capsys):
+    env, env_path = env_file
+    _edit_document(env_path, gama=1.0)
+    sched_path = tmp_path / "sched.json"
+    random_schedule(env, 5).save(sched_path)
+    _fails_naming(capsys, "gama", "evaluate", "--env", str(env_path),
+                  "--schedule", str(sched_path))
+
+
+def test_evaluate_names_an_id_beyond_int64(env_file, tmp_path, capsys):
+    env, env_path = env_file
+    sched_path = tmp_path / "sched.json"
+    random_schedule(env, 5).save(sched_path)
+    _edit_document(sched_path, job_cn=[10**30] * env.num_jobs)
+    _fails_naming(capsys, "job_cn", "evaluate", "--env", str(env_path),
+                  "--schedule", str(sched_path))
+
+
 def test_evaluate_missing_file_exits_one(tmp_path, capsys):
     code, _, err = run_cli(capsys, "evaluate", "--env", str(tmp_path / "no.json"),
                            "--schedule", str(tmp_path / "nope.json"))
@@ -196,7 +225,7 @@ def test_optimize_rejects_a_budget_that_cannot_stop_a_run(env_file, capsys, meth
     ("diana", {"threshold": 0.5}),
     ("ga", {"population": 6, "generations": 3, "tournament": 2, "elitism": 2,
             "mutation_rate": 0.2}),
-    ("altermilp", {"iterations": 1, "budget_split": "front-loaded"}),
+    ("altermilp", {"iterations": 1, "optimize_order": False}),
 ])
 def test_optimize_matches_the_bench(tmp_path, capsys, method, params):
     seed, budget = 2, 3.0
@@ -208,7 +237,7 @@ def test_optimize_matches_the_bench(tmp_path, capsys, method, params):
     argv = ["optimize", "--env", str(env_path), "--method", method,
             "--seed", str(seed), "--budget", str(budget), "--out", str(out)]
     for name, value in params.items():
-        argv += ["--param", f"{name}={value}"]
+        argv += ["--param", f"{name}={json.dumps(value)}"]
     code, stdout, _ = run_cli(capsys, *argv)
     assert code == 0
     [row] = run_experiment(cfg).rows
@@ -278,3 +307,9 @@ def test_bench_missing_config_exits_one(tmp_path, capsys):
                            "--config", str(tmp_path / "none.json"))
     assert code == 1
     assert err.startswith("error:")
+
+
+def test_bench_names_the_removed_reproduction_mode_field(tmp_path, capsys):
+    path = _experiment_file(tmp_path, (MethodSpec("random"),))
+    _edit_document(path, reproduction_mode=False)
+    _fails_naming(capsys, "reproduction_mode", "bench", "run", "--config", str(path))

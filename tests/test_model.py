@@ -88,7 +88,7 @@ def test_pinned_variables_keep_full_variable_set():
         assert core <= set(mdl.names)
     mdl = build_fixed_all(env, s)
     for j, c in ((0, 0), (1, 1)):
-        i = mdl.var_index(f"X[{j},{c}]")
+        i = mdl.names.index(f"X[{j},{c}]")
         pin = float(s.job_cn[j] == c)
         assert mdl.lower[i] == mdl.upper[i] == pin
 
@@ -133,7 +133,7 @@ def test_objective_selects_makespan_variable():
     env, s = _env_and_schedule(9)
     mdl = build_fixed_all(env, s)
     nz = np.flatnonzero(mdl.objective)
-    assert nz.tolist() == [mdl.var_index("m")]
+    assert nz.tolist() == [mdl.names.index("m")]
     assert mdl.objective[nz[0]] == 1.0
 
 
@@ -175,9 +175,6 @@ def test_check_assignment_reports_violations():
         incomplete = dict(good)
         del incomplete["m"]
         mdl.vector_from(incomplete)
-
-    with pytest.raises(KeyError):
-        mdl.var_index("Q[0]")
 
 
 def test_write_mps_structure(tmp_path):

@@ -138,7 +138,7 @@ def test_claimed_optimum_worse_than_warm_start_is_distrusted():
     for factor, status in ((10.0, "feasible-timeout"),  # clearly worse: the proof is void
                            (1.0 + 1e-9, "optimal")):    # within OPTIMUM_TOL: float noise
         inflated = mdl.vector_from(mdl.warm_start)
-        inflated[mdl.var_index("m")] = warm_mk * factor
+        inflated[mdl.names.index("m")] = warm_mk * factor
         res = solve(mdl, 1.0, backend=_StubBackend((inflated, "optimal")))
         assert res.status == status
         # the better point comes back either way
