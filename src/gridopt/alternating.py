@@ -152,20 +152,15 @@ def run(env: GridEnvironment, config: AlterMilpConfig) -> tuple[Schedule, Optimi
                                        current))
                 continue
             if stage == "assignment":
-                mdl = build_fixed_yz(env, current.order, current.object_sn,
-                                     warm_cn=current.job_cn)
+                mdl = build_fixed_yz(env, current)
             else:
-                mdl = build_fixed_x(
-                    env, current.job_cn,
-                    warm_order=current.order, warm_object_sn=current.object_sn,
-                    fix_order=None if config.optimize_order else current.order,
-                )
+                mdl = build_fixed_x(env, current, pin_order=not config.optimize_order)
             res = solve(mdl, budget, backend=config.backend)
             if res.status == "optimal":
                 proven[stage] = (pinned, res.objective)
             if res.ok:
                 any_success = True
-                candidate = extract_schedule(env, res.assignment)
+                candidate = extract_schedule(mdl, res.x)
                 candidate_mk = makespan_of(env, candidate)
                 # extraction can only tighten timings, never worsen them
                 if candidate_mk <= current_mk:

@@ -53,22 +53,21 @@ def random_baseline(env: GridEnvironment, seed) -> BaselineRun:
 def min_trans(env: GridEnvironment, budget: float, seed, backend=None) -> BaselineRun:
     """Keep a random assignment and order; optimize only the data placement."""
     init = random_schedule(env, seed)
-    mdl = build_fixed_x(env, init.job_cn, warm_order=init.order,
-                        warm_object_sn=init.object_sn, fix_order=init.order)
+    mdl = build_fixed_x(env, init, pin_order=True)
     res = solve(mdl, budget, backend=backend)
     if not res.ok:
         return _finish(env, init, statuses=(res.status,), degraded=True)
-    return _finish(env, extract_schedule(env, res.assignment), statuses=(res.status,))
+    return _finish(env, extract_schedule(mdl, res.x), statuses=(res.status,))
 
 
 def min_exe(env: GridEnvironment, budget: float, seed, backend=None) -> BaselineRun:
     """Keep a random order and placement; optimize only the job assignment."""
     init = random_schedule(env, seed)
-    mdl = build_fixed_yz(env, init.order, init.object_sn, warm_cn=init.job_cn)
+    mdl = build_fixed_yz(env, init)
     res = solve(mdl, budget, backend=backend)
     if not res.ok:
         return _finish(env, init, statuses=(res.status,), degraded=True)
-    return _finish(env, extract_schedule(env, res.assignment), statuses=(res.status,))
+    return _finish(env, extract_schedule(mdl, res.x), statuses=(res.status,))
 
 
 def greedy_data_assignment(env: GridEnvironment) -> np.ndarray:

@@ -114,8 +114,13 @@ def save_document(doc: dict, path) -> None:
 
 
 def load_document(path):
-    with open(path) as fh:
-        return json.load(fh)
+    """The JSON value in the file at ``path``; :class:`DocumentError`, naming
+    the file, when it is not JSON text."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise DocumentError(f"{path} is not JSON text: {exc}") from exc
 
 
 def _frozen(values, dtype):
@@ -142,11 +147,14 @@ class GridEnvironment:
     gamma: float                  # ops per KB of input
 
     def __post_init__(self):
-        object.__setattr__(self, "object_sizes", _frozen(self.object_sizes, np.float64))
-        object.__setattr__(self, "hosting", _frozen(self.hosting, np.int64))
-        object.__setattr__(self, "cn_speeds", _frozen(self.cn_speeds, np.float64))
-        object.__setattr__(self, "wan_bandwidth", _frozen(self.wan_bandwidth, np.float64))
-        object.__setattr__(self, "lan_bandwidth", _frozen(self.lan_bandwidth, np.float64))
+        for name, dtype in (("object_sizes", np.float64), ("hosting", np.int64),
+                            ("cn_speeds", np.float64), ("wan_bandwidth", np.float64),
+                            ("lan_bandwidth", np.float64)):
+            try:
+                object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
+            except ValueError as exc:   # a ragged table, or not numbers
+                raise InvalidEnvironmentError(
+                    f"{name} must be a rectangular array of numbers") from exc
         object.__setattr__(
             self,
             "job_inputs",

@@ -21,8 +21,10 @@ proportional to what is actually undecided.
 The emitter works on index arrays: each variable group is a block of
 indices and each row family one COO block written at precomputed row
 positions, in the variable and row order of the per-entity loops the
-formulation reads as.  Names are strings only at the edges: variable names
-key warm starts and solver answers, and row names are formatted on demand.
+formulation reads as.  Warm starts and solver answers are vectors in that
+variable order, and a schedule is read back through the X, Y and Z index
+blocks the model keeps.  Variable and row names are formatted on demand,
+for messages and file export only.
 """
 
 from __future__ import annotations
@@ -37,10 +39,6 @@ from .evaluator import compute_big_a, evaluate
 from .schedule import Schedule, order_from_tournament
 
 
-class ModelError(ValueError):
-    """Inconsistent builder arguments."""
-
-
 # Tolerance of check_assignment: absolute for integrality, relative to the
 # bound's magnitude for bounds and to |A| @ |x| for rows.
 CHECK_TOL = 1e-6
@@ -50,17 +48,23 @@ class MilpModel:
     """A built model: variables, rows in CSR form, objective, warm start.
 
     Not meant to be constructed directly; use the ``build_*`` functions.
-    ``row_namer`` is a zero-argument callable producing the row names; it
-    runs on the first read of ``row_names`` (a violation message, MPS
-    export or a caller's inspection), so building and solving a model that
-    checks out never formats a row name.
+    ``var_namer`` and ``row_namer`` are zero-argument callables producing
+    the variable and row names; each runs on the first read of ``names`` or
+    ``row_names`` (a violation message, MPS export or a caller's
+    inspection), so building, solving and extracting from a model that
+    checks out never formats a name.
+
+    ``x_vars`` (J, C), ``y_vars`` (J, J) and ``z_vars`` (D, L) hold the
+    variable index of each ``X[j,c]``, ``Y[i,j]`` and ``Z[d,l]``; the
+    diagonal of ``y_vars``, which has no variable, is -1.  ``warm_x`` is the
+    read-only warm-start vector, or None.
     """
 
-    def __init__(self, kind, names, lower, upper, integer, objective,
+    def __init__(self, kind, var_namer, lower, upper, integer, objective,
                  row_namer, row_lower, row_upper, indptr, indices, data,
-                 big_a, warm_start):
+                 big_a, x_vars, y_vars, z_vars, warm_x):
         self.kind = kind
-        self.names = names
+        self._var_namer = var_namer
         self.lower = np.asarray(lower, dtype=np.float64)
         self.upper = np.asarray(upper, dtype=np.float64)
         self.integer = np.asarray(integer, dtype=bool)
@@ -72,11 +76,16 @@ class MilpModel:
         self.indices = np.asarray(indices, dtype=np.int64)
         self.data = np.asarray(data, dtype=np.float64)
         self.big_a = big_a
-        self.warm_start = warm_start
+        self.x_vars, self.y_vars, self.z_vars = x_vars, y_vars, z_vars
+        self.warm_x = warm_x
 
     @property
     def num_vars(self) -> int:
-        return len(self.names)
+        return self.lower.size
+
+    @functools.cached_property
+    def names(self) -> list[str]:
+        return self._var_namer()
 
     @property
     def num_rows(self) -> int:
@@ -85,6 +94,13 @@ class MilpModel:
     @functools.cached_property
     def row_names(self) -> list[str]:
         return self._row_namer()
+
+    @property
+    def warm_start(self) -> dict[str, float] | None:
+        """Name -> value view of ``warm_x``, formatted on every read."""
+        if self.warm_x is None:
+            return None
+        return dict(zip(self.names, self.warm_x.tolist()))
 
     @functools.cached_property
     def matrix(self) -> scipy.sparse.csr_matrix:
@@ -100,19 +116,11 @@ class MilpModel:
         lo, hi = self.indptr[r], self.indptr[r + 1]
         return self.indices[lo:hi], self.data[lo:hi]
 
-    def vector_from(self, values) -> np.ndarray:
-        """Dense variable vector from a name-to-value mapping (all required)."""
-        try:
-            return np.array([values[name] for name in self.names], dtype=np.float64)
-        except KeyError as exc:
-            raise KeyError(f"assignment is missing variable {exc.args[0]!r}") from None
-
-    def objective_value(self, values) -> float:
-        x = values if isinstance(values, np.ndarray) else self.vector_from(values)
+    def objective_value(self, x: np.ndarray) -> float:
         return float(self.objective @ x)
 
-    def check_assignment(self, values, tol: float = CHECK_TOL) -> list[str]:
-        """Constraint, bound and integrality violations of an assignment.
+    def check_assignment(self, x: np.ndarray, tol: float = CHECK_TOL) -> list[str]:
+        """Constraint, bound and integrality violations of a variable vector.
 
         Returns human-readable violation strings, empty when the point is
         feasible.  Every row is checked at once: activities are ``A @ x``
@@ -120,7 +128,6 @@ class MilpModel:
         carrying the big-A constant are not judged more harshly than their
         arithmetic allows.  Non-finite values are violations of their own.
         """
-        x = values if isinstance(values, np.ndarray) else self.vector_from(values)
         finite = np.isfinite(x)
         problems = [f"{self.names[i]} = {x[i]!r} is not finite"
                     for i in np.flatnonzero(~finite)]
@@ -154,32 +161,63 @@ def _as_columns(a) -> np.ndarray:
     return a if a.ndim == 2 else a.reshape(-1, 1)
 
 
-class _Vars:
+class _Named:
+    """Entries numbered in the order they are reserved, named on demand.
+
+    Each labelled span records (positions, format, keys); the name of the
+    entry at ``positions[k]`` is the format filled with ``keys[.][k]``.
+    """
+
+    def __init__(self):
+        self.count = 0
+        self.labels = []
+
+    def reserve(self, *shape) -> np.ndarray:
+        """Positions for a span of ``prod(shape)`` entries, in that shape."""
+        start = self.count
+        self.count += int(np.prod(shape))
+        return np.arange(start, self.count).reshape(shape)
+
+    def namer(self):
+        """Zero-argument callable producing every name in position order."""
+        labels, count = self.labels, self.count
+
+        def names():
+            out = [""] * count
+            for at, fmt, keys in labels:
+                for i, label in zip(at.tolist(), _labels(fmt, keys)):
+                    out[i] = label
+            return out
+        return names
+
+
+class _Vars(_Named):
     """Variable blocks, numbered in the order they are added."""
 
     def __init__(self):
-        self.names = []
+        super().__init__()
         self.lower = []
         self.upper = []
         self.integer = []
 
-    def add(self, names, lo=0.0, hi=np.inf, is_int=False) -> np.ndarray:
-        start, n = len(self.names), len(names)
-        self.names.extend(names)
-        self.lower.append(np.broadcast_to(lo, n))
-        self.upper.append(np.broadcast_to(hi, n))
-        self.integer.append(np.full(n, is_int))
-        return np.arange(start, start + n)
+    def add(self, fmt, keys, lo=0.0, hi=np.inf, is_int=False) -> np.ndarray:
+        """One variable per entry of ``keys[0]``, named ``fmt`` filled with its keys."""
+        at = self.reserve(len(keys[0]))
+        self.lower.append(np.broadcast_to(lo, at.size))
+        self.upper.append(np.broadcast_to(hi, at.size))
+        self.integer.append(np.full(at.size, is_int))
+        self.labels.append((at, fmt, keys))
+        return at
 
-    def binaries(self, names, pins=None) -> np.ndarray:
+    def binaries(self, fmt, keys, pins=None) -> np.ndarray:
         """Binary block; pinned entry-wise to ``pins`` (0/1) when given."""
         if pins is None:
-            return self.add(names, 0.0, 1.0, True)
+            return self.add(fmt, keys, 0.0, 1.0, True)
         pins = np.asarray(pins, dtype=np.float64).ravel()
-        return self.add(names, pins, pins, True)
+        return self.add(fmt, keys, pins, pins, True)
 
 
-class _Rows:
+class _Rows(_Named):
     """Row families as COO blocks at precomputed row positions.
 
     Families that interleave (say the four per-job rows) reserve one span
@@ -188,15 +226,8 @@ class _Rows:
     """
 
     def __init__(self):
-        self.count = 0
+        super().__init__()
         self.blocks = []
-        self.labels = []
-
-    def reserve(self, *shape) -> np.ndarray:
-        """Row positions for a span of ``prod(shape)`` rows, in that shape."""
-        start = self.count
-        self.count += int(np.prod(shape))
-        return np.arange(start, self.count).reshape(shape)
 
     def add(self, rows, name, keys, terms, lo=-np.inf, hi=np.inf):
         """One family: row ``rows[r]`` is named ``name`` filled with ``keys[.][r]``.
@@ -236,18 +267,6 @@ class _Rows:
             row_upper[rows] = hi
         return row_lower, row_upper, indptr, indices, data
 
-    def namer(self):
-        """Zero-argument callable producing every row name in row order."""
-        labels, count = self.labels, self.count
-
-        def names():
-            out = [""] * count
-            for rows, name, keys in labels:
-                for r, label in zip(rows.tolist(), _labels(name, keys)):
-                    out[r] = label
-            return out
-        return names
-
 
 def _one_hot(values, width):
     out = np.zeros((len(values), width))
@@ -262,42 +281,19 @@ def _link_products(rows, slots, name, keys, p, a1, a2):
     rows.add(slots[:, 2], name + ":ge", keys, [(p, 1.0), (a1, -1.0), (a2, -1.0)], lo=-1.0)
 
 
-def _build(env: GridEnvironment, x_const=None, order_const=None, z_const=None,
-           warm_schedule: Schedule | None = None) -> MilpModel:
+def _build(env: GridEnvironment, schedule: Schedule | None = None, pinned: str = "",
+           warm: bool = True) -> MilpModel:
+    """The family member pinning the groups in ``pinned`` (a subsequence of
+    "xyz") to ``schedule``, warm-started from ``schedule`` when ``warm``."""
     nj, nc = env.num_jobs, env.num_cns
     nd, nl = env.num_objects, env.num_local_sns
-
-    pinned = "".join(p for p, c in
-                     (("x", x_const), ("y", order_const), ("z", z_const))
-                     if c is not None)
     kind = f"fixed-{pinned}" if pinned else "monolithic"
-
-    x01 = y01 = z01 = None
-    if x_const is not None:
-        x_const = np.asarray(x_const, dtype=np.int64)
-        if x_const.shape != (nj,) or x_const.min() < 0 or x_const.max() >= nc:
-            raise ModelError("x_const must assign every job a valid CN")
-        x01 = _one_hot(x_const, nc)
-    if order_const is not None:
-        order_const = np.asarray(order_const, dtype=np.int64)
-        if not np.array_equal(np.sort(order_const), np.arange(nj)):
-            raise ModelError("order_const is not a permutation of all job ids")
-        pos = np.empty(nj, dtype=np.int64)
-        pos[order_const] = np.arange(nj)
-        y01 = (pos[:, None] < pos[None, :]).astype(np.int64)
-    if z_const is not None:
-        z_const = np.asarray(z_const, dtype=np.int64)
-        if z_const.shape != (nd,) or z_const.min() < 0 or z_const.max() >= nl:
-            raise ModelError("z_const must place every object on a valid local SN")
-        z01 = _one_hot(z_const, nl)
-
-    if warm_schedule is not None:
-        if x_const is not None and not np.array_equal(warm_schedule.job_cn, x_const):
-            raise ModelError("warm schedule contradicts the pinned assignment")
-        if order_const is not None and not np.array_equal(warm_schedule.order, order_const):
-            raise ModelError("warm schedule contradicts the pinned order")
-        if z_const is not None and not np.array_equal(warm_schedule.object_sn, z_const):
-            raise ModelError("warm schedule contradicts the pinned placement")
+    pin_x, pin_y, pin_z = (group in pinned for group in "xyz")
+    if schedule is not None:
+        schedule.validate(env)
+        job_cn, object_sn = schedule.job_cn, schedule.object_sn
+        x01, y01, z01 = (_one_hot(job_cn, nc), schedule.precedence_matrix(),
+                         _one_hot(object_sn, nl))
 
     big_a = compute_big_a(env)
     sizes = env.object_sizes
@@ -315,18 +311,18 @@ def _build(env: GridEnvironment, x_const=None, order_const=None, z_const=None,
     in_j, in_d = np.repeat(jobs, np.diff(offsets)), ids
 
     var = _Vars()
-    m = var.add(["m"])[0]
-    u = var.add(_labels("u[{}]", (jobs,)))
-    v = var.add(_labels("v[{}]", (jobs,)))
-    e = var.add(_labels("e[{}]", (jobs,)))
-    t = var.add(_labels("t[{}]", (objs,)))
-    x = var.binaries(_labels("X[{},{}]", (jobs.repeat(nc), np.tile(cns, nj))),
-                     x01).reshape(nj, nc)
+    m = var.add("m", ([0],))[0]     # the one key fills no field of "m"
+    u = var.add("u[{}]", (jobs,))
+    v = var.add("v[{}]", (jobs,))
+    e = var.add("e[{}]", (jobs,))
+    t = var.add("t[{}]", (objs,))
+    x = var.binaries("X[{},{}]", (jobs.repeat(nc), np.tile(cns, nj)),
+                     x01 if pin_x else None).reshape(nj, nc)
     y = np.full((nj, nj), -1)
-    y[off_i, off_j] = var.binaries(_labels("Y[{},{}]", (off_i, off_j)),
-                                   None if y01 is None else y01[off_i, off_j])
-    z = var.binaries(_labels("Z[{},{}]", (objs.repeat(nl), np.tile(sns, nd))),
-                     z01).reshape(nd, nl)
+    y[off_i, off_j] = var.binaries("Y[{},{}]", (off_i, off_j),
+                                   y01[off_i, off_j] if pin_y else None)
+    z = var.binaries("Z[{},{}]", (objs.repeat(nl), np.tile(sns, nd)),
+                     z01 if pin_z else None).reshape(nd, nl)
 
     rows = _Rows()
     slots = rows.reserve(nj, 4)
@@ -344,11 +340,12 @@ def _build(env: GridEnvironment, x_const=None, order_const=None, z_const=None,
     # precedence coupling: whenever i precedes j on a shared CN, j's slot
     # starts no earlier than i completes
     products = []   # (p, a1, a2) index arrays with p = a1 * a2
-    if x_const is None and y01 is None:
+    if not (pin_x or pin_y):
         pi, pj, pc = off_i.repeat(nc), off_j.repeat(nc), np.tile(cns, off_i.size)
         keys = (pi, pj, pc)
-        w = var.binaries([f"W{k}[{i},{j},{c}]" for i, j, c in zip(*(a.tolist() for a in keys))
-                          for k in (1, 2)]).reshape(-1, 2)
+        # W1 and W2 of one (i, j, c) are adjacent
+        w = var.binaries("W{3}[{0},{1},{2}]", (*(k.repeat(2) for k in keys),
+                                               np.tile((1, 2), pi.size))).reshape(-1, 2)
         yij = y[pi, pj]
         slots = rows.reserve(pi.size, 7)
         for k, other in enumerate((x[pi, pc], x[pj, pc])):
@@ -358,7 +355,7 @@ def _build(env: GridEnvironment, x_const=None, order_const=None, z_const=None,
         rows.add(slots[:, 6], "prec[{},{},{}]", keys,
                  [(u[pj], 1.0), (w[:, 0], -big_a), (w[:, 1], -big_a), (yij, big_a),
                   (v[pi], -1.0), (e[pi], -1.0)], lo=-big_a)
-    elif x_const is None:
+    elif not pin_x:
         # order known: couple only realized predecessor pairs, across every
         # CN they might share
         pi, pj = np.nonzero(y01)
@@ -369,8 +366,8 @@ def _build(env: GridEnvironment, x_const=None, order_const=None, z_const=None,
     else:
         # assignment known: couple ordered pairs that actually share a CN
         # (and, with the order known too, only realized predecessor pairs)
-        shared = x_const[:, None] == x_const[None, :]
-        if y01 is None:
+        shared = job_cn[:, None] == job_cn[None, :]
+        if not pin_y:
             pi, pj = np.nonzero(shared & off)
             terms, lo = [(u[pj], 1.0), (y[pi, pj], -big_a)], -big_a
         else:
@@ -382,10 +379,10 @@ def _build(env: GridEnvironment, x_const=None, order_const=None, z_const=None,
     # transfer stages: inputs reach the CN only after replication (via t_d)
     # and no earlier than the job's slot start
     n = in_d.size
-    if x_const is None and z_const is None:
+    if not (pin_x or pin_z):
         k = nl * nc
         keys = (in_j.repeat(k), in_d.repeat(k), np.tile(sns.repeat(nc), n), np.tile(cns, n * nl))
-        xz = var.binaries(_labels("XZ[{},{},{},{}]", keys))
+        xz = var.binaries("XZ[{},{},{},{}]", keys)
         slots = rows.reserve(n, 3 * k + 2)
         other = (x[keys[0], keys[3]], z[keys[1], keys[2]])
         products.append((xz, *other))
@@ -394,36 +391,36 @@ def _build(env: GridEnvironment, x_const=None, order_const=None, z_const=None,
         transfer, lo = [(xz.reshape(n, k), -ld[in_d].reshape(n, k))], 0.0
     else:
         slots = rows.reserve(n, 2)
-        if x_const is None:
-            transfer, lo = [(x[in_j], -ld[in_d, z_const[in_d], :])], 0.0
-        elif z_const is None:
-            transfer, lo = [(z[in_d], -ld[in_d, :, x_const[in_j]])], 0.0
+        if not pin_x:
+            transfer, lo = [(x[in_j], -ld[in_d, object_sn[in_d], :])], 0.0
+        elif not pin_z:
+            transfer, lo = [(z[in_d], -ld[in_d, :, job_cn[in_j]])], 0.0
         else:
-            transfer, lo = [], ld[in_d, z_const[in_d], x_const[in_j]]
+            transfer, lo = [], ld[in_d, object_sn[in_d], job_cn[in_j]]
     rows.add(slots[:, -2], "stage_t[{},{}]", (in_j, in_d),
              [(v[in_j], 1.0), (t[in_d], -1.0)] + transfer, lo=lo)
     rows.add(slots[:, -1], "stage_u[{},{}]", (in_j, in_d),
              [(v[in_j], 1.0), (u[in_j], -1.0)] + transfer, lo=lo)
 
-    warm = None
-    if warm_schedule is not None:
-        rep = evaluate(env, warm_schedule)
-        point = np.empty(len(var.names))
-        point[m] = rep.makespan
-        point[u], point[v], point[e] = rep.exec_start, rep.ready, rep.exec_length
-        point[t] = rep.replication_done
-        point[x] = _one_hot(warm_schedule.job_cn, nc)
-        point[y[off_i, off_j]] = warm_schedule.precedence_matrix()[off_i, off_j]
-        point[z] = _one_hot(warm_schedule.object_sn, nl)
+    warm_x = None
+    if schedule is not None and warm:
+        rep = evaluate(env, schedule)
+        warm_x = np.empty(var.count)
+        warm_x[m] = rep.makespan
+        warm_x[u], warm_x[v], warm_x[e] = rep.exec_start, rep.ready, rep.exec_length
+        warm_x[t] = rep.replication_done
+        warm_x[x] = x01
+        warm_x[y[off_i, off_j]] = y01[off_i, off_j]
+        warm_x[z] = z01
         for p, a1, a2 in products:
-            point[p] = point[a1] * point[a2]
-        warm = dict(zip(var.names, point.tolist()))
+            warm_x[p] = warm_x[a1] * warm_x[a2]
+        warm_x.setflags(write=False)
 
-    objective = np.zeros(len(var.names))
+    objective = np.zeros(var.count)
     objective[m] = 1.0
-    return MilpModel(kind, var.names, np.concatenate(var.lower), np.concatenate(var.upper),
+    return MilpModel(kind, var.namer(), np.concatenate(var.lower), np.concatenate(var.upper),
                      np.concatenate(var.integer), objective, rows.namer(), *rows.csr(),
-                     big_a, warm)
+                     big_a, x, y, z, warm_x)
 
 
 # -- public builders ----------------------------------------------------------
@@ -431,30 +428,23 @@ def _build(env: GridEnvironment, x_const=None, order_const=None, z_const=None,
 
 def build_monolithic(env: GridEnvironment, warm_schedule: Schedule | None = None) -> MilpModel:
     """Exact joint model: assignment, order and placement all free."""
-    return _build(env, warm_schedule=warm_schedule)
+    return _build(env, warm_schedule)
 
 
-def build_fixed_yz(env: GridEnvironment, order, object_sn, warm_cn=None) -> MilpModel:
-    """Optimize the job-to-CN assignment under a pinned order and placement."""
-    warm = None
-    if warm_cn is not None:
-        warm = Schedule(job_cn=warm_cn, order=order, object_sn=object_sn)
-    return _build(env, order_const=order, z_const=object_sn, warm_schedule=warm)
+def build_fixed_yz(env: GridEnvironment, schedule: Schedule) -> MilpModel:
+    """Optimize the job-to-CN assignment under ``schedule``'s order and
+    placement, warm-started from ``schedule``."""
+    return _build(env, schedule, "yz")
 
 
-def build_fixed_x(env: GridEnvironment, job_cn, warm_order=None, warm_object_sn=None,
-                  fix_order=None) -> MilpModel:
-    """Optimize order and placement under a pinned assignment.
+def build_fixed_x(env: GridEnvironment, schedule: Schedule, pin_order: bool = False) -> MilpModel:
+    """Optimize order and placement under ``schedule``'s assignment,
+    warm-started from ``schedule``.
 
-    ``fix_order`` additionally pins the order, leaving only the placement
+    ``pin_order`` additionally pins the order, leaving only the placement
     free (the data-allocation-only model).
     """
-    warm = None
-    if (warm_order is None) != (warm_object_sn is None):
-        raise ModelError("warm_order and warm_object_sn must be given together")
-    if warm_order is not None:
-        warm = Schedule(job_cn=job_cn, order=warm_order, object_sn=warm_object_sn)
-    return _build(env, x_const=job_cn, order_const=fix_order, warm_schedule=warm)
+    return _build(env, schedule, "xy" if pin_order else "x")
 
 
 def build_fixed_all(env: GridEnvironment, schedule: Schedule) -> MilpModel:
@@ -464,28 +454,18 @@ def build_fixed_all(env: GridEnvironment, schedule: Schedule) -> MilpModel:
     schedule, which makes it the consistency bridge between the evaluator
     and the MILP family.
     """
-    return _build(env, x_const=schedule.job_cn, order_const=schedule.order,
-                  z_const=schedule.object_sn)
+    return _build(env, schedule, "xyz", warm=False)
 
 
-def extract_schedule(env: GridEnvironment, values) -> Schedule:
-    """Schedule encoded by a feasible model assignment.
+def extract_schedule(model: MilpModel, x: np.ndarray) -> Schedule:
+    """Schedule encoded by a feasible variable vector of ``model``.
 
-    Reads the one-hot groups by arg-max and canonicalizes the precedence
-    matrix into a priority list.  Requires the full variable assignment of
-    any model in the family (they all share the naming scheme).
+    Reads the one-hot X and Z blocks by arg-max and canonicalizes the
+    precedence matrix of the Y block into a priority list.
     """
-    nj, nc = env.num_jobs, env.num_cns
-    nd, nl = env.num_objects, env.num_local_sns
-    xs = np.array([[values[f"X[{j},{c}]"] for c in range(nc)] for j in range(nj)])
-    zs = np.array([[values[f"Z[{d},{l}]"] for l in range(nl)] for d in range(nd)])
-    job_cn = xs.argmax(axis=1)
-    object_sn = zs.argmax(axis=1)
-    wins = np.zeros((nj, nj), dtype=np.int64)
-    for i in range(nj):
-        for j in range(nj):
-            if i != j:
-                wins[i, j] = int(round(values[f"Y[{i},{j}]"]))
+    job_cn = x[model.x_vars].argmax(axis=1)
+    object_sn = x[model.z_vars].argmax(axis=1)
+    wins = np.where(model.y_vars >= 0, np.round(x[model.y_vars]), 0).astype(np.int64)
     order = order_from_tournament(wins, job_cn)
     return Schedule(job_cn=job_cn, order=order, object_sn=object_sn)
 

@@ -16,7 +16,7 @@ import logging
 import math
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.optimize
@@ -46,19 +46,28 @@ class SolveResult:
     """Outcome of one solve call.
 
     ``status`` is one of "optimal", "feasible-timeout", "infeasible",
-    "error".  ``assignment`` maps every variable name to its value and is
-    present exactly when status is "optimal" or "feasible-timeout".
+    "error".  ``x`` is the answer as a vector in the model's variable order,
+    present exactly when ``objective`` is; an "error" may still carry the
+    warm start.
     """
 
     status: str
     objective: float | None
-    assignment: dict[str, float] | None
+    x: np.ndarray | None
     wall_time: float
     diagnostics: str = ""
+    model: MilpModel | None = field(default=None, repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
         return self.status in ("optimal", "feasible-timeout")
+
+    @property
+    def assignment(self) -> dict[str, float] | None:
+        """Name -> value view of ``x``, formatted on every read."""
+        if self.x is None:
+            return None
+        return dict(zip(self.model.names, self.x.tolist()))
 
 
 class HighsBackend:
@@ -124,10 +133,9 @@ def solve(model: MilpModel, budget: float, backend=None) -> SolveResult:
         backend = HighsBackend()
 
     notes = []
-    warm_x = None
+    warm_x = model.warm_x
     warm_obj = None
-    if model.warm_start is not None:
-        warm_x = model.vector_from(model.warm_start)
+    if warm_x is not None:
         bad = model.check_assignment(warm_x)
         if bad:
             notes.append("warm start rejected: " + "; ".join(bad[:3]))
@@ -172,26 +180,22 @@ def solve(model: MilpModel, budget: float, backend=None) -> SolveResult:
     if use_warm:
         incumbent, inc_obj = warm_x, warm_obj
 
-    def pack(values):
-        return dict(zip(model.names, values.tolist()))
-
     if raw == "optimal":
         if distrusted:
-            return SolveResult("feasible-timeout", inc_obj, pack(incumbent), wall,
-                               "; ".join(notes) or message)
-        return SolveResult("optimal", inc_obj, pack(incumbent), wall,
-                           "; ".join(notes))
+            return SolveResult("feasible-timeout", inc_obj, incumbent, wall,
+                               "; ".join(notes) or message, model)
+        return SolveResult("optimal", inc_obj, incumbent, wall, "; ".join(notes), model)
     if raw == "infeasible":
         if warm_x is not None:
             notes.append("backend reported infeasible but the warm start is feasible")
-            return SolveResult("error", warm_obj, pack(warm_x), wall, "; ".join(notes))
-        return SolveResult("infeasible", None, None, wall, message)
+            return SolveResult("error", warm_obj, warm_x, wall, "; ".join(notes), model)
+        return SolveResult("infeasible", None, None, wall, message, model)
     # limit / crashed / failed
     if incumbent is not None:
-        return SolveResult("feasible-timeout", inc_obj, pack(incumbent), wall,
-                           "; ".join(notes) or message)
+        return SolveResult("feasible-timeout", inc_obj, incumbent, wall,
+                           "; ".join(notes) or message, model)
     return SolveResult("error", None, None, wall,
-                       "; ".join(notes + [f"no incumbent ({raw}): {message}"]))
+                       "; ".join(notes + [f"no incumbent ({raw}): {message}"]), model)
 
 
 # -- exhaustive search --------------------------------------------------------

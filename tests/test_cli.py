@@ -140,6 +140,24 @@ def test_evaluate_names_an_id_beyond_int64(env_file, tmp_path, capsys):
                   "--schedule", str(sched_path))
 
 
+def test_evaluate_names_a_ragged_table(env_file, tmp_path, capsys):
+    env, env_path = env_file
+    _edit_document(env_path, wan_bandwidth=[[1.0, 2.0], [3.0]])
+    sched_path = tmp_path / "sched.json"
+    random_schedule(env, 5).save(sched_path)
+    _fails_naming(capsys, "wan_bandwidth", "evaluate", "--env", str(env_path),
+                  "--schedule", str(sched_path))
+
+
+def test_evaluate_names_a_file_that_is_not_json(env_file, tmp_path, capsys):
+    env, env_path = env_file
+    bad = tmp_path / "bad.json"
+    random_schedule(env, 5).save(bad)
+    bad.write_text(bad.read_text()[:11])
+    _fails_naming(capsys, "bad.json", "evaluate", "--env", str(env_path),
+                  "--schedule", str(bad))
+
+
 def test_evaluate_missing_file_exits_one(tmp_path, capsys):
     code, _, err = run_cli(capsys, "evaluate", "--env", str(tmp_path / "no.json"),
                            "--schedule", str(tmp_path / "nope.json"))

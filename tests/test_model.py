@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridopt.environment import generate, preset_config
-from gridopt.evaluator import evaluate
-from gridopt.model import (MilpModel, ModelError, build_fixed_all,
-                           build_fixed_x, build_fixed_yz, build_monolithic,
-                           extract_schedule, write_mps)
-from gridopt.schedule import Schedule, random_schedule
+from gridopt import model
+from gridopt.environment import GenerationConfig, generate, preset_config
+from gridopt.evaluator import evaluate, makespan_of
+from gridopt.model import (build_fixed_all, build_fixed_x, build_fixed_yz,
+                           build_monolithic, extract_schedule, write_mps)
+from gridopt.schedule import InvalidScheduleError, Schedule, random_schedule
 from gridopt.solver import solve
 
 from conftest import tiny_env
@@ -36,45 +36,72 @@ def test_every_builder_produces_a_feasible_warm_start():
     rep = evaluate(env, s)
     models = [
         build_monolithic(env, warm_schedule=s),
-        build_fixed_yz(env, s.order, s.object_sn, warm_cn=s.job_cn),
-        build_fixed_x(env, s.job_cn, warm_order=s.order, warm_object_sn=s.object_sn),
-        build_fixed_x(env, s.job_cn, warm_order=s.order,
-                      warm_object_sn=s.object_sn, fix_order=s.order),
+        build_fixed_yz(env, s),
+        build_fixed_x(env, s),
+        build_fixed_x(env, s, pin_order=True),
     ]
     for mdl in models:
-        assert mdl.warm_start is not None
-        assert mdl.check_assignment(mdl.warm_start) == []
-        assert mdl.objective_value(mdl.warm_start) == pytest.approx(rep.makespan, rel=1e-12)
+        assert mdl.warm_x is not None
+        assert mdl.check_assignment(mdl.warm_x) == []
+        assert mdl.objective_value(mdl.warm_x) == pytest.approx(rep.makespan, rel=1e-12)
+
+
+tiny_grids = st.builds(
+    lambda env_seed, num_jobs, num_objects, num_cns, num_local_sns, num_remote_sns: generate(
+        GenerationConfig(num_jobs=num_jobs, num_objects=num_objects, num_cns=num_cns,
+                         num_local_sns=num_local_sns, num_remote_sns=num_remote_sns,
+                         rng_seed=env_seed)),
+    env_seed=st.integers(0, 2**31 - 1), num_jobs=st.integers(1, 4),
+    num_objects=st.integers(1, 4), num_cns=st.integers(1, 3),
+    num_local_sns=st.integers(1, 3), num_remote_sns=st.integers(1, 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(env=tiny_grids, schedule_seed=st.integers(0, 2**31 - 1))
+def test_every_builder_agrees_with_the_replay(env, schedule_seed):
+    s = random_schedule(env, schedule_seed)
+    mk = evaluate(env, s).makespan
+    res = solve(build_fixed_all(env, s), budget=10.0)
+    assert res.status == "optimal"
+    assert res.objective == pytest.approx(mk, rel=1e-9)
+    for mdl in (build_monolithic(env, warm_schedule=s), build_fixed_yz(env, s),
+                build_fixed_x(env, s), build_fixed_x(env, s, pin_order=True)):
+        assert mdl.check_assignment(mdl.warm_x) == []
+        assert mdl.objective_value(mdl.warm_x) == pytest.approx(mk, rel=1e-12)
+        assert makespan_of(env, extract_schedule(mdl, mdl.warm_x)) == pytest.approx(mk, rel=1e-12)
+
+
+def test_build_solve_extract_formats_no_name(monkeypatch):
+    formatted = []
+    monkeypatch.setattr(model, "_labels", lambda fmt, keys: formatted.append(fmt) or [])
+    env, s = _env_and_schedule(2)
+    for mdl in (build_fixed_yz(env, s), build_fixed_x(env, s)):
+        res = solve(mdl, budget=10.0)
+        assert res.ok
+        extract_schedule(mdl, res.x).validate(env)
+    assert formatted == []
 
 
 def test_model_kinds():
     env, s = _env_and_schedule(2)
     assert build_monolithic(env).kind == "monolithic"
-    assert build_fixed_yz(env, s.order, s.object_sn).kind == "fixed-yz"
-    assert build_fixed_x(env, s.job_cn).kind == "fixed-x"
-    assert build_fixed_x(env, s.job_cn, fix_order=s.order).kind == "fixed-xy"
+    assert build_fixed_yz(env, s).kind == "fixed-yz"
+    assert build_fixed_x(env, s).kind == "fixed-x"
+    assert build_fixed_x(env, s, pin_order=True).kind == "fixed-xy"
     assert build_fixed_all(env, s).kind == "fixed-xyz"
-
-
-def test_warm_start_must_match_pins():
-    env, s = _env_and_schedule(3)
-    flipped = s.order[::-1].copy()
-    with pytest.raises(ModelError, match="contradicts"):
-        build_fixed_x(env, s.job_cn, warm_order=flipped,
-                      warm_object_sn=s.object_sn, fix_order=s.order)
-    # fixed_x warm params must come as a pair
-    with pytest.raises(ModelError):
-        build_fixed_x(env, s.job_cn, warm_order=s.order)
 
 
 def test_builder_argument_validation():
     env, s = _env_and_schedule(4)
-    with pytest.raises(ModelError):
-        build_fixed_x(env, np.full(env.num_jobs, env.num_cns))
-    with pytest.raises(ModelError):
-        build_fixed_yz(env, np.zeros(env.num_jobs, dtype=int), s.object_sn)
-    with pytest.raises(ModelError):
-        build_fixed_yz(env, s.order, np.full(env.num_objects, -1))
+    with pytest.raises(InvalidScheduleError):
+        build_fixed_x(env, Schedule(job_cn=np.full(env.num_jobs, env.num_cns),
+                                    order=s.order, object_sn=s.object_sn))
+    with pytest.raises(InvalidScheduleError):
+        build_fixed_yz(env, Schedule(job_cn=s.job_cn, order=np.zeros(env.num_jobs, dtype=int),
+                                     object_sn=s.object_sn))
+    with pytest.raises(InvalidScheduleError):
+        build_fixed_yz(env, Schedule(job_cn=s.job_cn, order=s.order,
+                                     object_sn=np.full(env.num_objects, -1)))
 
 
 def test_pinned_variables_keep_full_variable_set():
@@ -83,8 +110,8 @@ def test_pinned_variables_keep_full_variable_set():
     core |= {f"Z[{d},{l}]" for d in range(env.num_objects) for l in range(env.num_local_sns)}
     core |= {"m"}
     for mdl in (build_fixed_all(env, s),
-                build_fixed_yz(env, s.order, s.object_sn),
-                build_fixed_x(env, s.job_cn)):
+                build_fixed_yz(env, s),
+                build_fixed_x(env, s)):
         assert core <= set(mdl.names)
     mdl = build_fixed_all(env, s)
     for j, c in ((0, 0), (1, 1)):
@@ -102,9 +129,9 @@ def test_precedence_rows_are_emitted_sparsely():
 
     mono = build_monolithic(env)
     assert len(prec_rows(mono)) == nj * (nj - 1) * nc
-    yz = build_fixed_yz(env, s.order, s.object_sn)
+    yz = build_fixed_yz(env, s)
     assert len(prec_rows(yz)) == nj * (nj - 1) // 2 * nc
-    fx = build_fixed_x(env, s.job_cn)
+    fx = build_fixed_x(env, s)
     shared = sum(1 for i in range(nj) for j in range(nj)
                  if i != j and s.job_cn[i] == s.job_cn[j])
     assert len(prec_rows(fx)) == shared
@@ -123,8 +150,8 @@ def test_product_variables_only_in_monolithic():
     env, s = _env_and_schedule(8)
     assert any(n.startswith("W1[") for n in build_monolithic(env).names)
     assert any(n.startswith("XZ[") for n in build_monolithic(env).names)
-    for mdl in (build_fixed_yz(env, s.order, s.object_sn),
-                build_fixed_x(env, s.job_cn),
+    for mdl in (build_fixed_yz(env, s),
+                build_fixed_x(env, s),
                 build_fixed_all(env, s)):
         assert not any(n.startswith(("W1[", "W2[", "XZ[")) for n in mdl.names)
 
@@ -141,7 +168,7 @@ def test_extract_schedule_roundtrip():
     for seed in range(6):
         env, s = _env_and_schedule(seed)
         mdl = build_monolithic(env, warm_schedule=s)
-        rebuilt = extract_schedule(env, mdl.warm_start)
+        rebuilt = extract_schedule(mdl, mdl.warm_x)
         np.testing.assert_array_equal(rebuilt.job_cn, s.job_cn)
         np.testing.assert_array_equal(rebuilt.object_sn, s.object_sn)
         # order agrees wherever it matters: within each CN
@@ -151,35 +178,30 @@ def test_extract_schedule_roundtrip():
 
 def test_check_assignment_reports_violations():
     env, s = _env_and_schedule(0)
-    mdl = build_fixed_yz(env, s.order, s.object_sn, warm_cn=s.job_cn)
-    good = dict(mdl.warm_start)
+    mdl = build_fixed_yz(env, s)
+    good = mdl.warm_x
     assert mdl.check_assignment(good) == []
 
-    fractional = dict(good)
-    fractional[f"X[0,{int(s.job_cn[0])}]"] = 0.5
+    fractional = good.copy()
+    fractional[mdl.names.index(f"X[0,{int(s.job_cn[0])}]")] = 0.5
     problems = mdl.check_assignment(fractional)
     assert any("not integral" in p for p in problems)
 
-    torn = dict(good)
-    torn["m"] = 0.0
+    torn = good.copy()
+    torn[mdl.names.index("m")] = 0.0
     problems = mdl.check_assignment(torn)
     assert any(p.startswith("row makespan[") for p in problems)
 
     for bad in (np.nan, np.inf):
-        broken = dict(good)
-        broken["u[0]"] = bad
+        broken = good.copy()
+        broken[mdl.names.index("u[0]")] = bad
         problems = mdl.check_assignment(broken)
         assert any(p.startswith("u[0] = ") and "not finite" in p for p in problems)
-
-    with pytest.raises(KeyError):
-        incomplete = dict(good)
-        del incomplete["m"]
-        mdl.vector_from(incomplete)
 
 
 def test_write_mps_structure(tmp_path):
     env, s = _env_and_schedule(1)
-    mdl = build_fixed_yz(env, s.order, s.object_sn, warm_cn=s.job_cn)
+    mdl = build_fixed_yz(env, s)
     path = tmp_path / "model.mps"
     write_mps(mdl, path)
     text = path.read_text()
@@ -204,8 +226,8 @@ def _fingerprint(mdl):
     h = hashlib.sha256()
     for field, dtype in _MODEL_FIELDS:
         h.update(np.ascontiguousarray(getattr(mdl, field), dtype=dtype).tobytes())
-    if mdl.warm_start is not None:
-        h.update(np.array([mdl.warm_start[n] for n in mdl.names], dtype="<f8").tobytes())
+    if mdl.warm_x is not None:
+        h.update(np.ascontiguousarray(mdl.warm_x, dtype="<f8").tobytes())
     h.update("\n".join(mdl.names).encode())
     h.update("\n".join(mdl.row_names).encode())
     return h.hexdigest()
@@ -214,11 +236,9 @@ def _fingerprint(mdl):
 def _every_builder(env, s):
     return {
         "monolithic": build_monolithic(env, warm_schedule=s),
-        "fixed-yz": build_fixed_yz(env, s.order, s.object_sn, warm_cn=s.job_cn),
-        "fixed-x": build_fixed_x(env, s.job_cn, warm_order=s.order,
-                                 warm_object_sn=s.object_sn),
-        "fixed-xy": build_fixed_x(env, s.job_cn, warm_order=s.order,
-                                  warm_object_sn=s.object_sn, fix_order=s.order),
+        "fixed-yz": build_fixed_yz(env, s),
+        "fixed-x": build_fixed_x(env, s),
+        "fixed-xy": build_fixed_x(env, s, pin_order=True),
         "fixed-xyz": build_fixed_all(env, s),
     }
 
@@ -296,7 +316,9 @@ def test_vector_check_flags_what_the_row_loop_flags(env_seed, kind, noise_seed, 
     models = _every_builder(env, random_schedule(env, env_seed))
     mdl = models[kind]
     # the monolithic warm start names every variable of the family
-    x = mdl.vector_from(models["monolithic"].warm_start)
+    mono = models["monolithic"]
+    at = {name: i for i, name in enumerate(mono.names)}
+    x = mono.warm_x[[at[name] for name in mdl.names]]
     rng = np.random.default_rng(noise_seed)
     at = rng.choice(mdl.num_vars, size=min(moved, mdl.num_vars), replace=False)
     x[at] += spread * rng.standard_normal(at.size) * np.maximum(1.0, np.abs(x[at]))

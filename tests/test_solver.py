@@ -23,12 +23,12 @@ def test_solve_rejects_bad_budgets(env_tiny):
 
 def test_optimal_solve_passes_its_own_check(env_tiny):
     s = random_schedule(env_tiny, 1)
-    mdl = build_fixed_yz(env_tiny, s.order, s.object_sn, warm_cn=s.job_cn)
+    mdl = build_fixed_yz(env_tiny, s)
     res = solve(mdl, budget=10.0)
     assert res.status == "optimal"
     assert res.ok
-    assert mdl.check_assignment(res.assignment) == []
-    assert res.objective == pytest.approx(mdl.objective_value(res.assignment))
+    assert mdl.check_assignment(res.x) == []
+    assert res.objective == pytest.approx(mdl.objective_value(res.x))
     assert res.wall_time >= 0
 
 
@@ -37,8 +37,7 @@ def test_short_budget_binds_on_a_medium_assignment_model():
     # 1-2 s on this model before the root node
     env = generate(preset_config("medium"), seed=2968811710)
     start = greedy(env, order=np.random.default_rng(2968811710).permutation(env.num_jobs))
-    s = start.schedule
-    mdl = build_fixed_yz(env, s.order, s.object_sn, warm_cn=s.job_cn)
+    mdl = build_fixed_yz(env, start.schedule)
     res = solve(mdl, budget=0.1)
     assert res.ok
     assert res.wall_time < 1.0
@@ -49,7 +48,7 @@ def test_warm_started_solve_never_regresses():
         env = tiny_env(seed)
         s = random_schedule(env, seed + 100)
         warm_mk = evaluate(env, s).makespan
-        mdl = build_fixed_yz(env, s.order, s.object_sn, warm_cn=s.job_cn)
+        mdl = build_fixed_yz(env, s)
         res = solve(mdl, budget=10.0)
         assert res.ok
         assert res.objective <= warm_mk + 1e-9
@@ -76,7 +75,7 @@ class _StubBackend:
 def _warm_model(seed=0):
     env = tiny_env(seed)
     s = random_schedule(env, seed)
-    mdl = build_fixed_yz(env, s.order, s.object_sn, warm_cn=s.job_cn)
+    mdl = build_fixed_yz(env, s)
     return mdl, evaluate(env, s).makespan
 
 
@@ -85,15 +84,15 @@ def test_timeout_without_incumbent_falls_back_to_warm_start():
     res = solve(mdl, 1.0, backend=_StubBackend((None, "limit")))
     assert res.status == "feasible-timeout"
     assert res.objective == pytest.approx(warm_mk)
-    assert mdl.check_assignment(res.assignment) == []
+    assert mdl.check_assignment(res.x) == []
 
 
 def test_timeout_without_incumbent_or_warm_start_is_an_error():
     mdl, _ = _warm_model()
-    mdl.warm_start = None
+    mdl.warm_x = None
     res = solve(mdl, 1.0, backend=_StubBackend((None, "limit")))
     assert res.status == "error"
-    assert res.assignment is None
+    assert res.x is None
     assert "no incumbent" in res.diagnostics
 
 
@@ -107,10 +106,10 @@ def test_infeasible_claim_contradicted_by_warm_start():
 
 def test_infeasible_without_warm_start_is_reported():
     mdl, _ = _warm_model()
-    mdl.warm_start = None
+    mdl.warm_x = None
     res = solve(mdl, 1.0, backend=_StubBackend((None, "infeasible")))
     assert res.status == "infeasible"
-    assert res.assignment is None
+    assert res.x is None
 
 
 def test_crashing_backend_is_absorbed_by_warm_start():
@@ -137,7 +136,7 @@ def test_claimed_optimum_worse_than_warm_start_is_distrusted():
     mdl, warm_mk = _warm_model()
     for factor, status in ((10.0, "feasible-timeout"),  # clearly worse: the proof is void
                            (1.0 + 1e-9, "optimal")):    # within OPTIMUM_TOL: float noise
-        inflated = mdl.vector_from(mdl.warm_start)
+        inflated = mdl.warm_x.copy()
         inflated[mdl.names.index("m")] = warm_mk * factor
         res = solve(mdl, 1.0, backend=_StubBackend((inflated, "optimal")))
         assert res.status == status
