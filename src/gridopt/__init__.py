@@ -10,7 +10,7 @@ from .alternating import AlterMilpConfig, OptimizationTrace, run as run_altermil
 from .environment import (GenerationConfig, GridEnvironment, GRID_PRESETS,
                           PRESET_BUDGETS, environment_from_document, generate,
                           load_environment, preset_config)
-from .evaluator import MakespanReport, compute_big_a, evaluate, execution_time
+from .evaluator import MakespanReport, compute_big_a, evaluate
 from .model import (build_fixed_all, build_fixed_x, build_fixed_yz,
                     build_monolithic, extract_schedule, write_mps)
 from .schedule import (Schedule, load_schedule, order_from_tournament,
@@ -24,9 +24,8 @@ __all__ = [
     "MakespanReport", "OptimizationTrace", "PRESET_BUDGETS", "Schedule",
     "SolveResult", "brute_force_optimal", "build_fixed_all", "build_fixed_x",
     "build_fixed_yz", "build_monolithic", "candidate_count", "compute_big_a",
-    "environment_from_document", "evaluate", "execution_time",
-    "extract_schedule", "generate", "load_environment",
-    "load_schedule", "order_from_tournament", "preset_config",
+    "environment_from_document", "evaluate", "extract_schedule", "generate",
+    "load_environment", "load_schedule", "order_from_tournament", "preset_config",
     "random_schedule", "run_altermilp", "schedule_from_document", "solve",
     "write_mps",
 ]

@@ -87,30 +87,33 @@ def _greedy_batch(env: GridEnvironment, object_sn, orders) -> tuple[np.ndarray, 
     """Greedy dispatch of B job orders in lockstep: ((B, J) job_cns, (B,) makespans).
 
     Step k visits the k-th job of every order; each takes its own
-    schedule's earliest-free CN, ties to the lowest CN id.  The simulation
-    is the replay of the schedule it builds, with the same float operations
-    as the scalar replay, so its final CN availability is the makespan.
+    schedule's earliest-free CN, ties to the lowest CN id.  The placement is
+    shared, so each job's inputs reduce once, per CN, to the
+    :func:`~gridopt.kernels.replay_batch` pair (slowest transfer, latest
+    arrival).  The simulation is then the replay of the schedule it builds,
+    bit for bit, so its final CN availability is the makespan.
     """
-    in_ids, in_mask = env.input_table()
+    in_ids = env.input_table()
     t_remote = env.object_sizes / env.wan_bandwidth[env.hosting, object_sn]
-    # padded inputs become -inf and never win a max
-    ready_at = np.where(in_mask, t_remote[in_ids], -np.inf)                 # (J, M)
-    transfer = np.where(in_mask[:, :, None],
-                        env.object_sizes[in_ids][:, :, None]
-                        / env.lan_bandwidth[object_sn[in_ids]], -np.inf)   # (J, M, C)
-    length = env.gamma * env.job_input_sizes()[:, None] / env.cn_speeds    # (J, C)
+    transfer = (env.object_sizes[in_ids][:, :, None]
+                / env.lan_bandwidth[object_sn[in_ids]])                  # (M, J, C)
+    # (J, C) tables read at flat index j * C + c
+    slowest = transfer.max(axis=0).ravel()
+    latest = (t_remote[in_ids][:, :, None] + transfer).max(axis=0).ravel()
+    length = (env.gamma * env.job_input_sizes()[:, None] / env.cn_speeds).ravel()
     n_batch, n_jobs = orders.shape
-    rows = np.arange(n_batch)
-    cn_free = np.zeros((n_batch, env.num_cns))
-    job_cns = np.zeros((n_batch, n_jobs), dtype=np.int64)
-    for k in range(n_jobs):
-        j = orders[:, k]
-        c = cn_free.argmin(axis=1)
-        job_cns[rows, j] = c
-        start = cn_free[rows, c]
-        done = np.maximum(start[:, None], ready_at[j])
-        done += transfer[j, :, c]
-        cn_free[rows, c] = np.maximum(start, done.max(axis=1)) + length[j, c]
+    n_cns = env.num_cns
+    cn_free = np.zeros((n_batch, n_cns))
+    flat_free = cn_free.reshape(-1)
+    first_slot = n_cns * np.arange(n_batch)
+    picks = np.empty((n_jobs, n_batch), dtype=np.int64)     # CN taken at each step
+    for j, c in zip(n_cns * orders.T, picks):
+        cn_free.argmin(axis=1, out=c)
+        slot = first_slot + c
+        at = j + c
+        flat_free[slot] = np.maximum(flat_free[slot] + slowest[at], latest[at]) + length[at]
+    job_cns = np.empty_like(orders)
+    np.put_along_axis(job_cns, orders, picks.T, axis=1)
     return job_cns, cn_free.max(axis=1)
 
 

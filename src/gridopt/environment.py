@@ -256,11 +256,12 @@ class GridEnvironment:
         """Job inputs in CSR-ish form: (object ids, offsets of length J+1)."""
         return self._flat_inputs
 
-    def input_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """Job inputs as a padded (J, M) id table and its (J, M) mask.
+    def input_table(self) -> np.ndarray:
+        """Job inputs as an (M, J) id table, one column per job.
 
-        M is the largest input count; row j holds ``job_inputs[j]`` followed
-        by zeros, and the mask is True on the real entries.
+        M is the largest input count; column j holds ``job_inputs[j]``
+        followed by repeats of its first input, which never change a max
+        over the column.
         """
         return self._input_table
 
@@ -276,20 +277,18 @@ class GridEnvironment:
     def _input_table(self):
         ids, offsets = self._flat_inputs
         counts = np.diff(offsets)
-        mask = np.arange(counts.max()) < counts[:, None]
-        table = np.zeros(mask.shape, dtype=np.int64)
-        table[mask] = ids
-        table.setflags(write=False)
-        mask.setflags(write=False)
-        return table, mask
+        rank = np.arange(counts.max())[:, None]
+        return _frozen(ids[offsets[:-1] + np.where(rank < counts, rank, 0)], np.int64)
 
     @functools.cached_property
     def _job_kb(self):
         # cumsum adds left to right, as the replay does; a plain sum would
-        # pair terms up and differ in the last bit for eight or more inputs
-        table, mask = self._input_table
-        padded = np.where(mask, self.object_sizes[table], 0.0)
-        return _frozen(np.cumsum(padded, axis=1)[:, -1], np.float64)
+        # pair terms up and differ in the last bit for eight or more inputs.
+        # A job lists each input once, so a repeat of its first is padding.
+        table = self._input_table
+        sizes = self.object_sizes[table]
+        sizes[1:][table[1:] == table[0]] = 0.0
+        return _frozen(np.cumsum(sizes, axis=0)[-1], np.float64)
 
     @staticmethod
     def _check_index(label, value, size):

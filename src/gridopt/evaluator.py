@@ -93,19 +93,11 @@ def makespans_of(env: GridEnvironment, job_cns, orders, object_sns) -> np.ndarra
     scores exactly as ``makespan_of`` scores the schedule built from it.
     """
     object_sns = np.asarray(object_sns, dtype=np.int64)
-    in_ids, in_mask = env.input_table()
     t_remote = env.object_sizes / env.wan_bandwidth[env.hosting, object_sns]
     return kernels.replay_batch(
         np.asarray(orders, dtype=np.int64), np.asarray(job_cns, dtype=np.int64),
-        object_sns, in_ids, in_mask, env.job_input_sizes(), t_remote,
-        env.object_sizes, env.lan_bandwidth, env.cn_speeds, env.gamma)
-
-
-def execution_time(env: GridEnvironment, job: int, cn: int) -> float:
-    """Compute time of ``job`` on ``cn``: gamma * total input KB / speed."""
-    env._check_index("job", job, env.num_jobs)
-    env._check_index("CN", cn, env.num_cns)
-    return float(env.gamma * env.job_input_sizes()[job] / env.cn_speeds[cn])
+        object_sns, env.input_table(), env.job_input_sizes(), t_remote,
+        env.object_sizes, env.lan_bandwidth, env.cn_speeds, env.gamma).max(axis=1)
 
 
 def compute_big_a(env: GridEnvironment) -> float:

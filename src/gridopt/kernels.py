@@ -4,8 +4,16 @@ The replay walks jobs in priority order and simulates overlapped transfer
 and execution on each CN queue.  It comes in two forms with one semantics:
 
 * :func:`replay`, the scalar reference loop over one schedule;
-* :func:`replay_batch`, the makespans of B schedules at once, for callers
-  that score many candidates (the genetic baseline, brute force).
+* :func:`replay_batch`, the CN finish times of B schedules at once, for
+  callers that score many candidates (the genetic baseline, brute force).
+
+:func:`replay_batch` reduces each job's inputs first and then walks the
+priority positions.  A job that starts at ``s`` has input ``m`` on its CN at
+``fl(max(s, r_m) + t_m)`` (replica landed at ``r_m``, LAN transfer ``t_m``).
+Rounded addition is non-decreasing in each operand, so the max over inputs
+equals ``max(fl(s + max_m t_m), max_m fl(r_m + t_m))`` bit for bit, and that
+is never below ``s``.  The two inner maxes do not depend on ``s``, so the
+walk needs only one pair per job and stays bit-identical to the loop.
 
 :func:`replay` takes arrays only:
 
@@ -64,41 +72,40 @@ def replay(order, job_cn, obj_ids, obj_off, object_sn, t_remote,
     return u, v, e, makespan
 
 
-def replay_batch(orders, job_cns, object_sns, in_ids, in_mask, job_kb,
+def replay_batch(orders, job_cns, object_sns, in_ids, job_kb,
                  t_remote, sizes, lan_bw, speeds, gamma):
-    """Makespans of B schedules, bit-identical to :func:`replay`.
+    """(B, C) CN finish times of B schedules, bit-identical to :func:`replay`.
 
-    ``orders`` and ``job_cns`` are (B, J), ``object_sns`` and ``t_remote``
-    (B, D); ``in_ids``/``in_mask`` are the (J, M) padded input table and its
-    mask, and ``job_kb`` the (J,) input KB per job summed in input order.
-    Everything that does not depend on when a CN frees up is gathered once,
-    laid out by priority position; the loop over the J positions then only
-    carries the B CN queues forward.  Every float operation is the one the
-    scalar loop does, on the same operands, so results match to the bit.
+    ``job_cns`` is (B, J) and ``orders`` (B, K), K <= J, which replays
+    only the jobs it lists; ``object_sns`` and ``t_remote`` are (B, D),
+    ``in_ids`` is the environment's (M, J) input table and
+    ``job_kb`` the (J,) input KB per job summed in input order.  First each
+    job's inputs reduce, in job-id layout, to its slowest LAN transfer and
+    its latest replica-plus-transfer arrival; one flat index then lays those
+    out by priority position, and the walk over the positions carries the B
+    CN queues forward in a few (B,)-vector operations each.  A CN with no
+    job finishes at 0.
     """
-    n_batch, n_jobs = orders.shape
+    n_batch, n_jobs = job_cns.shape
     n_cns = speeds.shape[0]
-    cns = np.take_along_axis(job_cns, orders, axis=1)             # (B, J)
-    ids = in_ids[orders]                                          # (B, J, M)
-    flat = ids.reshape(n_batch, -1)
-    shape = ids.shape
-    ready_at = np.take_along_axis(t_remote, flat, axis=1).reshape(shape)
-    sn = np.take_along_axis(object_sns, flat, axis=1).reshape(shape)
-    transfer = sizes[ids] / lan_bw[sn, cns[:, :, None]]
-    # padded inputs become -inf and never win a max
-    real = in_mask[orders]
-    ready_at = np.where(real, ready_at, -np.inf).transpose(1, 0, 2).copy()
-    transfer = np.where(real, transfer, -np.inf).transpose(1, 0, 2).copy()
-    length = (gamma * job_kb[orders] / speeds[cns]).T.copy()      # (J, B)
-    slots = (cns + n_cns * np.arange(n_batch)[:, None]).T.copy()  # (J, B)
+    # (B, M, J) flat lan_bw index of each input's SN and its job's CN
+    lan_at = np.take(object_sns, in_ids, axis=1)
+    lan_at *= n_cns
+    lan_at += job_cns[:, None]
+    transfer = sizes[in_ids] / np.take(lan_bw, lan_at)
+    arrival = np.take(t_remote, in_ids, axis=1)
+    arrival += transfer
+    # (K, B) flat index of the job at each priority position
+    at = (orders + n_jobs * np.arange(n_batch)[:, None]).T
+    slowest = np.take(transfer.max(axis=1), at)
+    latest = np.take(arrival.max(axis=1), at)
+    cns = np.take(job_cns, at)
+    length = gamma * job_kb[orders.T] / speeds[cns]
+    slots = cns + n_cns * np.arange(n_batch)
     cn_free = np.zeros(n_batch * n_cns, dtype=np.float64)
-    for k in range(n_jobs):
-        slot = slots[k]
-        start = cn_free[slot]
-        done = np.maximum(start[:, None], ready_at[k])
-        done += transfer[k]
-        cn_free[slot] = np.maximum(start, done.max(axis=1)) + length[k]
-    return cn_free.reshape(n_batch, n_cns).max(axis=1)
+    for slot, slow, late, run in zip(slots, slowest, latest, length):
+        cn_free[slot] = np.maximum(cn_free[slot] + slow, late) + run
+    return cn_free.reshape(n_batch, n_cns)
 
 
 def backend_name() -> str:

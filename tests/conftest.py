@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from gridopt.environment import GenerationConfig, GridEnvironment, generate
 
@@ -66,3 +67,16 @@ def random_env(rng) -> GridEnvironment:
         rng_seed=int(rng.integers(0, 2**31)),
     )
     return generate(cfg)
+
+
+# up to 12 inputs per job: from eight on, a pairwise sum of the input sizes
+# would round differently from the loop's running sum
+grids = st.builds(
+    lambda env_seed, num_jobs, num_objects, num_cns, num_local_sns, max_inputs: generate(
+        GenerationConfig(num_jobs=num_jobs, num_objects=num_objects, num_cns=num_cns,
+                         num_local_sns=num_local_sns, num_remote_sns=2,
+                         objects_per_job=(1, min(max_inputs, num_objects)),
+                         rng_seed=env_seed)),
+    env_seed=st.integers(0, 2**31 - 1), num_jobs=st.integers(1, 8),
+    num_objects=st.integers(1, 12), num_cns=st.integers(1, 4),
+    num_local_sns=st.integers(1, 3), max_inputs=st.integers(1, 12))

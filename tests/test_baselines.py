@@ -21,7 +21,7 @@ from gridopt.evaluator import makespan_of, makespans_of
 from gridopt.schedule import Schedule
 from gridopt.solver import brute_force_optimal
 
-from conftest import tiny_env
+from conftest import grids, tiny_env
 
 
 @pytest.fixture(scope="module")
@@ -229,6 +229,16 @@ def test_greedy_matches_the_scalar_reference(name):
         schedule, makespan = _scalar_greedy(env, order)
         assert run.schedule.to_document() == schedule.to_document()
         assert run.makespan == makespan
+
+
+@settings(max_examples=80, deadline=None)
+@given(env=grids, order_seed=st.integers(0, 2**31 - 1))
+def test_greedy_matches_the_scalar_reference_on_random_grids(env, order_seed):
+    order = np.random.default_rng(order_seed).permutation(env.num_jobs)
+    run = greedy(env, order=order)
+    schedule, makespan = _scalar_greedy(env, order)
+    assert run.schedule.to_document() == schedule.to_document()
+    assert run.makespan == makespan
 
 
 @pytest.mark.parametrize("name", sorted(_REFERENCE_ENVS))

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from gridopt.evaluator import (compute_big_a, evaluate, execution_time,
-                               makespan_of)
+from gridopt.evaluator import compute_big_a, evaluate, makespan_of
 from gridopt.schedule import InvalidScheduleError, Schedule, random_schedule
 
 from conftest import random_env, tiny_env
@@ -91,18 +90,6 @@ def test_cross_cn_interleaving_does_not_change_timings():
             rep = evaluate(env, other)
             assert rep.makespan == pytest.approx(base.makespan, rel=1e-12)
             np.testing.assert_allclose(rep.exec_start, base.exec_start, rtol=1e-12)
-
-
-def test_execution_time_formula(env_tiny):
-    for j in range(env_tiny.num_jobs):
-        total = sum(env_tiny.object_sizes[d] for d in env_tiny.job_inputs[j])
-        for c in range(env_tiny.num_cns):
-            expected = env_tiny.gamma * total / env_tiny.cn_speeds[c]
-            assert execution_time(env_tiny, j, c) == pytest.approx(expected, rel=1e-15)
-    with pytest.raises(IndexError):
-        execution_time(env_tiny, env_tiny.num_jobs, 0)
-    with pytest.raises(IndexError):
-        execution_time(env_tiny, 0, -1)
 
 
 def test_big_a_bounds_every_replayed_makespan():

@@ -1,13 +1,14 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridopt import kernels
-from gridopt.environment import GenerationConfig, generate
+from gridopt.environment import generate, preset_config
 from gridopt.evaluator import evaluate, makespans_of, replay_arguments
-from gridopt.schedule import random_schedule
+from gridopt.schedule import Schedule, random_schedule
 
-from conftest import random_env
+from conftest import grids, random_env
 
 
 def _workloads(n=25):
@@ -35,19 +36,6 @@ def test_batch_and_loop_paths_agree():
                                       _loop_makespans(env, [schedule]))
 
 
-# up to 12 inputs per job: from eight on, a pairwise sum of the input sizes
-# would round differently from the loop's running sum
-grids = st.builds(
-    lambda env_seed, num_jobs, num_objects, num_cns, num_local_sns, max_inputs: generate(
-        GenerationConfig(num_jobs=num_jobs, num_objects=num_objects, num_cns=num_cns,
-                         num_local_sns=num_local_sns, num_remote_sns=2,
-                         objects_per_job=(1, min(max_inputs, num_objects)),
-                         rng_seed=env_seed)),
-    env_seed=st.integers(0, 2**31 - 1), num_jobs=st.integers(1, 8),
-    num_objects=st.integers(1, 12), num_cns=st.integers(1, 4),
-    num_local_sns=st.integers(1, 3), max_inputs=st.integers(1, 12))
-
-
 @settings(max_examples=80, deadline=None)
 @given(env=grids, batch=st.integers(1, 6), schedule_seed=st.integers(0, 2**31 - 1))
 def test_batch_replay_equals_the_scalar_loop_exactly(env, batch, schedule_seed):
@@ -55,6 +43,47 @@ def test_batch_replay_equals_the_scalar_loop_exactly(env, batch, schedule_seed):
     schedules = [random_schedule(env, rng) for _ in range(batch)]
     np.testing.assert_array_equal(_batch_makespans(env, schedules),
                                   _loop_makespans(env, schedules))
+
+
+def _finish_times(env, orders, schedules):
+    object_sns = np.stack([s.object_sn for s in schedules])
+    return kernels.replay_batch(
+        orders, np.stack([s.job_cn for s in schedules]), object_sns,
+        env.input_table(), env.job_input_sizes(),
+        env.object_sizes / env.wan_bandwidth[env.hosting, object_sns],
+        env.object_sizes, env.lan_bandwidth, env.cn_speeds, env.gamma)
+
+
+@settings(max_examples=80, deadline=None)
+@given(env=grids, batch=st.integers(1, 6), schedule_seed=st.integers(0, 2**31 - 1))
+def test_batch_replay_reports_when_each_cn_finishes(env, batch, schedule_seed):
+    rng = np.random.default_rng(schedule_seed)
+    schedules = [random_schedule(env, rng) for _ in range(batch)]
+    finish = _finish_times(env, np.stack([s.order for s in schedules]), schedules)
+    assert finish.shape == (batch, env.num_cns)
+    for row, s in zip(finish, schedules):
+        done = evaluate(env, s).completion_times()
+        for c in range(env.num_cns):
+            on_c = s.job_cn == c
+            assert row[c] == (done[on_c].max() if on_c.any() else 0.0)
+            # a CN's queue replayed on its own finishes at the same time
+            queue = s.order[on_c[s.order]]
+            assert _finish_times(env, queue[None], [s])[0, c] == row[c]
+
+
+@pytest.mark.parametrize("preset", ["medium", "large"])
+def test_batch_replay_is_exact_at_benchmark_scale(preset):
+    # the Hypothesis grids stop at 8 jobs on 4 CNs; this is 50 on 20 and
+    # 100 on 50, plus one batch that queues every job on a single CN
+    env = generate(preset_config(preset), seed=0)
+    rng = np.random.default_rng(5)
+    spread = [random_schedule(env, rng) for _ in range(50)]
+    stacked = [Schedule(job_cn=np.full(env.num_jobs, c), order=s.order,
+                        object_sn=s.object_sn)
+               for c, s in zip(rng.integers(0, env.num_cns, len(spread)), spread)]
+    for schedules in (spread, stacked):
+        np.testing.assert_array_equal(_batch_makespans(env, schedules),
+                                      _loop_makespans(env, schedules))
 
 
 @settings(max_examples=80, deadline=None)
