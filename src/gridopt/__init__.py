@@ -8,11 +8,11 @@ solves plus a set of reference baselines and a benchmark harness.
 
 from .alternating import AlterMilpConfig, OptimizationTrace, run as run_altermilp
 from .environment import (GenerationConfig, GridEnvironment, GRID_PRESETS,
-                          PRESET_BUDGETS, environment_from_document, generate,
-                          load_environment, preset_config)
+                          environment_from_document, generate, load_environment,
+                          preset_config)
 from .evaluator import MakespanReport, compute_big_a, evaluate
 from .model import (build_fixed_all, build_fixed_x, build_fixed_yz,
-                    build_monolithic, extract_schedule, write_mps)
+                    build_monolithic, extract_schedule)
 from .schedule import (Schedule, load_schedule, order_from_tournament,
                        random_schedule, schedule_from_document)
 from .solver import SolveResult, brute_force_optimal, candidate_count, solve
@@ -21,11 +21,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlterMilpConfig", "GenerationConfig", "GridEnvironment", "GRID_PRESETS",
-    "MakespanReport", "OptimizationTrace", "PRESET_BUDGETS", "Schedule",
-    "SolveResult", "brute_force_optimal", "build_fixed_all", "build_fixed_x",
-    "build_fixed_yz", "build_monolithic", "candidate_count", "compute_big_a",
+    "MakespanReport", "OptimizationTrace", "Schedule", "SolveResult",
+    "brute_force_optimal", "build_fixed_all", "build_fixed_x", "build_fixed_yz",
+    "build_monolithic", "candidate_count", "compute_big_a",
     "environment_from_document", "evaluate", "extract_schedule", "generate",
     "load_environment", "load_schedule", "order_from_tournament", "preset_config",
     "random_schedule", "run_altermilp", "schedule_from_document", "solve",
-    "write_mps",
 ]

@@ -46,11 +46,6 @@ class AlterMilpConfig:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
         check_budget(self.total_budget, "total_budget")
 
-    def step_budgets(self) -> list[float]:
-        """Per-solve budgets, 2 per iteration, equal and summing to the total."""
-        solves = 2 * self.iterations
-        return [self.total_budget / solves] * solves
-
 
 @dataclass(frozen=True)
 class TraceStep:
@@ -131,15 +126,14 @@ def run(env: GridEnvironment, config: AlterMilpConfig) -> tuple[Schedule, Optimi
     current = greedy(env, order=order).schedule
     current_mk = makespan_of(env, current)
     steps = [TraceStep(0, "init", "init", None, current_mk, 0.0, current)]
-    budgets = config.step_budgets()
+    budget = config.total_budget / (2 * config.iterations)    # per solve
     any_success = False
     quiet_iterations = 0
     proven = {}     # stage -> (pinned arrays, objective) of its last optimal solve
 
     for it in range(1, config.iterations + 1):
         mk_before = current_mk
-        for half, stage in enumerate(("assignment", "order-placement")):
-            budget = budgets[2 * (it - 1) + half]
+        for stage in ("assignment", "order-placement"):
             if stage == "assignment":
                 pinned = (current.order, current.object_sn)
             elif config.optimize_order:

@@ -12,6 +12,7 @@ benchmark sweep never dies halfway through.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -50,31 +51,32 @@ def random_baseline(env: GridEnvironment, seed) -> BaselineRun:
     return _finish(env, random_schedule(env, seed))
 
 
-def min_trans(env: GridEnvironment, budget: float, seed, backend=None) -> BaselineRun:
-    """Keep a random assignment and order; optimize only the data placement."""
+def _one_sided(env, build, budget, seed, backend) -> BaselineRun:
+    """Solve ``build(env, init)`` from a random ``init``; keep ``init`` on failure."""
     init = random_schedule(env, seed)
-    mdl = build_fixed_x(env, init, pin_order=True)
+    mdl = build(env, init)
     res = solve(mdl, budget, backend=backend)
     if not res.ok:
         return _finish(env, init, statuses=(res.status,), degraded=True)
     return _finish(env, extract_schedule(mdl, res.x), statuses=(res.status,))
+
+
+def min_trans(env: GridEnvironment, budget: float, seed, backend=None) -> BaselineRun:
+    """Keep a random assignment and order; optimize only the data placement."""
+    return _one_sided(env, functools.partial(build_fixed_x, pin_order=True),
+                      budget, seed, backend)
 
 
 def min_exe(env: GridEnvironment, budget: float, seed, backend=None) -> BaselineRun:
     """Keep a random order and placement; optimize only the job assignment."""
-    init = random_schedule(env, seed)
-    mdl = build_fixed_yz(env, init)
-    res = solve(mdl, budget, backend=backend)
-    if not res.ok:
-        return _finish(env, init, statuses=(res.status,), degraded=True)
-    return _finish(env, extract_schedule(mdl, res.x), statuses=(res.status,))
+    return _one_sided(env, build_fixed_yz, budget, seed, backend)
 
 
 def greedy_data_assignment(env: GridEnvironment) -> np.ndarray:
     """Per-object placement minimizing replication plus mean LAN delay.
 
     The staging cost of object d on local SN l is approximated by
-    remote_delay(d, l) + mean over CNs of local_delay(d, l, c); each object
+    its replication delay plus its mean LAN delay over the CNs; each object
     independently takes the arg-min (tie: lowest SN id).
     """
     rd = env.remote_delay_table()                                  # (D, L)
@@ -141,11 +143,11 @@ def ensemble_greedy(env: GridEnvironment, seed, runs: int | None = None,
                     budget: float | None = None) -> BaselineRun:
     """Greedy under many random job orders; best run wins.
 
-    ``runs`` fixes the ensemble size.  When omitted, runs keep going until
-    ``budget`` seconds have elapsed, with a floor of 10; with neither given
-    the size defaults to 50.  Orders are simulated in lockstep blocks, and
-    the budget is checked between blocks.  The first order reaching the
-    smallest makespan wins.
+    Stops after ``runs`` orders or once ``budget`` seconds have elapsed,
+    whichever comes first; with only a budget at least 10 orders run, and
+    with neither the size is 50.  Orders are simulated in lockstep blocks
+    (the first block of a budget-only run is 10), and the budget is checked
+    between blocks.  The first order reaching the smallest makespan wins.
     """
     if runs is not None and runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
@@ -170,10 +172,9 @@ def ensemble_greedy(env: GridEnvironment, seed, runs: int | None = None,
         if best is None or makespans[i] < best[0]:
             best = (makespans[i], job_cns[i], orders[i])
         done += size
-        if runs is not None:
-            if done >= runs:
-                break
-        elif time.perf_counter() - start >= budget:
+        if runs is not None and done >= runs:
+            break
+        if budget is not None and time.perf_counter() - start >= budget:
             break
     _, job_cn, order = best
     return _finish(env, Schedule(job_cn=job_cn, order=order, object_sn=object_sn),
@@ -324,7 +325,7 @@ def _breed(rng, config: GaConfig, mut: float, num_cns: int, num_local_sns: int,
             np.concatenate([object_sn[elite], child_sn]))
 
 
-def ga(env: GridEnvironment, config: GaConfig | None = None, **overrides) -> BaselineRun:
+def ga(env: GridEnvironment, config: GaConfig = GaConfig()) -> BaselineRun:
     """Genetic search over (assignment, order, placement) triples.
 
     Tournament selection, one-point crossover on the index vectors, order
@@ -336,10 +337,6 @@ def ga(env: GridEnvironment, config: GaConfig | None = None, **overrides) -> Bas
     ever evaluated.
     """
     start = time.perf_counter()
-    if config is None:
-        config = GaConfig(**overrides)
-    elif overrides:
-        raise TypeError("pass either a GaConfig or keyword overrides, not both")
     rng = np.random.default_rng(config.seed)
     nj, nc, nd, nl = env.num_jobs, env.num_cns, env.num_objects, env.num_local_sns
     genome_len = 2 * nj + nd

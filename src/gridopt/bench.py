@@ -371,31 +371,14 @@ def aggregate_rows(rows) -> list[AggregateRow]:
     for agg in aggregates:
         by_cell.setdefault((agg.setup, agg.budget), []).append(agg)
     for cell in by_cell.values():
-        means = {id(a): a.mean_makespan for a in cell}
-        scored = [a for a in cell if means[id(a)] is not None]
-        ranks = rank_by_value([a.mean_makespan for a in scored])
-        rank_of = {id(a): r for a, r in zip(scored, ranks)}
-        for a in cell:
-            ranked.append(dataclasses.replace(a, rank=rank_of.get(id(a))))
+        scored = [a for a in cell if a.mean_makespan is not None]
+        ranks = scipy.stats.rankdata([a.mean_makespan for a in scored], method="average")
+        ranked += [dataclasses.replace(a, rank=float(r)) for a, r in zip(scored, ranks)]
+        ranked += [a for a in cell if a.mean_makespan is None]
     ranked.sort(key=lambda a: (a.setup, a.budget, a.iterations or 0,
                                a.mean_makespan if a.mean_makespan is not None
                                else float("inf")))
     return ranked
-
-
-def rank_by_value(values) -> list[float]:
-    """Competition ranks (1 = smallest), ties averaged."""
-    return scipy.stats.rankdata(values, method="average").tolist()
-
-
-def average_ranks(tables: list[list[AggregateRow]]) -> dict[str, float]:
-    """Mean rank per method across several experiments' aggregate tables."""
-    seen: dict[str, list[float]] = {}
-    for table in tables:
-        for agg in table:
-            if agg.rank is not None:
-                seen.setdefault(agg.method, []).append(agg.rank)
-    return {m: float(np.mean(r)) for m, r in sorted(seen.items())}
 
 
 def _persist(config: ExperimentConfig, result: ExperimentResult, out_dir: Path) -> None:

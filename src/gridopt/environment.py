@@ -229,19 +229,6 @@ class GridEnvironment:
 
     # -- delay queries ------------------------------------------------------
 
-    def remote_delay(self, obj: int, local_sn: int) -> float:
-        """Seconds to replicate ``obj`` from its host to ``local_sn``."""
-        self._check_index("object", obj, self.num_objects)
-        self._check_index("local SN", local_sn, self.num_local_sns)
-        return float(self.object_sizes[obj] / self.wan_bandwidth[self.hosting[obj], local_sn])
-
-    def local_delay(self, obj: int, local_sn: int, cn: int) -> float:
-        """Seconds to move ``obj`` from ``local_sn`` to ``cn`` over the LAN."""
-        self._check_index("object", obj, self.num_objects)
-        self._check_index("local SN", local_sn, self.num_local_sns)
-        self._check_index("CN", cn, self.num_cns)
-        return float(self.object_sizes[obj] / self.lan_bandwidth[local_sn, cn])
-
     def remote_delay_table(self) -> np.ndarray:
         """(D, L) table of replication delays for every placement choice."""
         return self.object_sizes[:, None] / self.wan_bandwidth[self.hosting, :]
@@ -289,11 +276,6 @@ class GridEnvironment:
         sizes = self.object_sizes[table]
         sizes[1:][table[1:] == table[0]] = 0.0
         return _frozen(np.cumsum(sizes, axis=0)[-1], np.float64)
-
-    @staticmethod
-    def _check_index(label, value, size):
-        if not 0 <= value < size:
-            raise IndexError(f"{label} index {value} out of range [0, {size})")
 
     # -- persistence --------------------------------------------------------
 
@@ -494,10 +476,6 @@ GRID_PRESETS = {
     "large": dict(num_cns=50, num_remote_sns=50, num_local_sns=50,
                   num_jobs=100, num_objects=300),
 }
-
-# Solver budget (seconds) conventionally paired with each preset in the
-# benchmark harness.
-PRESET_BUDGETS = {"small": 3.0, "medium": 30.0, "large": 300.0}
 
 
 def preset_config(name: str, seed: int = 0, **overrides) -> GenerationConfig:

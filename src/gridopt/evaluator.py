@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .environment import GridEnvironment, save_document
+from .environment import GridEnvironment
 from .schedule import Schedule
 
 REPORT_SCHEMA = "makespan-report/1"
@@ -44,9 +44,6 @@ class MakespanReport:
             "exec_length": self.exec_length.tolist(),
             "replication_done": self.replication_done.tolist(),
         }
-
-    def save(self, path) -> None:
-        save_document(self.to_document(), path)
 
 
 def replay_arguments(env: GridEnvironment, schedule: Schedule) -> tuple:

@@ -11,8 +11,8 @@ family, the tightest linear form the pins allow:
   are free.
 
 Pinned binaries stay in the model as fixed-bound variables, so every family
-member exposes the same variable set.  That keeps warm starts, extraction
-and file export uniform, and lets a solution of one model seed any other.
+member exposes the same variable set.  That keeps warm starts and
+extraction uniform, and lets a solution of one model seed any other.
 
 Big-A rows never appear with a pinned activation: a deactivated row is
 simply not emitted, which keeps the relaxations tight and the row count
@@ -24,7 +24,7 @@ positions, in the variable and row order of the per-entity loops the
 formulation reads as.  Warm starts and solver answers are vectors in that
 variable order, and a schedule is read back through the X, Y and Z index
 blocks the model keeps.  Variable and row names are formatted on demand,
-for messages and file export only.
+for messages and inspection only.
 """
 
 from __future__ import annotations
@@ -50,9 +50,9 @@ class MilpModel:
     Not meant to be constructed directly; use the ``build_*`` functions.
     ``var_namer`` and ``row_namer`` are zero-argument callables producing
     the variable and row names; each runs on the first read of ``names`` or
-    ``row_names`` (a violation message, MPS export or a caller's
-    inspection), so building, solving and extracting from a model that
-    checks out never formats a name.
+    ``row_names`` (a violation message or a caller's inspection), so
+    building, solving and extracting from a model that checks out never
+    formats a name.
 
     ``x_vars`` (J, C), ``y_vars`` (J, J) and ``z_vars`` (D, L) hold the
     variable index of each ``X[j,c]``, ``Y[i,j]`` and ``Z[d,l]``; the
@@ -112,19 +112,15 @@ class MilpModel:
     def _abs_matrix(self) -> scipy.sparse.csr_matrix:
         return abs(self.matrix)
 
-    def row_terms(self, r: int) -> tuple[np.ndarray, np.ndarray]:
-        lo, hi = self.indptr[r], self.indptr[r + 1]
-        return self.indices[lo:hi], self.data[lo:hi]
-
     def objective_value(self, x: np.ndarray) -> float:
         return float(self.objective @ x)
 
-    def check_assignment(self, x: np.ndarray, tol: float = CHECK_TOL) -> list[str]:
+    def check_assignment(self, x: np.ndarray) -> list[str]:
         """Constraint, bound and integrality violations of a variable vector.
 
         Returns human-readable violation strings, empty when the point is
         feasible.  Every row is checked at once: activities are ``A @ x``
-        and each row's slack is ``tol * max(1, |A| @ |x|)``, so rows
+        and each row's slack is ``CHECK_TOL * max(1, |A| @ |x|)``, so rows
         carrying the big-A constant are not judged more harshly than their
         arithmetic allows.  Non-finite values are violations of their own.
         """
@@ -132,18 +128,18 @@ class MilpModel:
         problems = [f"{self.names[i]} = {x[i]!r} is not finite"
                     for i in np.flatnonzero(~finite)]
         xf = np.where(finite, x, 0.0)
-        fractional = self.integer & (np.abs(xf - np.round(xf)) > tol)
+        fractional = self.integer & (np.abs(xf - np.round(xf)) > CHECK_TOL)
         problems += [f"{self.names[i]} = {x[i]!r} is not integral"
                      for i in np.flatnonzero(fractional)]
         scale = np.maximum(1.0, np.maximum(np.abs(self.lower), np.abs(self.upper)))
         scale[~np.isfinite(scale)] = 1.0
-        low = x < self.lower - tol * scale
-        high = x > self.upper + tol * scale
+        low = x < self.lower - CHECK_TOL * scale
+        high = x > self.upper + CHECK_TOL * scale
         problems += [f"{self.names[i]} = {x[i]!r} outside bounds "
                      f"[{self.lower[i]!r}, {self.upper[i]!r}]"
                      for i in np.flatnonzero(low | high)]
         act = self.matrix @ x
-        slack = tol * np.maximum(1.0, self._abs_matrix @ np.abs(x))
+        slack = CHECK_TOL * np.maximum(1.0, self._abs_matrix @ np.abs(x))
         bad = (act < self.row_lower - slack) | (act > self.row_upper + slack)
         problems += [f"row {self.row_names[r]}: activity {act[r]!r} outside "
                      f"[{self.row_lower[r]!r}, {self.row_upper[r]!r}]"
@@ -469,76 +465,3 @@ def extract_schedule(model: MilpModel, x: np.ndarray) -> Schedule:
     order = order_from_tournament(wins, job_cn)
     return Schedule(job_cn=job_cn, order=order, object_sn=object_sn)
 
-
-def write_mps(model: MilpModel, path) -> None:
-    """Write the model as a free-format MPS file."""
-    def clean(name):
-        return name.replace("[", "_").replace(",", "_").replace("]", "").replace(":", "_")
-
-    rows_kind = []
-    for r in range(model.num_rows):
-        lo, hi = model.row_lower[r], model.row_upper[r]
-        if lo == hi:
-            rows_kind.append("E")
-        elif np.isfinite(lo) and np.isfinite(hi):
-            rows_kind.append("G")  # with a RANGES entry
-        elif np.isfinite(lo):
-            rows_kind.append("G")
-        else:
-            rows_kind.append("L")
-
-    by_col = [[] for _ in range(model.num_vars)]
-    for r in range(model.num_rows):
-        cols, coefs = model.row_terms(r)
-        for col, coef in zip(cols, coefs):
-            by_col[col].append((r, coef))
-
-    lines = ["NAME gridopt", "ROWS", " N  OBJ"]
-    for r, kind in enumerate(rows_kind):
-        lines.append(f" {kind}  {clean(model.row_names[r])}")
-    lines.append("COLUMNS")
-    in_int = False
-    marker = 0
-    for i, name in enumerate(model.names):
-        if model.integer[i] != in_int:
-            flag = "'INTORG'" if model.integer[i] else "'INTEND'"
-            lines.append(f"    MARKER{marker}  'MARKER'  {flag}")
-            marker += 1
-            in_int = bool(model.integer[i])
-        col = clean(name)
-        if model.objective[i]:
-            lines.append(f"    {col}  OBJ  {model.objective[i]!r}")
-        for r, coef in by_col[i]:
-            lines.append(f"    {col}  {clean(model.row_names[r])}  {coef!r}")
-    if in_int:
-        lines.append(f"    MARKER{marker}  'MARKER'  'INTEND'")
-    lines.append("RHS")
-    for r, kind in enumerate(rows_kind):
-        rhs = model.row_lower[r] if kind in ("E", "G") else model.row_upper[r]
-        if rhs:
-            lines.append(f"    RHS  {clean(model.row_names[r])}  {rhs!r}")
-    ranged = [r for r in range(model.num_rows)
-              if np.isfinite(model.row_lower[r]) and np.isfinite(model.row_upper[r])
-              and model.row_lower[r] != model.row_upper[r]]
-    if ranged:
-        lines.append("RANGES")
-        for r in ranged:
-            span = model.row_upper[r] - model.row_lower[r]
-            lines.append(f"    RNG  {clean(model.row_names[r])}  {span!r}")
-    lines.append("BOUNDS")
-    for i, name in enumerate(model.names):
-        col = clean(name)
-        lo, hi = model.lower[i], model.upper[i]
-        if lo == hi:
-            lines.append(f" FX BND  {col}  {lo!r}")
-        elif model.integer[i]:
-            lines.append(f" LI BND  {col}  {int(lo)}")
-            lines.append(f" UI BND  {col}  {int(hi)}")
-        else:
-            if lo != 0.0:
-                lines.append(f" LO BND  {col}  {lo!r}")
-            if np.isfinite(hi):
-                lines.append(f" UP BND  {col}  {hi!r}")
-    lines.append("ENDATA")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

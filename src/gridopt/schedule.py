@@ -31,9 +31,20 @@ class Schedule:
 
     def __post_init__(self):
         for name in ("job_cn", "order", "object_sn"):
+            given = np.asarray(getattr(self, name))
+            # the int64 cast below would truncate 1.7 to 1 and read True or
+            # "1" as 1 without a word
+            if given.dtype.kind == "f":
+                bad = ~np.isfinite(given) | (given != np.round(given))
+                if bad.any():
+                    raise InvalidScheduleError(f"{name} must hold integer ids, "
+                                               f"got {float(given[bad].flat[0])!r}")
+            elif given.dtype.kind not in "iu":
+                raise InvalidScheduleError(f"{name} must hold integer ids, "
+                                           f"got dtype {given.dtype}")
             # always a copy: a row of a batch array would otherwise keep the
             # whole batch alive for as long as the schedule lives
-            arr = np.array(getattr(self, name), dtype=np.int64)
+            arr = np.array(given, dtype=np.int64)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if self.job_cn.ndim != 1 or self.order.ndim != 1 or self.object_sn.ndim != 1:

@@ -12,8 +12,8 @@ import time
 import numpy as np
 
 from gridopt.alternating import AlterMilpConfig, run as altermilp
-from gridopt.baselines import (diana, ensemble_greedy, ga, greedy, min_exe,
-                               min_trans, random_baseline)
+from gridopt.baselines import (GaConfig, diana, ensemble_greedy, ga, greedy,
+                               min_exe, min_trans, random_baseline)
 from gridopt.bench import ExperimentConfig, MethodSpec, experiment_from_document
 from gridopt.environment import (GenerationConfig, environment_from_document,
                                  generate, preset_config)
@@ -206,7 +206,7 @@ def test_criterion_8_cross_module_properties():
         _, oracle = brute_force_optimal(env)
         for run in (random_baseline(env, seed), greedy(env), diana(env),
                     ensemble_greedy(env, seed, runs=5),
-                    ga(env, population=8, generations=6, seed=seed),
+                    ga(env, GaConfig(population=8, generations=6, seed=seed)),
                     min_trans(env, 5.0, seed), min_exe(env, 5.0, seed)):
             assert run.makespan >= oracle - 1e-9
 

@@ -9,7 +9,7 @@ from gridopt.alternating import (AlterMilpConfig, OptimizationTrace, TraceStep,
 from gridopt.baselines import greedy
 from gridopt.environment import GenerationConfig, generate
 from gridopt.evaluator import makespan_of
-from gridopt.solver import HighsBackend, brute_force_optimal
+from gridopt.solver import GRACE_FLOOR, GRACE_FRACTION, HighsBackend, brute_force_optimal
 
 from conftest import tiny_env
 
@@ -26,12 +26,6 @@ def test_config_validation():
         AlterMilpConfig(total_budget=0.0)
     with pytest.raises(ValueError, match="total_budget"):
         AlterMilpConfig(total_budget=float("inf"))
-
-
-def test_step_budgets_equal_split():
-    budgets = AlterMilpConfig(iterations=3, total_budget=3.0).step_budgets()
-    assert budgets == [0.5] * 6
-    assert sum(budgets) == pytest.approx(3.0)
 
 
 def test_start_is_the_greedy_schedule_of_a_seeded_order(env_tiny):
@@ -154,6 +148,21 @@ class _InfeasibleBackend:
 
     def solve_raw(self, model, budget):
         return None, "infeasible", "scripted refusal"
+
+
+def test_step_budgets_equal_split(env_tiny):
+    granted = []
+
+    class _Granted(_InfeasibleBackend):
+        def solve_raw(self, model, budget):
+            granted.append(budget)
+            return super().solve_raw(model, budget)
+
+    run(env_tiny, AlterMilpConfig(iterations=3, total_budget=3.0, backend=_Granted(),
+                                  early_stop=False))
+    # each of the 2T solves gets total / (2T) of backend time, plus grace
+    share = 3.0 / 6
+    assert granted == [share + max(GRACE_FRACTION * share, GRACE_FLOOR)] * 6
 
 
 def test_all_failed_solves_mark_the_trace_degraded(env_tiny):

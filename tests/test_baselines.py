@@ -185,6 +185,21 @@ def test_ensemble_budget_mode_has_a_floor_of_ten_runs(tiny_oracle):
     assert run.extra["runs"] == 10
 
 
+def test_ensemble_stops_at_whichever_of_runs_and_budget_comes_first(tiny_oracle):
+    env, _ = tiny_oracle
+    # a budget that does not bind leaves a runs-only result unchanged
+    runs_only = ensemble_greedy(env, seed=2, runs=300)
+    both = ensemble_greedy(env, seed=2, runs=300, budget=60.0)
+    assert both.schedule.to_document() == runs_only.schedule.to_document()
+    assert both.extra["runs"] == runs_only.extra["runs"] == 300
+    # a budget that binds stops a run count far out of reach
+    env = generate(preset_config("medium"), seed=0)
+    start = time.perf_counter()
+    run = ensemble_greedy(env, seed=0, runs=10**6, budget=0.3)
+    assert time.perf_counter() - start < 2.0
+    assert run.extra["runs"] < 10**6
+
+
 def test_ensemble_defaults_to_fifty_runs(tiny_oracle):
     env, _ = tiny_oracle
     assert ensemble_greedy(env, seed=1).extra["runs"] == 50
@@ -337,12 +352,6 @@ def test_ga_config_validation():
             GaConfig(budget=budget)
     with pytest.raises(ValueError):
         GaConfig(population=5, elitism=5)
-
-
-def test_ga_rejects_config_plus_overrides(tiny_oracle):
-    env, _ = tiny_oracle
-    with pytest.raises(TypeError):
-        ga(env, GaConfig(), seed=1)
 
 
 def _scalar_order_crossover(a, b, lo, hi):

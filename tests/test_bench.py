@@ -5,9 +5,8 @@ import pytest
 
 from gridopt.bench import (AGGREGATE_HEADER, METHODS, ROWS_HEADER,
                            ExperimentConfig, MethodSpec, ResultRow,
-                           aggregate_rows, average_ranks,
-                           experiment_from_document, load_experiment,
-                           method_params, rank_by_value, run_experiment,
+                           aggregate_rows, experiment_from_document,
+                           load_experiment, method_params, run_experiment,
                            sweep_budget, sweep_iterations)
 from gridopt.environment import DocumentError
 
@@ -210,13 +209,6 @@ def test_failed_method_is_recorded_not_raised():
     assert agg["random"].rank == 1.0
 
 
-def test_rank_by_value():
-    assert rank_by_value([]) == []
-    assert rank_by_value([5.0, 1.0, 3.0]) == [3.0, 1.0, 2.0]
-    assert rank_by_value([1.0, 1.0, 2.0]) == [1.5, 1.5, 3.0]
-    assert rank_by_value([2.0, 2.0, 2.0]) == [2.0, 2.0, 2.0]
-
-
 def _row(method, makespan, setup="custom", seed=0, budget=1.0, iterations=None):
     ok = makespan is not None
     return ResultRow(setup, seed, method, makespan, 0.01,
@@ -224,10 +216,20 @@ def _row(method, makespan, setup="custom", seed=0, budget=1.0, iterations=None):
                      budget, iterations)
 
 
-def test_average_ranks_across_tables():
-    table1 = aggregate_rows([_row("a", 1.0), _row("b", 2.0)])
-    table2 = aggregate_rows([_row("a", 2.0), _row("b", 1.0)])
-    assert average_ranks([table1, table2]) == {"a": 1.5, "b": 1.5}
+def test_rank_by_value():
+    def ranks(rows):
+        return {a.method: a.rank for a in aggregate_rows(rows)}
+    assert ranks([]) == {}
+    assert ranks([_row("a", 5.0), _row("b", 1.0), _row("c", 3.0)]) == \
+        {"a": 3.0, "b": 1.0, "c": 2.0}
+    # equal means share the average rank; a method with no makespan gets none
+    assert ranks([_row("a", 1.0), _row("b", 1.0), _row("c", 2.0), _row("d", None)]) == \
+        {"a": 1.5, "b": 1.5, "c": 3.0, "d": None}
+    assert ranks([_row("a", 2.0), _row("b", 2.0), _row("c", 2.0)]) == \
+        {"a": 2.0, "b": 2.0, "c": 2.0}
+    # two seeds: equal means from different makespans still tie
+    assert ranks([_row("a", 1.0, seed=0), _row("a", 2.0, seed=1),
+                  _row("b", 2.0, seed=0), _row("b", 1.0, seed=1)]) == {"a": 1.5, "b": 1.5}
 
 
 def test_aggregate_groups_by_budget_and_iterations():

@@ -107,12 +107,10 @@ def test_big_a_hand_value(env_single_job):
     assert compute_big_a(env_single_job) == 14.0
 
 
-def test_report_document_roundtrip(tmp_path, env_single_job):
+def test_report_document_roundtrip(env_single_job):
     rep = evaluate(env_single_job, Schedule(job_cn=[0], order=[0], object_sn=[0]))
-    path = tmp_path / "report.json"
-    rep.save(path)
     import json
-    doc = json.loads(path.read_text())
+    doc = json.loads(json.dumps(rep.to_document()))
     assert doc["schema"] == "makespan-report/1"
     assert doc["makespan"] == 13.0
     assert doc["ready"] == [11.0]

@@ -10,7 +10,7 @@ from gridopt import model
 from gridopt.environment import GenerationConfig, generate, preset_config
 from gridopt.evaluator import evaluate, makespan_of
 from gridopt.model import (build_fixed_all, build_fixed_x, build_fixed_yz,
-                           build_monolithic, extract_schedule, write_mps)
+                           build_monolithic, extract_schedule)
 from gridopt.schedule import InvalidScheduleError, Schedule, random_schedule
 from gridopt.solver import solve
 
@@ -199,22 +199,6 @@ def test_check_assignment_reports_violations():
         assert any(p.startswith("u[0] = ") and "not finite" in p for p in problems)
 
 
-def test_write_mps_structure(tmp_path):
-    env, s = _env_and_schedule(1)
-    mdl = build_fixed_yz(env, s)
-    path = tmp_path / "model.mps"
-    write_mps(mdl, path)
-    text = path.read_text()
-    for section in ("NAME", "ROWS", "COLUMNS", "RHS", "BOUNDS", "ENDATA"):
-        assert section in text
-    assert "'INTORG'" in text and "'INTEND'" in text
-    assert " N  OBJ" in text
-    # bracketed names must have been sanitized for the interchange format
-    assert "[" not in text.replace("'MARKER'", "")
-    assert sum(1 for line in text.splitlines() if line.startswith(" E ")) == \
-        sum(1 for lo, hi in zip(mdl.row_lower, mdl.row_upper) if lo == hi)
-
-
 # -- the array-native layer against the models and checks it replaced --------
 
 _MODEL_FIELDS = (("lower", "<f8"), ("upper", "<f8"), ("integer", "|b1"),
@@ -284,7 +268,8 @@ def _loop_check(mdl, x, tol=1e-6):
         flagged.add(mdl.names[i])
     rows, unsure = set(), set()
     for r in range(mdl.num_rows):
-        cols, coefs = mdl.row_terms(r)
+        span = slice(mdl.indptr[r], mdl.indptr[r + 1])
+        cols, coefs = mdl.indices[span], mdl.data[span]
         terms = coefs * x[cols]
         act = terms.sum()
         slack = tol * max(1.0, np.abs(terms).sum())

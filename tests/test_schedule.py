@@ -53,6 +53,28 @@ def test_order_and_job_cn_length_mismatch_rejected():
         Schedule(job_cn=[0, 1], order=[0, 1, 2], object_sn=[0])
 
 
+@pytest.mark.parametrize("field, value, shown", [
+    ("job_cn", [0.9, 1.7, 0.2], "0.9"),
+    ("order", [0.0, 1.0, 2.5], "2.5"),
+    ("object_sn", [0.0, float("nan")], "nan"),
+    ("object_sn", np.array([float("inf"), 1.0]), "inf"),
+    ("job_cn", [True, False, True], "bool"),
+    ("order", ["0", "1", "2"], "<U1"),
+    ("object_sn", [1 + 0j, 0j], "complex"),
+])
+def test_non_integral_ids_are_rejected_by_field(field, value, shown):
+    fields = dict(job_cn=[0, 1, 0], order=[0, 1, 2], object_sn=[0, 1])
+    fields[field] = value
+    with pytest.raises(InvalidScheduleError, match=rf"^{field} .*{shown}"):
+        Schedule(**fields)
+
+
+def test_integral_float_ids_are_accepted():
+    s = Schedule(job_cn=[1.0, 0.0], order=np.array([1.0, 0.0]), object_sn=[2.0])
+    assert s.job_cn.tolist() == [1, 0] and s.order.tolist() == [1, 0]
+    assert s.object_sn.dtype == np.int64 and s.object_sn.tolist() == [2]
+
+
 def test_positions_and_precedence():
     s = Schedule(job_cn=[0, 0, 1], order=[2, 0, 1], object_sn=[0])
     np.testing.assert_array_equal(s.positions(), [1, 2, 0])
