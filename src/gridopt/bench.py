@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.stats
 
 from . import baselines
 from .alternating import AlterMilpConfig, OptimizationTrace, run as altermilp_run
@@ -348,6 +347,9 @@ def aggregate_rows(rows) -> list[AggregateRow]:
     makespan, ties sharing the average rank; groups whose rows all failed
     get no rank.
     """
+    # imported here so that processes which only run methods skip scipy.stats
+    from scipy.stats import rankdata
+
     groups: dict[tuple, list[ResultRow]] = {}
     for row in rows:
         groups.setdefault((row.setup, row.method, row.budget, row.iterations),
@@ -372,7 +374,7 @@ def aggregate_rows(rows) -> list[AggregateRow]:
         by_cell.setdefault((agg.setup, agg.budget), []).append(agg)
     for cell in by_cell.values():
         scored = [a for a in cell if a.mean_makespan is not None]
-        ranks = scipy.stats.rankdata([a.mean_makespan for a in scored], method="average")
+        ranks = rankdata([a.mean_makespan for a in scored], method="average")
         ranked += [dataclasses.replace(a, rank=float(r)) for a, r in zip(scored, ranks)]
         ranked += [a for a in cell if a.mean_makespan is None]
     ranked.sort(key=lambda a: (a.setup, a.budget, a.iterations or 0,

@@ -151,6 +151,18 @@ def _add_bench(sub):
                    help="sweep-iters: fixed total budget vs fixed per-iteration budget")
 
 
+def _parse_list(text: str, flag: str, kind) -> list:
+    """Comma-separated ``kind`` values of ``flag``; a bad item names the flag."""
+    values = []
+    for item in text.split(","):
+        try:
+            values.append(kind(item))
+        except ValueError:
+            raise ValueError(f"{flag} expects comma-separated {kind.__name__} values, "
+                             f"got {item!r} in {text!r}") from None
+    return values
+
+
 def _cmd_bench(args) -> int:
     config = load_experiment(args.config)
     if args.action == "run":
@@ -158,12 +170,12 @@ def _cmd_bench(args) -> int:
     elif args.action == "sweep-budget":
         if not args.budgets:
             raise SystemExit("sweep-budget requires --budgets")
-        budgets = [float(b) for b in args.budgets.split(",")]
+        budgets = _parse_list(args.budgets, "--budgets", float)
         result = sweep_budget(config, budgets, out_dir=args.out)
     else:
         if not args.ts or not args.mode:
             raise SystemExit("sweep-iters requires --ts and --mode")
-        ts = [int(t) for t in args.ts.split(",")]
+        ts = _parse_list(args.ts, "--ts", int)
         result = sweep_iterations(config, ts, args.mode, out_dir=args.out)
     summary = {
         "rows": len(result.rows),

@@ -39,26 +39,32 @@ import numpy as np
 
 def replay(order, job_cn, obj_ids, obj_off, object_sn, t_remote,
            sizes, lan_bw, speeds, gamma):
-    """Scalar-loop replay, the reference semantics."""
-    n_jobs = order.shape[0]
-    n_cns = speeds.shape[0]
-    cn_free = np.zeros(n_cns, dtype=np.float64)
-    u = np.zeros(n_jobs, dtype=np.float64)
-    v = np.zeros(n_jobs, dtype=np.float64)
-    e = np.zeros(n_jobs, dtype=np.float64)
+    """Scalar-loop replay, the reference semantics.
+
+    The arrays are read as Python lists, so the loop does plain float
+    arithmetic: the same IEEE double operations in the same order as on
+    numpy scalars, without their per-element boxing.
+    """
+    order, job_cn = order.tolist(), job_cn.tolist()
+    obj_ids, obj_off, object_sn = obj_ids.tolist(), obj_off.tolist(), object_sn.tolist()
+    t_remote, sizes = t_remote.tolist(), sizes.tolist()
+    lan_bw, speeds, gamma = lan_bw.tolist(), speeds.tolist(), float(gamma)
+    n_jobs = len(order)
+    cn_free = [0.0] * len(speeds)
+    u = [0.0] * n_jobs
+    v = [0.0] * n_jobs
+    e = [0.0] * n_jobs
     makespan = 0.0
-    for k in range(n_jobs):
-        j = order[k]
+    for j in order:
         c = job_cn[j]
         start = cn_free[c]
         ready = start
         total_kb = 0.0
-        for idx in range(obj_off[j], obj_off[j + 1]):
-            d = obj_ids[idx]
+        for d in obj_ids[obj_off[j]:obj_off[j + 1]]:
             # transfer to the CN can begin only once the CN is free for this
             # job and the object's replica has landed on its local SN
             begin = start if start > t_remote[d] else t_remote[d]
-            done = begin + sizes[d] / lan_bw[object_sn[d], c]
+            done = begin + sizes[d] / lan_bw[object_sn[d]][c]
             if done > ready:
                 ready = done
             total_kb += sizes[d]
@@ -69,7 +75,8 @@ def replay(order, job_cn, obj_ids, obj_off, object_sn, t_remote,
         cn_free[c] = ready + length
         if cn_free[c] > makespan:
             makespan = cn_free[c]
-    return u, v, e, makespan
+    return (np.array(u, dtype=np.float64), np.array(v, dtype=np.float64),
+            np.array(e, dtype=np.float64), makespan)
 
 
 def replay_batch(orders, job_cns, object_sns, in_ids, job_kb,

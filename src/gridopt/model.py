@@ -30,13 +30,16 @@ for messages and inspection only.
 from __future__ import annotations
 
 import functools
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse
 
 from .environment import GridEnvironment
 from .evaluator import compute_big_a, evaluate
 from .schedule import Schedule, order_from_tournament
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 
 # Tolerance of check_assignment: absolute for integrality, relative to the
@@ -104,7 +107,13 @@ class MilpModel:
 
     @functools.cached_property
     def matrix(self) -> scipy.sparse.csr_matrix:
-        """The constraint matrix, built once and shared by check and backend."""
+        """The constraint matrix, built once and shared by check and backend.
+
+        scipy.sparse is imported here, on the first matrix formed, so a
+        process that never checks or solves a model does not load it.
+        """
+        import scipy.sparse
+
         return scipy.sparse.csr_matrix((self.data, self.indices, self.indptr),
                                        shape=(self.num_rows, self.num_vars))
 

@@ -301,6 +301,20 @@ def test_bench_sweep_budget_requires_budgets(tmp_path, capsys):
         main(["bench", "sweep-budget", "--config", str(path)])
 
 
+@pytest.mark.parametrize("action, flag, text, bad", [
+    ("sweep-budget", "--budgets", "1,abc", "'abc'"),
+    ("sweep-budget", "--budgets", "1,,2", "''"),
+    ("sweep-iters", "--ts", "1.5", "'1.5'"),
+])
+def test_bench_sweep_names_a_bad_list_item(tmp_path, capsys, action, flag, text, bad):
+    path = _experiment_file(tmp_path, (MethodSpec("random"),))
+    code, _, err = run_cli(capsys, "bench", action, "--config", str(path),
+                           flag, text, "--mode", "divided")
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert flag in err and f"got {bad}" in err
+
+
 def test_bench_sweep_iters(tmp_path, capsys):
     path = _experiment_file(tmp_path, (MethodSpec("altermilp"),
                                        MethodSpec("greedy")))
