@@ -19,11 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import greedy
-from .environment import GridEnvironment, check_document, read_field, save_document
+from .environment import (GridEnvironment, check_budget, check_document, read_field,
+                          save_document)
 from .evaluator import makespan_of
 from .model import build_fixed_x, build_fixed_yz, extract_schedule
 from .schedule import Schedule, schedule_from_document
-from .solver import check_budget, solve
+from .solver import solve
 
 TRACE_SCHEMA = "optimization-trace/1"
 

@@ -19,11 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .environment import GridEnvironment
+from .environment import GridEnvironment, check_budget
 from .evaluator import makespan_of, makespans_of
 from .model import build_fixed_x, build_fixed_yz, extract_schedule
 from .schedule import Schedule, random_schedule, validate_batch
-from .solver import check_budget, solve
+from .solver import solve
 
 
 @dataclass(frozen=True)
@@ -79,10 +79,8 @@ def greedy_data_assignment(env: GridEnvironment) -> np.ndarray:
     its replication delay plus its mean LAN delay over the CNs; each object
     independently takes the arg-min (tie: lowest SN id).
     """
-    rd = env.remote_delay_table()                                  # (D, L)
-    mean_ld = (env.object_sizes[:, None, None]
-               / env.lan_bandwidth[None, :, :]).mean(axis=2)       # (D, L)
-    return np.argmin(rd + mean_ld, axis=1).astype(np.int64)
+    staging = env.replication_delay() + env.lan_delay().mean(axis=2)   # (D, L)
+    return np.argmin(staging, axis=1).astype(np.int64)
 
 
 def _greedy_batch(env: GridEnvironment, object_sn, orders) -> tuple[np.ndarray, np.ndarray]:
@@ -96,13 +94,13 @@ def _greedy_batch(env: GridEnvironment, object_sn, orders) -> tuple[np.ndarray, 
     bit for bit, so its final CN availability is the makespan.
     """
     in_ids = env.input_table()
-    t_remote = env.object_sizes / env.wan_bandwidth[env.hosting, object_sn]
+    t_remote = env.replication_delay()[np.arange(env.num_objects), object_sn]
     transfer = (env.object_sizes[in_ids][:, :, None]
                 / env.lan_bandwidth[object_sn[in_ids]])                  # (M, J, C)
     # (J, C) tables read at flat index j * C + c
     slowest = transfer.max(axis=0).ravel()
     latest = (t_remote[in_ids][:, :, None] + transfer).max(axis=0).ravel()
-    length = (env.gamma * env.job_input_sizes()[:, None] / env.cn_speeds).ravel()
+    length = env.exec_time().ravel()
     n_batch, n_jobs = orders.shape
     n_cns = env.num_cns
     cn_free = np.zeros((n_batch, n_cns))
@@ -188,15 +186,15 @@ def classify_jobs(env: GridEnvironment, object_sn, threshold: float) -> tuple[np
     where the transfer best case takes the given placement and the friendliest
     CN.  ratio >= threshold marks the job compute-intensive.
     """
-    ld = env.object_sizes[:, None] / env.lan_bandwidth[object_sn, :]   # (D, C)
-    rd = env.object_sizes / env.wan_bandwidth[env.hosting, object_sn]
-    sizes = env.job_input_sizes()
+    objs = np.arange(env.num_objects)
+    ld = env.lan_delay()[objs, object_sn]                           # (D, C)
+    rd = env.replication_delay()[objs, object_sn]
+    best_exec = env.exec_time().min(axis=1)
     ratios = np.empty(env.num_jobs)
-    for j, objs in enumerate(env.job_inputs):
-        ids = list(objs)
-        best_exec = env.gamma * sizes[j] / env.cn_speeds.max()
+    for j, inputs in enumerate(env.job_inputs):
+        ids = list(inputs)
         best_transfer = (rd[ids].sum() + ld[ids].sum(axis=0)).min()
-        ratios[j] = best_exec / best_transfer
+        ratios[j] = best_exec[j] / best_transfer
     return ratios, ratios >= threshold
 
 
@@ -212,9 +210,8 @@ def diana(env: GridEnvironment, threshold: float = 1.0) -> BaselineRun:
         raise ValueError(f"threshold must be positive, got {threshold}")
     object_sn = greedy_data_assignment(env)
     ratios, compute_heavy = classify_jobs(env, object_sn, threshold)
-    exec_time = (env.gamma * env.job_input_sizes()[:, None]
-                 / env.cn_speeds[None, :])                         # (J, C)
-    ld = env.object_sizes[:, None] / env.lan_bandwidth[object_sn, :]  # (D, C)
+    exec_time = env.exec_time()
+    ld = env.lan_delay()[np.arange(env.num_objects), object_sn]    # (D, C)
     backlog = np.zeros(env.num_cns)
     job_cn = np.zeros(env.num_jobs, dtype=np.int64)
     for j in range(env.num_jobs):

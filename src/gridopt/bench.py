@@ -24,12 +24,11 @@ import numpy as np
 from . import baselines
 from .alternating import AlterMilpConfig, OptimizationTrace, run as altermilp_run
 from .environment import (GenerationConfig, GRID_PRESETS, build_from_document,
-                          check_document, config_from_document, generate,
-                          is_kind, load_document, preset_config, read_field,
-                          save_document)
+                          check_budget, check_document, check_seed,
+                          config_from_document, generate, is_kind, load_document,
+                          preset_config, read_field, save_document)
 from .evaluator import makespan_of
 from .schedule import Schedule
-from .solver import check_budget
 
 EXPERIMENT_SCHEMA = "experiment-config/1"
 
@@ -100,6 +99,9 @@ RUNNERS = {
 
 METHODS = tuple(RUNNERS)
 
+# The type of each param whose default is None, which names no type.
+NONE_DEFAULT_KINDS = {"runs": int, "mutation_rate": float}
+
 
 def method_params(method: str) -> dict:
     """The params ``method`` takes, name -> default."""
@@ -128,10 +130,10 @@ class MethodSpec:
                     f"method {self.method!r} takes no param {name!r}; "
                     f"known: {', '.join(takes) or 'none'}"
                 )
-            # a value must have its default's type; a None default leaves
-            # the check to the method
-            kind = type(takes[name])
-            if takes[name] is not None and not is_kind(value, kind):
+            # a value must have its default's type, or be the None default
+            default = takes[name]
+            kind = NONE_DEFAULT_KINDS[name] if default is None else type(default)
+            if not (value is None and default is None or is_kind(value, kind)):
                 raise ValueError(f"method {self.method!r} param {name!r} must be "
                                  f"{kind.__name__}, got {value!r}")
 
@@ -167,6 +169,8 @@ class ExperimentConfig:
             raise ValueError("an experiment needs at least one method")
         if not self.seeds:
             raise ValueError("an experiment needs at least one seed")
+        for seed in self.seeds:
+            check_seed(seed, "seeds")
         check_budget(self.budget)
         if (self.preset is None) == (self.generation is None):
             raise ValueError("give exactly one of preset and generation")
@@ -303,8 +307,9 @@ class ExperimentResult:
 def run_method(env, spec: MethodSpec, seed: int, budget: float) -> MethodRun:
     """Run one method through the registry.
 
-    The budget is checked even for methods that ignore it.
+    The seed and the budget are checked even for methods that ignore them.
     """
+    check_seed(seed)
     check_budget(budget)
     return RUNNERS[spec.method](env, seed, budget, **spec.params)
 

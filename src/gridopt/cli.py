@@ -214,9 +214,7 @@ def main(argv=None) -> int:
     }
     try:
         return commands[args.command](args)
-    # TypeError: a --param value of the wrong type whose default is None,
-    # e.g. mutation_rate=abc
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

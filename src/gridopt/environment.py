@@ -36,6 +36,18 @@ class DocumentError(ValueError):
     """A serialized document is malformed or has the wrong schema tag."""
 
 
+def check_budget(budget: float, name: str = "budget") -> None:
+    """Reject a budget that could never stop a run: only finite seconds > 0 pass."""
+    if not (math.isfinite(budget) and budget > 0):
+        raise ValueError(f"{name} must be a finite number of seconds > 0, got {budget!r}")
+
+
+def check_seed(seed: int, name: str = "seed") -> None:
+    """Reject a negative seed, which numpy's generators cannot take."""
+    if seed < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {seed!r}")
+
+
 def is_kind(value, kind) -> bool:
     """The JSON type rule: is ``value`` a ``kind``?
 
@@ -227,21 +239,40 @@ class GridEnvironment:
     def num_remote_sns(self) -> int:
         return self.wan_bandwidth.shape[0]
 
-    # -- delay queries ------------------------------------------------------
+    # -- the delay model: every model, heuristic and replay reads these ----
 
-    def remote_delay_table(self) -> np.ndarray:
-        """(D, L) table of replication delays for every placement choice."""
-        return self.object_sizes[:, None] / self.wan_bandwidth[self.hosting, :]
+    def replication_delay(self) -> np.ndarray:
+        """(D, L) WAN replication delay ``size[d] / wan[hosting[d], l]``,
+        built once and read-only, as is :meth:`exec_time`."""
+        return self._replication_delay
 
-    # -- replay inputs, built once per environment and read-only ------------
+    def lan_delay(self) -> np.ndarray:
+        """(D, L, C) LAN transfer delay ``size[d] / lan[l, c]``.
+
+        Formed on every call, never cached: it is D·L·C doubles (320 KB at
+        the medium preset, 6 MB at large), and one kept per live environment
+        falls out of the CPU caches when a search cycles through several.
+        """
+        return self.object_sizes[:, None, None] / self.lan_bandwidth
+
+    def exec_time(self) -> np.ndarray:
+        """(J, C) compute time ``gamma * job_input_sizes()[j] / speed[c]``."""
+        return self._exec_time
+
+    @functools.cached_property
+    def _replication_delay(self):
+        return _frozen(self.object_sizes[:, None] / self.wan_bandwidth[self.hosting],
+                       np.float64)
+
+    @functools.cached_property
+    def _exec_time(self):
+        return _frozen(self.gamma * self._job_kb[:, None] / self.cn_speeds, np.float64)
+
+    # -- job inputs, built once per environment and read-only ---------------
 
     def job_input_sizes(self) -> np.ndarray:
         """(J,) total KB read by each job, summed in input order."""
         return self._job_kb
-
-    def flat_inputs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Job inputs in CSR-ish form: (object ids, offsets of length J+1)."""
-        return self._flat_inputs
 
     def input_table(self) -> np.ndarray:
         """Job inputs as an (M, J) id table, one column per job.
@@ -253,19 +284,10 @@ class GridEnvironment:
         return self._input_table
 
     @functools.cached_property
-    def _flat_inputs(self):
-        ids = _frozen([d for objs in self.job_inputs for d in objs], np.int64)
-        offsets = np.zeros(self.num_jobs + 1, dtype=np.int64)
-        np.cumsum([len(objs) for objs in self.job_inputs], out=offsets[1:])
-        offsets.setflags(write=False)
-        return ids, offsets
-
-    @functools.cached_property
     def _input_table(self):
-        ids, offsets = self._flat_inputs
-        counts = np.diff(offsets)
-        rank = np.arange(counts.max())[:, None]
-        return _frozen(ids[offsets[:-1] + np.where(rank < counts, rank, 0)], np.int64)
+        width = max(map(len, self.job_inputs))
+        return _frozen(np.transpose([objs + objs[:1] * (width - len(objs))
+                                     for objs in self.job_inputs]), np.int64)
 
     @functools.cached_property
     def _job_kb(self):
@@ -378,6 +400,7 @@ class GenerationConfig:
             raise InvalidConfigError("gamma must be positive")
         if not (math.isfinite(self.zipf_exponent) and self.zipf_exponent > 0):
             raise InvalidConfigError("zipf_exponent must be positive")
+        check_seed(self.rng_seed, "rng_seed")
         lo, hi = self.resolved_objects_per_job()
         if not 1 <= lo <= hi <= self.num_objects:
             raise InvalidConfigError(
@@ -433,7 +456,10 @@ def generate(config: GenerationConfig, seed: int | None = None) -> GridEnvironme
     which preserves the Zipf marginals up to the no-duplicate constraint.
     ``seed`` overrides ``config.rng_seed`` when given.
     """
-    rng = np.random.default_rng(config.rng_seed if seed is None else seed)
+    if seed is None:
+        seed = config.rng_seed
+    check_seed(seed)
+    rng = np.random.default_rng(seed)
     d, j = config.num_objects, config.num_jobs
 
     sizes = rng.uniform(*config.object_size_range_kb, size=d)

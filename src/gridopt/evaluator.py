@@ -46,41 +46,23 @@ class MakespanReport:
         }
 
 
-def replay_arguments(env: GridEnvironment, schedule: Schedule) -> tuple:
-    """Kernel argument tuple for (env, schedule), in kernel calling order."""
-    obj_ids, obj_off = env.flat_inputs()
-    t_remote = env.object_sizes / env.wan_bandwidth[env.hosting, schedule.object_sn]
-    return (
-        schedule.order,
-        schedule.job_cn,
-        obj_ids,
-        obj_off,
-        schedule.object_sn,
-        t_remote,
-        env.object_sizes,
-        env.lan_bandwidth,
-        env.cn_speeds,
-        env.gamma,
-    )
-
-
 def evaluate(env: GridEnvironment, schedule: Schedule) -> MakespanReport:
     """Validate ``schedule`` on ``env``, replay it and report exact per-job timings."""
     schedule.validate(env)
-    args = replay_arguments(env, schedule)
-    u, v, e, makespan = kernels.replay(*args)
+    u, v, e, makespan = kernels.replay(env, schedule)
+    replicated = env.replication_delay()[np.arange(env.num_objects), schedule.object_sn]
     return MakespanReport(
         makespan=float(makespan),
         exec_start=u,
         ready=v,
         exec_length=e,
-        replication_done=args[5],
+        replication_done=replicated,
     )
 
 
 def makespan_of(env: GridEnvironment, schedule: Schedule) -> float:
     """Makespan only, no validation; for search loops."""
-    return float(kernels.replay(*replay_arguments(env, schedule))[3])
+    return float(kernels.replay(env, schedule)[3])
 
 
 def makespans_of(env: GridEnvironment, job_cns, orders, object_sns) -> np.ndarray:
@@ -89,12 +71,9 @@ def makespans_of(env: GridEnvironment, job_cns, orders, object_sns) -> np.ndarra
     ``job_cns`` and ``orders`` are (B, J), ``object_sns`` is (B, D); row b
     scores exactly as ``makespan_of`` scores the schedule built from it.
     """
-    object_sns = np.asarray(object_sns, dtype=np.int64)
-    t_remote = env.object_sizes / env.wan_bandwidth[env.hosting, object_sns]
     return kernels.replay_batch(
-        np.asarray(orders, dtype=np.int64), np.asarray(job_cns, dtype=np.int64),
-        object_sns, env.input_table(), env.job_input_sizes(), t_remote,
-        env.object_sizes, env.lan_bandwidth, env.cn_speeds, env.gamma).max(axis=1)
+        env, np.asarray(job_cns, dtype=np.int64), np.asarray(orders, dtype=np.int64),
+        np.asarray(object_sns, dtype=np.int64)).max(axis=1)
 
 
 def compute_big_a(env: GridEnvironment) -> float:
@@ -105,15 +84,9 @@ def compute_big_a(env: GridEnvironment) -> float:
     that sum never reaches this value, so constraints deactivated with it
     can never bind on a feasible point.
     """
-    rd = env.remote_delay_table()           # (D, L)
-    ld = env.object_sizes[:, None, None] / env.lan_bandwidth[None, :, :]  # (D, L, C)
-    worst_rd = rd.max(axis=1)
-    worst_ld = ld.max(axis=(1, 2))
-    sizes_per_job = env.job_input_sizes()
-    total = 0.0
-    for j, objs in enumerate(env.job_inputs):
-        ids = list(objs)
-        total += worst_rd[ids].max()
-        total += worst_ld[ids].max()
-        total += env.gamma * sizes_per_job[j] / env.cn_speeds.min()
-    return float(total) + 1.0
+    table = env.input_table()
+    worst = np.stack([env.replication_delay().max(axis=1)[table].max(axis=0),
+                      env.lan_delay().max(axis=(1, 2))[table].max(axis=0),
+                      env.exec_time().max(axis=1)], axis=1)    # (J, 3)
+    # added job by job, left to right
+    return float(np.cumsum(worst)[-1]) + 1.0

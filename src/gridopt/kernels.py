@@ -1,11 +1,17 @@
 """Pipeline-replay kernels.
 
 The replay walks jobs in priority order and simulates overlapped transfer
-and execution on each CN queue.  It comes in two forms with one semantics:
+and execution on each CN queue.  It comes in two forms with one semantics,
+both reading the environment's delay model:
 
 * :func:`replay`, the scalar reference loop over one schedule;
 * :func:`replay_batch`, the CN finish times of B schedules at once, for
   callers that score many candidates (the genetic baseline, brute force).
+
+Replication delays come from ``env.replication_delay()``.  The scalar loop
+does its own LAN and compute arithmetic, which makes it the reference the
+environment's tables are tested against; :func:`replay_batch` divides per
+input for its LAN transfers, so no (D, L, C) table is formed on the hot path.
 
 :func:`replay_batch` reduces each job's inputs first and then walks the
 priority positions.  A job that starts at ``s`` has input ``m`` on its CN at
@@ -14,22 +20,6 @@ Rounded addition is non-decreasing in each operand, so the max over inputs
 equals ``max(fl(s + max_m t_m), max_m fl(r_m + t_m))`` bit for bit, and that
 is never below ``s``.  The two inner maxes do not depend on ``s``, so the
 walk needs only one pair per job and stays bit-identical to the loop.
-
-:func:`replay` takes arrays only:
-
-    order      (J,) int64   job ids, highest priority first
-    job_cn     (J,) int64   CN id per job
-    obj_ids    (sum |O_j|,) int64   flattened job input ids
-    obj_off    (J+1,) int64 offsets into obj_ids per job
-    object_sn  (D,) int64   local SN id per object
-    t_remote   (D,) float64 replication finish time per object
-    sizes      (D,) float64 object sizes, KB
-    lan_bw     (L, C) float64
-    speeds     (C,) float64
-    gamma      float64
-
-Return: (exec_start u, ready v, exec_length e, makespan), with u/v/e indexed
-by job id.
 """
 
 from __future__ import annotations
@@ -37,18 +27,23 @@ from __future__ import annotations
 import numpy as np
 
 
-def replay(order, job_cn, obj_ids, obj_off, object_sn, t_remote,
-           sizes, lan_bw, speeds, gamma):
-    """Scalar-loop replay, the reference semantics.
+def replay(env, schedule):
+    """Scalar-loop replay of ``schedule`` on ``env``, the reference semantics.
 
-    The arrays are read as Python lists, so the loop does plain float
+    Returns (exec_start u, ready v, exec_length e, makespan), with u/v/e
+    indexed by job id.  Each job walks its column of ``env.input_table()``,
+    whose padding repeats the first input and so never moves the ready
+    time.  The arrays are read as Python lists, so the loop does plain float
     arithmetic: the same IEEE double operations in the same order as on
     numpy scalars, without their per-element boxing.
     """
-    order, job_cn = order.tolist(), job_cn.tolist()
-    obj_ids, obj_off, object_sn = obj_ids.tolist(), obj_off.tolist(), object_sn.tolist()
-    t_remote, sizes = t_remote.tolist(), sizes.tolist()
-    lan_bw, speeds, gamma = lan_bw.tolist(), speeds.tolist(), float(gamma)
+    order, job_cn = schedule.order.tolist(), schedule.job_cn.tolist()
+    object_sn = schedule.object_sn.tolist()
+    t_remote = env.replication_delay()[np.arange(env.num_objects),
+                                       schedule.object_sn].tolist()
+    inputs = env.input_table().T.tolist()
+    sizes, job_kb = env.object_sizes.tolist(), env.job_input_sizes().tolist()
+    lan_bw, speeds, gamma = env.lan_bandwidth.tolist(), env.cn_speeds.tolist(), env.gamma
     n_jobs = len(order)
     cn_free = [0.0] * len(speeds)
     u = [0.0] * n_jobs
@@ -59,16 +54,14 @@ def replay(order, job_cn, obj_ids, obj_off, object_sn, t_remote,
         c = job_cn[j]
         start = cn_free[c]
         ready = start
-        total_kb = 0.0
-        for d in obj_ids[obj_off[j]:obj_off[j + 1]]:
+        for d in inputs[j]:
             # transfer to the CN can begin only once the CN is free for this
             # job and the object's replica has landed on its local SN
             begin = start if start > t_remote[d] else t_remote[d]
             done = begin + sizes[d] / lan_bw[object_sn[d]][c]
             if done > ready:
                 ready = done
-            total_kb += sizes[d]
-        length = gamma * total_kb / speeds[c]
+        length = gamma * job_kb[j] / speeds[c]
         u[j] = start
         v[j] = ready
         e[j] = length
@@ -79,27 +72,26 @@ def replay(order, job_cn, obj_ids, obj_off, object_sn, t_remote,
             np.array(e, dtype=np.float64), makespan)
 
 
-def replay_batch(orders, job_cns, object_sns, in_ids, job_kb,
-                 t_remote, sizes, lan_bw, speeds, gamma):
+def replay_batch(env, job_cns, orders, object_sns):
     """(B, C) CN finish times of B schedules, bit-identical to :func:`replay`.
 
     ``job_cns`` is (B, J) and ``orders`` (B, K), K <= J, which replays
-    only the jobs it lists; ``object_sns`` and ``t_remote`` are (B, D),
-    ``in_ids`` is the environment's (M, J) input table and
-    ``job_kb`` the (J,) input KB per job summed in input order.  First each
+    only the jobs it lists; ``object_sns`` is (B, D), all int64.  First each
     job's inputs reduce, in job-id layout, to its slowest LAN transfer and
     its latest replica-plus-transfer arrival; one flat index then lays those
     out by priority position, and the walk over the positions carries the B
     CN queues forward in a few (B,)-vector operations each.  A CN with no
     job finishes at 0.
     """
+    in_ids = env.input_table()
     n_batch, n_jobs = job_cns.shape
-    n_cns = speeds.shape[0]
-    # (B, M, J) flat lan_bw index of each input's SN and its job's CN
+    n_cns = env.num_cns
+    # (B, M, J) flat lan_bandwidth index of each input's SN and its job's CN
     lan_at = np.take(object_sns, in_ids, axis=1)
     lan_at *= n_cns
     lan_at += job_cns[:, None]
-    transfer = sizes[in_ids] / np.take(lan_bw, lan_at)
+    transfer = env.object_sizes[in_ids] / np.take(env.lan_bandwidth, lan_at)
+    t_remote = env.replication_delay()[np.arange(env.num_objects), object_sns]
     arrival = np.take(t_remote, in_ids, axis=1)
     arrival += transfer
     # (K, B) flat index of the job at each priority position
@@ -107,7 +99,7 @@ def replay_batch(orders, job_cns, object_sns, in_ids, job_kb,
     slowest = np.take(transfer.max(axis=1), at)
     latest = np.take(arrival.max(axis=1), at)
     cns = np.take(job_cns, at)
-    length = gamma * job_kb[orders.T] / speeds[cns]
+    length = env.exec_time()[orders.T, cns]
     slots = cns + n_cns * np.arange(n_batch)
     cn_free = np.zeros(n_batch * n_cns, dtype=np.float64)
     for slot, slow, late, run in zip(slots, slowest, latest, length):

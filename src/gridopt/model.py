@@ -301,10 +301,7 @@ def _build(env: GridEnvironment, schedule: Schedule | None = None, pinned: str =
                          _one_hot(object_sn, nl))
 
     big_a = compute_big_a(env)
-    sizes = env.object_sizes
-    rd = env.remote_delay_table()                                   # (D, L)
-    ld = sizes[:, None, None] / env.lan_bandwidth[None, :, :]       # (D, L, C)
-    exec_coef = env.gamma * env.job_input_sizes()[:, None] / env.cn_speeds[None, :]
+    rd, ld, exec_coef = env.replication_delay(), env.lan_delay(), env.exec_time()
 
     jobs, objs = np.arange(nj), np.arange(nd)
     cns, sns = np.arange(nc), np.arange(nl)
@@ -312,8 +309,8 @@ def _build(env: GridEnvironment, schedule: Schedule | None = None, pinned: str =
     off = ~np.eye(nj, dtype=bool)
     off_i, off_j = np.nonzero(off)
     # (job, input object) pairs in job_inputs order
-    ids, offsets = env.flat_inputs()
-    in_j, in_d = np.repeat(jobs, np.diff(offsets)), ids
+    in_j = np.repeat(jobs, [len(inputs) for inputs in env.job_inputs])
+    in_d = np.concatenate(env.job_inputs).astype(np.int64)
 
     var = _Vars()
     m = var.add("m", ([0],))[0]     # the one key fills no field of "m"

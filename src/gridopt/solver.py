@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .environment import GridEnvironment
+from .environment import GridEnvironment, check_budget
 from .evaluator import makespans_of
 from .model import CHECK_TOL, MilpModel
 from .schedule import Schedule
@@ -118,12 +118,6 @@ class HighsBackend:
         else:
             raw = f"failed({res.status})"
         return res.x, raw, str(res.message)
-
-
-def check_budget(budget: float, name: str = "budget") -> None:
-    """Reject a budget that could never stop a run: only finite seconds > 0 pass."""
-    if not (math.isfinite(budget) and budget > 0):
-        raise ValueError(f"{name} must be a finite number of seconds > 0, got {budget!r}")
 
 
 def solve(model: MilpModel, budget: float, backend=None) -> SolveResult:

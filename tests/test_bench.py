@@ -6,8 +6,8 @@ import pytest
 from gridopt.bench import (AGGREGATE_HEADER, METHODS, ROWS_HEADER,
                            ExperimentConfig, MethodSpec, ResultRow,
                            aggregate_rows, experiment_from_document,
-                           load_experiment, method_params, run_experiment,
-                           sweep_budget, sweep_iterations)
+                           NONE_DEFAULT_KINDS, load_experiment, method_params,
+                           run_experiment, sweep_budget, sweep_iterations)
 from gridopt.environment import DocumentError
 
 from conftest import tiny_config
@@ -44,12 +44,21 @@ def test_method_spec_validation():
     # values must have the type of the runner's default
     MethodSpec("diana", params={"threshold": 2})
     MethodSpec("ga", params={"mutation_rate": 0.5})
+    MethodSpec("ga", params={"mutation_rate": 1, "population": 4})
+    MethodSpec("ensgreedy", params={"runs": None})
     for method, param, value in (("ga", "population", "abc"), ("ga", "population", True),
                                  ("ga", "population", 8.0), ("diana", "threshold", False),
                                  ("altermilp", "early_stop", 1),
-                                 ("altermilp", "optimize_order", 2)):
+                                 ("altermilp", "optimize_order", 2),
+                                 # params whose default is None are typed by name
+                                 ("ensgreedy", "runs", True), ("ensgreedy", "runs", 2.5),
+                                 ("ensgreedy", "runs", "3"), ("ga", "mutation_rate", True),
+                                 ("ga", "mutation_rate", "nan")):
         with pytest.raises(ValueError, match=f"'{method}' param '{param}' must be"):
             MethodSpec(method, params={param: value})
+    # and every such param has a kind
+    assert {name for method in METHODS for name, default in method_params(method).items()
+            if default is None} == set(NONE_DEFAULT_KINDS)
 
 
 def _config(**overrides):

@@ -9,7 +9,7 @@ import importlib.util
 from pathlib import Path
 
 import gridopt
-from gridopt import AlterMilpConfig
+from gridopt import AlterMilpConfig, baselines
 
 from conftest import tiny_env
 
@@ -56,3 +56,18 @@ def test_one_iteration_altermilp_under_the_tracer():
         assert metrics["model.extract_schedule.s"] > 0
         if backend is not None:
             assert metrics["solver.warm_start_kept"] == solves
+
+
+def test_search_methods_under_the_tracer():
+    # every replay goes through kernels.replay as the tracer patched it: a
+    # caller holding its own reference to the kernel would read 0 calls
+    tracing = _tracing()
+    env, generations = tiny_env(1), 3
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        baselines.ga(env, baselines.GaConfig(population=4, generations=generations))
+        baselines.ensemble_greedy(env, 0, runs=5)
+    metrics = {name: value for name, (value, _) in tracing.layer_metrics(tracer).items()}
+    # each method re-scores its answer once, through makespan_of
+    assert metrics["kernels.replay.calls"] >= metrics["evaluator.makespan_of.calls"] == 2
+    assert metrics["baselines.ga.generations"] == generations

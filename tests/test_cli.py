@@ -345,3 +345,20 @@ def test_bench_names_the_removed_reproduction_mode_field(tmp_path, capsys):
     path = _experiment_file(tmp_path, (MethodSpec("random"),))
     _edit_document(path, reproduction_mode=False)
     _fails_naming(capsys, "reproduction_mode", "bench", "run", "--config", str(path))
+
+
+@pytest.mark.parametrize("command", ["gen", "optimize", "bench"])
+def test_a_negative_seed_fails_naming_the_seed(env_file, tmp_path, capsys, command):
+    _, env_path = env_file
+    if command == "gen":
+        argv = ["gen", "--preset", "small", "--seed", "-1", "--out", str(tmp_path / "x.json")]
+    elif command == "optimize":
+        argv = ["optimize", "--env", str(env_path), "--method", "greedy", "--seed", "-1"]
+    else:
+        path = _experiment_file(tmp_path, (MethodSpec("random"),))
+        _edit_document(path, seeds=[0, -1])
+        argv = ["bench", "run", "--config", str(path), "--out", str(tmp_path / "out")]
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code == 1 and stdout == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "seed" in err and "got -1" in err

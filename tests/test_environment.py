@@ -120,6 +120,13 @@ def test_invalid_configs_rejected(overrides):
         _config(**overrides)
 
 
+def test_a_negative_seed_is_rejected_naming_it():
+    with pytest.raises(ValueError, match="rng_seed must be a non-negative integer"):
+        _config(rng_seed=-1)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -2"):
+        generate(_config(), seed=-2)
+
+
 def test_preset_dimensions():
     expected = {
         "small": (10, 20, 10, 10, 10),
@@ -142,20 +149,12 @@ def test_preset_overrides():
 
 def test_delay_queries_match_formulas():
     env = generate(_config())
-    table = env.remote_delay_table()
+    table = env.replication_delay()
     assert table.shape == (env.num_objects, env.num_local_sns)
     for d in range(env.num_objects):
         for l in range(env.num_local_sns):
             expected = env.object_sizes[d] / env.wan_bandwidth[env.hosting[d], l]
             assert table[d, l] == pytest.approx(expected, rel=1e-15)
-
-
-def test_flat_inputs_roundtrip():
-    env = generate(_config())
-    ids, offsets = env.flat_inputs()
-    assert offsets[0] == 0 and offsets[-1] == ids.size
-    for j, objs in enumerate(env.job_inputs):
-        assert tuple(ids[offsets[j]:offsets[j + 1]]) == objs
 
 
 def test_input_table_and_job_sizes_follow_the_inputs():
@@ -174,10 +173,10 @@ def test_input_table_and_job_sizes_follow_the_inputs():
 
 def test_replay_inputs_are_built_once_and_read_only():
     env = generate(_config())
-    arrays = (*env.flat_inputs(), env.input_table(), env.job_input_sizes())
-    again = (*env.flat_inputs(), env.input_table(), env.job_input_sizes())
-    for arr, same in zip(arrays, again):
-        assert arr is same
+    for query in (env.input_table, env.job_input_sizes, env.replication_delay,
+                  env.exec_time):
+        arr = query()
+        assert arr is query()
         with pytest.raises(ValueError, match="read-only"):
             arr[(0,) * arr.ndim] = 0
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from gridopt import kernels
 from gridopt.environment import generate, preset_config
-from gridopt.evaluator import evaluate, makespans_of, replay_arguments
+from gridopt.evaluator import evaluate, makespans_of
 from gridopt.schedule import Schedule, random_schedule
 
 from conftest import grids, random_env
@@ -21,7 +21,7 @@ def _workloads(n=25):
 
 
 def _loop_makespans(env, schedules):
-    return np.array([kernels.replay(*replay_arguments(env, s))[3] for s in schedules])
+    return np.array([kernels.replay(env, s)[3] for s in schedules])
 
 
 def _batch_makespans(env, schedules):
@@ -46,12 +46,8 @@ def test_batch_replay_equals_the_scalar_loop_exactly(env, batch, schedule_seed):
 
 
 def _finish_times(env, orders, schedules):
-    object_sns = np.stack([s.object_sn for s in schedules])
-    return kernels.replay_batch(
-        orders, np.stack([s.job_cn for s in schedules]), object_sns,
-        env.input_table(), env.job_input_sizes(),
-        env.object_sizes / env.wan_bandwidth[env.hosting, object_sns],
-        env.object_sizes, env.lan_bandwidth, env.cn_speeds, env.gamma)
+    return kernels.replay_batch(env, np.stack([s.job_cn for s in schedules]), orders,
+                                np.stack([s.object_sn for s in schedules]))
 
 
 @settings(max_examples=80, deadline=None)
@@ -99,14 +95,13 @@ def test_replay_runs_each_cn_queue_back_to_back(env, schedule_seed):
         queue = [j for j in s.order if s.job_cn[j] == c]
         ends = [v[j] + e[j] for j in queue]
         assert [u[j] for j in queue] == ([0.0] + ends)[:len(queue)]
-    t_remote = env.object_sizes / env.wan_bandwidth[env.hosting, s.object_sn]
+    # the timings are the environment's delay tables, bit for bit
+    replicated, lan = env.replication_delay(), env.lan_delay()
+    for d, sn in enumerate(s.object_sn):
+        assert rep.replication_done[d] == replicated[d, sn]
     for j, inputs in enumerate(env.job_inputs):
         c = s.job_cn[j]
-        arrivals = [max(u[j], t_remote[d])
-                    + env.object_sizes[d] / env.lan_bandwidth[s.object_sn[d], c]
-                    for d in inputs]
-        np.testing.assert_allclose(v[j], max(arrivals), rtol=1e-12, atol=0.0)
-        kb = sum(env.object_sizes[d] for d in inputs)
-        np.testing.assert_allclose(e[j], env.gamma * kb / env.cn_speeds[c],
-                                   rtol=1e-12, atol=0.0)
+        assert e[j] == env.exec_time()[j, c]
+        assert v[j] == max(max(u[j], rep.replication_done[d]) + lan[d, s.object_sn[d], c]
+                           for d in inputs)
     assert rep.makespan == max(v + e)
