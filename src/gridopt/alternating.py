@@ -19,11 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import greedy
-from .environment import (GridEnvironment, check_budget, check_document, read_field,
-                          save_document)
+from .environment import GridEnvironment, check_budget, save_document
 from .evaluator import makespan_of
 from .model import build_fixed_x, build_fixed_yz, extract_schedule
-from .schedule import Schedule, schedule_from_document
+from .schedule import Schedule
 from .solver import solve
 
 TRACE_SCHEMA = "optimization-trace/1"
@@ -92,26 +91,6 @@ class OptimizationTrace:
 
     def save(self, path) -> None:
         save_document(self.to_document(), path)
-
-
-def trace_from_document(doc: dict) -> OptimizationTrace:
-    check_document(doc, TRACE_SCHEMA, ("stop_reason", "degraded", "steps"))
-    steps = []
-    for s in read_field(doc, "steps", dict, 1):
-        check_document(s, None, ("iteration", "stage", "status", "model_objective",
-                                 "makespan", "wall_time", "schedule"))
-        steps.append(TraceStep(
-            iteration=read_field(s, "iteration", int),
-            stage=read_field(s, "stage", str),
-            status=read_field(s, "status", str),
-            model_objective=read_field(s, "model_objective", float, nullable=True),
-            makespan=read_field(s, "makespan", float),
-            wall_time=read_field(s, "wall_time", float),
-            schedule=schedule_from_document(s["schedule"]),
-        ))
-    return OptimizationTrace(steps=tuple(steps),
-                             stop_reason=read_field(doc, "stop_reason", str),
-                             degraded=read_field(doc, "degraded", bool))
 
 
 def run(env: GridEnvironment, config: AlterMilpConfig) -> tuple[Schedule, OptimizationTrace]:

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernels
 from .environment import GridEnvironment, check_budget
 from .evaluator import makespan_of, makespans_of
 from .model import build_fixed_x, build_fixed_yz, extract_schedule
@@ -88,21 +89,19 @@ def _greedy_batch(env: GridEnvironment, object_sn, orders) -> tuple[np.ndarray, 
 
     Step k visits the k-th job of every order; each takes its own
     schedule's earliest-free CN, ties to the lowest CN id.  The placement is
-    shared, so each job's inputs reduce once, per CN, to the
-    :func:`~gridopt.kernels.replay_batch` pair (slowest transfer, latest
-    arrival).  The simulation is then the replay of the schedule it builds,
-    bit for bit, so its final CN availability is the makespan.
+    shared, so :func:`~gridopt.kernels.job_pairs` reduces each job's inputs
+    once per CN, with row c putting every job on CN c.  The simulation is
+    then the replay of the schedule it builds, bit for bit, so its final CN
+    availability is the makespan.
     """
-    in_ids = env.input_table()
-    t_remote = env.replication_delay()[np.arange(env.num_objects), object_sn]
-    transfer = (env.object_sizes[in_ids][:, :, None]
-                / env.lan_bandwidth[object_sn[in_ids]])                  # (M, J, C)
-    # (J, C) tables read at flat index j * C + c
-    slowest = transfer.max(axis=0).ravel()
-    latest = (t_remote[in_ids][:, :, None] + transfer).max(axis=0).ravel()
-    length = env.exec_time().ravel()
     n_batch, n_jobs = orders.shape
     n_cns = env.num_cns
+    slowest, latest = kernels.job_pairs(
+        env, np.broadcast_to(np.arange(n_cns)[:, None], (n_cns, n_jobs)),
+        np.broadcast_to(object_sn, (n_cns, env.num_objects)))
+    # (J, C) tables read at flat index j * C + c
+    slowest, latest = slowest.T.ravel(), latest.T.ravel()
+    length = env.exec_time().ravel()
     cn_free = np.zeros((n_batch, n_cns))
     flat_free = cn_free.reshape(-1)
     first_slot = n_cns * np.arange(n_batch)

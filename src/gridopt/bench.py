@@ -164,13 +164,14 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "methods", tuple(self.methods))
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        seeds = tuple(self.seeds)
         if not self.methods:
             raise ValueError("an experiment needs at least one method")
-        if not self.seeds:
+        if not seeds:
             raise ValueError("an experiment needs at least one seed")
-        for seed in self.seeds:
+        for seed in seeds:
             check_seed(seed, "seeds")
+        object.__setattr__(self, "seeds", tuple(int(s) for s in seeds))
         check_budget(self.budget)
         if (self.preset is None) == (self.generation is None):
             raise ValueError("give exactly one of preset and generation")

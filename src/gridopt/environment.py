@@ -43,8 +43,8 @@ def check_budget(budget: float, name: str = "budget") -> None:
 
 
 def check_seed(seed: int, name: str = "seed") -> None:
-    """Reject a negative seed, which numpy's generators cannot take."""
-    if seed < 0:
+    """Reject a seed that is a bool, not an integer, or negative, naming it."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"{name} must be a non-negative integer, got {seed!r}")
 
 

@@ -10,16 +10,23 @@ both reading the environment's delay model:
 
 Replication delays come from ``env.replication_delay()``.  The scalar loop
 does its own LAN and compute arithmetic, which makes it the reference the
-environment's tables are tested against; :func:`replay_batch` divides per
-input for its LAN transfers, so no (D, L, C) table is formed on the hot path.
+environment's tables are tested against; :func:`job_pairs` divides per input
+for its LAN transfers, so no (D, L, C) table is formed on the hot path.
 
-:func:`replay_batch` reduces each job's inputs first and then walks the
-priority positions.  A job that starts at ``s`` has input ``m`` on its CN at
-``fl(max(s, r_m) + t_m)`` (replica landed at ``r_m``, LAN transfer ``t_m``).
-Rounded addition is non-decreasing in each operand, so the max over inputs
-equals ``max(fl(s + max_m t_m), max_m fl(r_m + t_m))`` bit for bit, and that
-is never below ``s``.  The two inner maxes do not depend on ``s``, so the
-walk needs only one pair per job and stays bit-identical to the loop.
+:func:`job_pairs` is the one per-job reduction.  A job that starts at ``s``
+has input ``m`` on its CN at ``fl(max(s, r_m) + t_m)`` (replica landed at
+``r_m``, LAN transfer ``t_m``).  Rounded addition is non-decreasing in each
+operand, so the max over inputs equals ``max(fl(s + slowest), latest)`` bit
+for bit, with ``slowest = max_m t_m`` and ``latest = max_m fl(r_m + t_m)``.
+Neither depends on ``s``, so :func:`replay_batch` and the greedy dispatch
+walk their queues with one pair per job and stay bit-identical to the loop.
+
+The pair also settles the order.  A job finishes at
+``max(free, latest - slowest) + (slowest + length)``, so once the assignment
+and placement are fixed each CN is a single machine with release dates
+``latest - slowest`` (1|r_j|Cmax), and earliest release date first
+(:func:`erd_orders`) is optimal for it (Jackson's rule), up to the rounding
+of ``latest - slowest``.
 """
 
 from __future__ import annotations
@@ -72,32 +79,46 @@ def replay(env, schedule):
             np.array(e, dtype=np.float64), makespan)
 
 
-def replay_batch(env, job_cns, orders, object_sns):
-    """(B, C) CN finish times of B schedules, bit-identical to :func:`replay`.
+def job_pairs(env, job_cns, object_sns):
+    """(B, J) tables of each job's slowest LAN transfer and latest arrival.
 
-    ``job_cns`` is (B, J) and ``orders`` (B, K), K <= J, which replays
-    only the jobs it lists; ``object_sns`` is (B, D), all int64.  First each
-    job's inputs reduce, in job-id layout, to its slowest LAN transfer and
-    its latest replica-plus-transfer arrival; one flat index then lays those
-    out by priority position, and the walk over the positions carries the B
-    CN queues forward in a few (B,)-vector operations each.  A CN with no
-    job finishes at 0.
+    ``job_cns`` is (B, J) and ``object_sns`` (B, D), int64; row b stages the
+    objects at ``object_sns[b]`` and runs job j on CN ``job_cns[b, j]``.
     """
     in_ids = env.input_table()
-    n_batch, n_jobs = job_cns.shape
-    n_cns = env.num_cns
     # (B, M, J) flat lan_bandwidth index of each input's SN and its job's CN
     lan_at = np.take(object_sns, in_ids, axis=1)
-    lan_at *= n_cns
+    lan_at *= env.num_cns
     lan_at += job_cns[:, None]
     transfer = env.object_sizes[in_ids] / np.take(env.lan_bandwidth, lan_at)
     t_remote = env.replication_delay()[np.arange(env.num_objects), object_sns]
     arrival = np.take(t_remote, in_ids, axis=1)
     arrival += transfer
+    return transfer.max(axis=1), arrival.max(axis=1)
+
+
+def erd_orders(env, job_cns, object_sns):
+    """(B, J) orders by release ``latest - slowest``, ties to the lower job id."""
+    slowest, latest = job_pairs(env, job_cns, object_sns)
+    return np.argsort(latest - slowest, axis=1, kind="stable")
+
+
+def replay_batch(env, job_cns, orders, object_sns):
+    """(B, C) CN finish times of B schedules, bit-identical to :func:`replay`.
+
+    ``job_cns`` is (B, J) and ``orders`` (B, K), K <= J, which replays
+    only the jobs it lists; ``object_sns`` is (B, D), all int64.  The
+    :func:`job_pairs` tables are laid out by priority position through one
+    flat index, and the walk over the positions carries the B CN queues
+    forward in a few (B,)-vector operations each.  A CN with no job
+    finishes at 0.
+    """
+    slowest, latest = job_pairs(env, job_cns, object_sns)
+    n_batch, n_jobs = job_cns.shape
+    n_cns = env.num_cns
     # (K, B) flat index of the job at each priority position
     at = (orders + n_jobs * np.arange(n_batch)[:, None]).T
-    slowest = np.take(transfer.max(axis=1), at)
-    latest = np.take(arrival.max(axis=1), at)
+    slowest, latest = np.take(slowest, at), np.take(latest, at)
     cns = np.take(job_cns, at)
     length = env.exec_time()[orders.T, cns]
     slots = cns + n_cns * np.arange(n_batch)

@@ -11,7 +11,6 @@ The solve wrapper owns two guarantees the backends do not give on their own:
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 import time
@@ -22,6 +21,7 @@ import numpy as np
 
 from .environment import GridEnvironment, check_budget
 from .evaluator import makespans_of
+from .kernels import erd_orders
 from .model import CHECK_TOL, MilpModel
 from .schedule import Schedule
 
@@ -215,10 +215,8 @@ class InstanceTooLargeError(ValueError):
 
 
 def candidate_count(env: GridEnvironment) -> int:
-    """Size of the full (assignment, order, placement) search space."""
-    return (env.num_cns ** env.num_jobs
-            * math.factorial(env.num_jobs)
-            * env.num_local_sns ** env.num_objects)
+    """Size of the (assignment, placement) search space; orders are ERD."""
+    return env.num_cns ** env.num_jobs * env.num_local_sns ** env.num_objects
 
 
 # candidates scored per batched replay in brute_force_optimal
@@ -234,24 +232,24 @@ def brute_force_optimal(env: GridEnvironment, max_candidates: int = 2_000_000
                         ) -> tuple[Schedule, float]:
     """Exact optimum by enumeration; refuses instances beyond ``max_candidates``.
 
-    Candidates are enumerated lexicographically on (job_cn, order,
-    object_sn), scored in blocks by one batched replay each, and the first
-    strict minimum wins, so the returned schedule is deterministic.
+    Candidates are enumerated lexicographically on (job_cn, object_sn), each
+    in its ERD order (optimal up to rounding), and scored in blocks by one
+    batched replay each; the first strict minimum wins, so the returned
+    schedule is deterministic.
     """
     count = candidate_count(env)
     if count > max_candidates:
         raise InstanceTooLargeError(count, max_candidates)
 
     nj, nc, nd, nl = env.num_jobs, env.num_cns, env.num_objects, env.num_local_sns
-    perms = np.array(list(itertools.permutations(range(nj))), dtype=np.int64)
     n_sn = nl ** nd
     best = math.inf
     winner = None
     for lo in range(0, count, BRUTE_FORCE_BLOCK):
         index = np.arange(lo, min(lo + BRUTE_FORCE_BLOCK, count), dtype=np.int64)
-        job_cns = _digits(index // (len(perms) * n_sn), nc, nj)
-        orders = perms[index // n_sn % len(perms)]
+        job_cns = _digits(index // n_sn, nc, nj)
         object_sns = _digits(index % n_sn, nl, nd)
+        orders = erd_orders(env, job_cns, object_sns)
         makespans = makespans_of(env, job_cns, orders, object_sns)
         i = int(makespans.argmin())
         if makespans[i] < best:

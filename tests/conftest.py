@@ -6,7 +6,7 @@ from gridopt.environment import GenerationConfig, GridEnvironment, generate
 
 
 def tiny_config(seed: int) -> GenerationConfig:
-    # 2**3 * 3! * 2**3 = 384 candidate schedules, small enough to enumerate
+    # 2**3 assignments * 2**3 placements = 64 candidates, each ordered by ERD
     return GenerationConfig(num_jobs=3, num_objects=3, num_cns=2,
                             num_local_sns=2, num_remote_sns=2,
                             objects_per_job=(1, 2), rng_seed=seed)
@@ -65,18 +65,21 @@ def random_env(rng) -> GridEnvironment:
         num_local_sns=int(rng.integers(1, 5)),
         num_remote_sns=int(rng.integers(1, 4)),
         rng_seed=int(rng.integers(0, 2**31)),
+        gamma=float(rng.uniform(0.5, 2.0)),
     )
     return generate(cfg)
 
 
 # up to 12 inputs per job: from eight on, a pairwise sum of the input sizes
-# would round differently from the loop's running sum
+# would round differently from the loop's running sum; gamma is drawn so that
+# the order of the compute arithmetic (gamma * KB / speed) shows
 grids = st.builds(
-    lambda env_seed, num_jobs, num_objects, num_cns, num_local_sns, max_inputs: generate(
-        GenerationConfig(num_jobs=num_jobs, num_objects=num_objects, num_cns=num_cns,
-                         num_local_sns=num_local_sns, num_remote_sns=2,
-                         objects_per_job=(1, min(max_inputs, num_objects)),
-                         rng_seed=env_seed)),
+    lambda env_seed, num_jobs, num_objects, num_cns, num_local_sns, max_inputs, gamma:
+    generate(GenerationConfig(num_jobs=num_jobs, num_objects=num_objects, num_cns=num_cns,
+                              num_local_sns=num_local_sns, num_remote_sns=2,
+                              objects_per_job=(1, min(max_inputs, num_objects)),
+                              gamma=gamma, rng_seed=env_seed)),
     env_seed=st.integers(0, 2**31 - 1), num_jobs=st.integers(1, 8),
     num_objects=st.integers(1, 12), num_cns=st.integers(1, 4),
-    num_local_sns=st.integers(1, 3), max_inputs=st.integers(1, 12))
+    num_local_sns=st.integers(1, 3), max_inputs=st.integers(1, 12),
+    gamma=st.floats(0.5, 2.0))

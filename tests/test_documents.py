@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridopt.alternating import OptimizationTrace, TraceStep, trace_from_document
 from gridopt.bench import ExperimentConfig, MethodSpec, experiment_from_document
 from gridopt.environment import (DocumentError, config_from_document,
                                  environment_from_document)
@@ -22,10 +21,6 @@ def _json(doc):
 def _valid_documents():
     env = tiny_env(0)
     schedule = random_schedule(env, 1)
-    trace = OptimizationTrace((
-        TraceStep(0, "init", "init", None, 12.5, 0.0, schedule),
-        TraceStep(1, "assignment", "optimal", 11.0, 11.0, 0.25, schedule),
-    ), "completed", False)
     experiment = ExperimentConfig(
         methods=(MethodSpec("ga", label="g", params={"population": 8}),),
         seeds=(0, 1), budget=1.0, generation=tiny_config(0))
@@ -33,7 +28,6 @@ def _valid_documents():
         "environment": (environment_from_document, env.to_document()),
         "generation": (config_from_document, tiny_config(0).to_document()),
         "schedule": (schedule_from_document, schedule.to_document()),
-        "trace": (trace_from_document, trace.to_document()),
         "experiment": (experiment_from_document, experiment.to_document()),
     }
 
@@ -69,22 +63,10 @@ def _probe(kind, path, value):
     ("experiment", ("reproduction_mode",), "false", "reproduction_mode"),
     ("experiment", ("seeds", 0), True, "seeds"),
     ("experiment", ("budget",), "1.0", "budget"),
-    ("trace", ("schema",), "bogus/9", "schema"),
-    ("trace", ("steps", 0, "makespan"), "12.5", "makespan"),
 ])
 def test_a_bad_field_is_rejected_by_name(kind, path, value, field):
     load, doc = _probe(kind, path, value)
     with pytest.raises(DocumentError, match=field):
-        load(doc)
-
-
-def test_a_trace_must_be_a_tagged_object_with_every_field():
-    load, doc = DOCUMENTS["trace"]
-    with pytest.raises(DocumentError, match="JSON object"):
-        load([])
-    doc = _json(doc)
-    del doc["stop_reason"]
-    with pytest.raises(DocumentError, match="stop_reason"):
         load(doc)
 
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from gridopt.bench import ExperimentConfig, MethodSpec, run_method
 from gridopt.environment import (DocumentError, GenerationConfig,
                                  GridEnvironment, GRID_PRESETS,
                                  InvalidConfigError, InvalidEnvironmentError,
@@ -125,6 +126,24 @@ def test_a_negative_seed_is_rejected_naming_it():
         _config(rng_seed=-1)
     with pytest.raises(ValueError, match="seed must be a non-negative integer, got -2"):
         generate(_config(), seed=-2)
+    # a float is not truncated and a bool is not read as 1, wherever a seed goes in
+    env = generate(_config())
+    for bad in (1.7, True, 2.0):
+        with pytest.raises(ValueError, match=f"rng_seed must be .*, got {bad!r}"):
+            _config(rng_seed=bad)
+        with pytest.raises(ValueError, match=f"seed must be .*, got {bad!r}"):
+            generate(_config(), seed=bad)
+        with pytest.raises(ValueError, match=f"seeds must be .*, got {bad!r}"):
+            ExperimentConfig(methods=(MethodSpec("random"),), seeds=(0, bad),
+                             budget=1.0, preset="small")
+        with pytest.raises(ValueError, match=f"seed must be .*, got {bad!r}"):
+            run_method(env, MethodSpec("random"), bad, 1.0)
+    # a numpy integer is an integer
+    seed = np.int64(3)
+    assert generate(_config(), seed=seed).to_document() == generate(_config(rng_seed=3)).to_document()
+    assert ExperimentConfig(methods=(MethodSpec("random"),), seeds=(seed,), budget=1.0,
+                            preset="small").seeds == (3,)
+    run_method(env, MethodSpec("random"), seed, 1.0).schedule.validate(env)
 
 
 def test_preset_dimensions():

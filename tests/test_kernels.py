@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -105,3 +107,59 @@ def test_replay_runs_each_cn_queue_back_to_back(env, schedule_seed):
         assert v[j] == max(max(u[j], rep.replication_done[d]) + lan[d, s.object_sn[d], c]
                            for d in inputs)
     assert rep.makespan == max(v + e)
+
+
+def _random_pairs(env, batch, seed):
+    rng = np.random.default_rng(seed)
+    return (rng.integers(0, env.num_cns, size=(batch, env.num_jobs)),
+            rng.integers(0, env.num_local_sns, size=(batch, env.num_objects)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(env=grids, batch=st.integers(1, 4), seed=st.integers(0, 2**31 - 1))
+def test_job_pairs_reduce_each_jobs_inputs_over_the_delay_tables(env, batch, seed):
+    job_cns, object_sns = _random_pairs(env, batch, seed)
+    slowest, latest = kernels.job_pairs(env, job_cns, object_sns)
+    assert slowest.shape == latest.shape == (batch, env.num_jobs)
+    replicated, lan = env.replication_delay(), env.lan_delay()
+    for b in range(batch):
+        sn = object_sns[b]
+        for j, inputs in enumerate(env.job_inputs):
+            c = job_cns[b, j]
+            assert slowest[b, j] == max(lan[d, sn[d], c] for d in inputs)
+            assert latest[b, j] == max(replicated[d, sn[d]] + lan[d, sn[d], c]
+                                       for d in inputs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(env=grids.filter(lambda env: env.num_jobs <= 6), seed=st.integers(0, 2**31 - 1))
+def test_erd_order_is_as_good_as_every_order(env, seed):
+    job_cns, object_sns = _random_pairs(env, 1, seed)
+    erd = kernels.erd_orders(env, job_cns, object_sns)
+    assert sorted(erd[0].tolist()) == list(range(env.num_jobs))
+    # the reference: every one of the J! orders
+    every = np.array(list(itertools.permutations(range(env.num_jobs))), dtype=np.int64)
+    n = len(every)
+    best = makespans_of(env, np.repeat(job_cns, n, axis=0), every,
+                        np.repeat(object_sns, n, axis=0)).min()
+    assert makespans_of(env, job_cns, erd, object_sns)[0] <= best * (1 + 1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(env=grids, batch=st.integers(1, 4), seed=st.integers(0, 2**31 - 1))
+def test_erd_finish_times_have_the_single_machine_closed_form(env, batch, seed):
+    # a CN taking its jobs by release rho = latest - slowest, each busy for
+    # q = slowest + length, finishes at max_k (max(rho_k, 0) + sum_{j >= k} q_j)
+    job_cns, object_sns = _random_pairs(env, batch, seed)
+    orders = kernels.erd_orders(env, job_cns, object_sns)
+    finish = kernels.replay_batch(env, job_cns, orders, object_sns)
+    slowest, latest = kernels.job_pairs(env, job_cns, object_sns)
+    rho = latest - slowest
+    q = slowest + env.exec_time()[np.arange(env.num_jobs), job_cns]
+    for b in range(batch):
+        for c in range(env.num_cns):
+            queue = [j for j in orders[b] if job_cns[b, j] == c]
+            assert [rho[b, j] for j in queue] == sorted(rho[b, j] for j in queue)
+            closed = max((max(rho[b, k], 0.0) + q[b, queue[i:]].sum()
+                          for i, k in enumerate(queue)), default=0.0)
+            np.testing.assert_allclose(finish[b, c], closed, rtol=1e-12)

@@ -1,17 +1,20 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from gridopt.baselines import greedy
+from gridopt.baselines import (GaConfig, diana, ensemble_greedy, ga, greedy,
+                               random_baseline)
 from gridopt.environment import GenerationConfig, generate, preset_config
-from gridopt.evaluator import evaluate, makespan_of
+from gridopt.evaluator import evaluate, makespan_of, makespans_of
 from gridopt.model import build_fixed_all, build_fixed_yz, build_monolithic
 from gridopt.schedule import random_schedule
 from gridopt.solver import (InstanceTooLargeError, SolveResult,
                             brute_force_optimal, candidate_count, solve)
 
-from conftest import tiny_env
+from conftest import tiny_config, tiny_env
 
 
 def test_solve_rejects_bad_budgets(env_tiny):
@@ -146,16 +149,50 @@ def test_claimed_optimum_worse_than_warm_start_is_distrusted():
 
 
 def test_candidate_count_formula(env_tiny):
+    # every (assignment, placement) pair once; its order is ERD, not one of J!
     expected = (env_tiny.num_cns ** env_tiny.num_jobs
-                * math.factorial(env_tiny.num_jobs)
                 * env_tiny.num_local_sns ** env_tiny.num_objects)
-    assert candidate_count(env_tiny) == expected == 384
+    assert candidate_count(env_tiny) == expected == 64
 
 
 def test_brute_force_refuses_large_instances(env_tiny):
     with pytest.raises(InstanceTooLargeError) as err:
-        brute_force_optimal(env_tiny, max_candidates=100)
-    assert err.value.count == 384
+        brute_force_optimal(env_tiny, max_candidates=63)
+    assert err.value.count == 64
+
+
+def _every_schedule_optimum(env):
+    """Minimum makespan over every (assignment, order, placement), J! orders included."""
+    rows = list(itertools.product(
+        itertools.product(range(env.num_cns), repeat=env.num_jobs),
+        itertools.permutations(range(env.num_jobs)),
+        itertools.product(range(env.num_local_sns), repeat=env.num_objects)))
+    job_cns, orders, object_sns = (np.array(part, dtype=np.int64) for part in zip(*rows))
+    return makespans_of(env, job_cns, orders, object_sns).min()
+
+
+def test_brute_force_over_erd_orders_reaches_the_every_order_optimum():
+    for seed in range(10):
+        env = generate(dataclasses.replace(tiny_config(seed), gamma=0.5 + 0.15 * seed))
+        best, best_mk = brute_force_optimal(env)
+        assert best_mk == makespan_of(env, best)
+        assert best_mk == pytest.approx(_every_schedule_optimum(env), rel=1e-12)
+
+
+def test_no_heuristic_beats_the_oracle_on_a_grid_of_7776_candidates():
+    # 3**5 assignments * 2**5 placements; with every order it would be 933,120
+    for seed in range(2):
+        env = generate(GenerationConfig(num_jobs=5, num_objects=5, num_cns=3,
+                                        num_local_sns=2, num_remote_sns=2,
+                                        objects_per_job=(1, 3), gamma=1.3, rng_seed=seed))
+        assert candidate_count(env) == 7776
+        best, oracle = brute_force_optimal(env)
+        assert oracle == makespan_of(env, best)
+        for run in (random_baseline(env, seed), greedy(env), diana(env),
+                    ensemble_greedy(env, seed, runs=20),
+                    ga(env, GaConfig(population=16, generations=10, seed=seed))):
+            # ERD is optimal up to the rounding of its release dates
+            assert run.makespan >= oracle * (1 - 1e-12)
 
 
 def test_brute_force_optimum_dominates_samples(env_tiny):
