@@ -13,8 +13,8 @@ from .environment import (GenerationConfig, GridEnvironment, GRID_PRESETS,
 from .evaluator import MakespanReport, compute_big_a, evaluate
 from .model import (build_fixed_all, build_fixed_x, build_fixed_yz,
                     build_monolithic, extract_schedule)
-from .schedule import (Schedule, load_schedule, order_from_tournament,
-                       random_schedule, schedule_from_document)
+from .schedule import (Schedule, load_schedule, random_schedule,
+                       schedule_from_document)
 from .solver import SolveResult, brute_force_optimal, candidate_count, solve
 
 __version__ = "0.1.0"
@@ -25,6 +25,6 @@ __all__ = [
     "brute_force_optimal", "build_fixed_all", "build_fixed_x", "build_fixed_yz",
     "build_monolithic", "candidate_count", "compute_big_a",
     "environment_from_document", "evaluate", "extract_schedule", "generate",
-    "load_environment", "load_schedule", "order_from_tournament", "preset_config",
+    "load_environment", "load_schedule", "preset_config",
     "random_schedule", "run_altermilp", "schedule_from_document", "solve",
 ]

@@ -1,15 +1,13 @@
-"""Alternating MILP optimization of assignment vs order-and-placement.
+"""Restricted MILP steps: the alternating optimizer and the one-sided baselines.
 
-The loop starts from the greedy schedule of a seeded random job order.  One
-iteration solves two restricted models back to back, each warm-started
-from the best point so far: first the job assignment under the current order
-and placement, then the order and placement under the new assignment.  The
-warm-start contract of :func:`gridopt.solver.solve` makes the replayed
-makespan non-increasing across completed steps, so the loop is an anytime
-algorithm: interrupting it after any step leaves a valid schedule no worse
-than the initial one.  A half-step whose restricted model was already solved
-to optimality (same pinned assignment, or same pinned order and placement)
-is not solved again: the current iterate attains that optimum.
+:func:`step` is the one unit: pin part of a schedule, optimize the rest by a
+MILP warm-started from it, and keep the answer only if it replays no worse.
+Min-exe and min-trans are one step from a random schedule.  Altermilp starts
+from the greedy schedule of a seeded random job order and alternates a step
+on the assignment with one on the order and placement, so its replayed
+makespan never increases: interrupted after any step, it leaves a valid
+schedule no worse than its start.  A half-step whose restricted model was
+already solved to optimality (same pinned fields) is not solved again.
 """
 
 from __future__ import annotations
@@ -18,18 +16,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import greedy
-from .environment import GridEnvironment, check_budget, save_document
+from .baselines import BaselineRun, _finish, greedy
+from .environment import GridEnvironment, check_budget, check_seed, save_document
 from .evaluator import makespan_of
 from .model import build_fixed_x, build_fixed_yz, extract_schedule
-from .schedule import Schedule
-from .solver import solve
+from .schedule import Schedule, random_schedule
+from .solver import SolveResult, solve
 
 TRACE_SCHEMA = "optimization-trace/1"
 
 # an iteration improving the makespan by less than this fraction is quiet;
 # two quiet iterations in a row stop the loop early
 EARLY_STOP_REL = 1e-9
+
+# stage -> the schedule fields its restricted model pins; the rest is optimized
+PINNED = {
+    "assignment": ("order", "object_sn"),
+    "order-placement": ("job_cn",),
+    "placement": ("job_cn", "order"),
+}
 
 
 @dataclass(frozen=True)
@@ -45,12 +50,13 @@ class AlterMilpConfig:
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
         check_budget(self.total_budget, "total_budget")
+        check_seed(self.seed, "seed")
 
 
 @dataclass(frozen=True)
 class TraceStep:
     iteration: int          # 0 for the initial point
-    stage: str              # "init", "assignment" or "order-placement"
+    stage: str              # "init" or a key of PINNED
     status: str             # solver status, or "init"
     model_objective: float | None
     makespan: float         # replayed makespan of the iterate after this step
@@ -78,9 +84,6 @@ class OptimizationTrace:
     def makespans(self) -> list[float]:
         return [s.makespan for s in self.steps]
 
-    def best(self) -> TraceStep:
-        return min(self.steps, key=lambda s: (s.makespan, s.iteration))
-
     def to_document(self) -> dict:
         return {
             "schema": TRACE_SCHEMA,
@@ -93,52 +96,77 @@ class OptimizationTrace:
         save_document(self.to_document(), path)
 
 
+def step(env: GridEnvironment, stage: str, schedule: Schedule, makespan: float,
+         budget: float, backend=None) -> tuple[Schedule, float, SolveResult]:
+    """Pin ``PINNED[stage]`` of ``schedule`` (replayed makespan ``makespan``)
+    and solve for the rest within ``budget`` seconds.
+
+    Returns (schedule, makespan, solve result): the extracted answer if it
+    replays no worse, else the input, which a failed solve also keeps.
+    """
+    if stage not in PINNED:
+        raise ValueError(f"stage must be one of {', '.join(PINNED)}, got {stage!r}")
+    if stage == "assignment":
+        mdl = build_fixed_yz(env, schedule)
+    else:
+        mdl = build_fixed_x(env, schedule, pin_order=stage == "placement")
+    res = solve(mdl, budget, backend=backend)
+    if res.ok:
+        candidate = extract_schedule(mdl, res.x)
+        candidate_mk = makespan_of(env, candidate)
+        # extraction can only tighten timings, never worsen them
+        if candidate_mk <= makespan:
+            return candidate, candidate_mk, res
+    return schedule, makespan, res
+
+
+def min_trans(env: GridEnvironment, budget: float, seed, backend=None) -> BaselineRun:
+    """Keep a random assignment and order; optimize only the data placement."""
+    init = random_schedule(env, seed)
+    schedule, _, res = step(env, "placement", init, makespan_of(env, init), budget, backend)
+    return _finish(env, schedule, statuses=(res.status,), degraded=not res.ok)
+
+
+def min_exe(env: GridEnvironment, budget: float, seed, backend=None) -> BaselineRun:
+    """Keep a random order and placement; optimize only the job assignment."""
+    init = random_schedule(env, seed)
+    schedule, _, res = step(env, "assignment", init, makespan_of(env, init), budget, backend)
+    return _finish(env, schedule, statuses=(res.status,), degraded=not res.ok)
+
+
 def run(env: GridEnvironment, config: AlterMilpConfig) -> tuple[Schedule, OptimizationTrace]:
     """Alternating optimization from the greedy schedule of a seeded job order.
 
-    A sub-solve that fails outright keeps the previous iterate for that
-    half-step; the trace records the failure.  A skipped repeat of an
-    optimal sub-solve is recorded as "optimal" with zero wall time.  The
-    returned schedule is the best iterate seen (under the warm-start
-    contract that is also the last).
+    Each iteration is a :func:`step` on the assignment, then one on the order
+    and placement (the placement alone without ``config.optimize_order``).
+    The trace records failed solves; a skipped repeat of an optimal sub-solve
+    is recorded as "optimal" with zero wall time.  The returned schedule is
+    the last iterate, which is also the best.
     """
     order = np.random.default_rng(config.seed).permutation(env.num_jobs)
     current = greedy(env, order=order).schedule
     current_mk = makespan_of(env, current)
     steps = [TraceStep(0, "init", "init", None, current_mk, 0.0, current)]
     budget = config.total_budget / (2 * config.iterations)    # per solve
+    stages = ("assignment", "order-placement" if config.optimize_order else "placement")
     any_success = False
     quiet_iterations = 0
     proven = {}     # stage -> (pinned arrays, objective) of its last optimal solve
 
     for it in range(1, config.iterations + 1):
         mk_before = current_mk
-        for stage in ("assignment", "order-placement"):
-            if stage == "assignment":
-                pinned = (current.order, current.object_sn)
-            elif config.optimize_order:
-                pinned = (current.job_cn,)
-            else:
-                pinned = (current.job_cn, current.order)
+        for stage in stages:
+            pinned = [getattr(current, name) for name in PINNED[stage]]
             known = proven.get(stage)
             if known is not None and all(map(np.array_equal, known[0], pinned)):
                 steps.append(TraceStep(it, stage, "optimal", known[1], current_mk, 0.0,
                                        current))
                 continue
-            if stage == "assignment":
-                mdl = build_fixed_yz(env, current)
-            else:
-                mdl = build_fixed_x(env, current, pin_order=not config.optimize_order)
-            res = solve(mdl, budget, backend=config.backend)
+            current, current_mk, res = step(env, stage, current, current_mk, budget,
+                                            config.backend)
             if res.status == "optimal":
                 proven[stage] = (pinned, res.objective)
-            if res.ok:
-                any_success = True
-                candidate = extract_schedule(mdl, res.x)
-                candidate_mk = makespan_of(env, candidate)
-                # extraction can only tighten timings, never worsen them
-                if candidate_mk <= current_mk:
-                    current, current_mk = candidate, candidate_mk
+            any_success |= res.ok
             steps.append(TraceStep(it, stage, res.status, res.objective,
                                    current_mk, res.wall_time, current))
         improvement = (mk_before - current_mk) / max(1.0, mk_before)

@@ -1,9 +1,10 @@
 """Reference methods the alternating optimizer is compared against.
 
-Three families: no optimization (random), one-sided MILP restrictions
-(min-transfer, min-execution), and classic heuristics (greedy and its
-randomized ensemble, intensity-based two-way classification, a genetic
-algorithm over the full decision encoding).
+Two families here: no optimization (random) and classic heuristics (greedy
+and its randomized ensemble, intensity-based two-way classification, a
+genetic algorithm over the full decision encoding).  The one-sided MILP
+restrictions (min-transfer, min-execution) are single restricted steps and
+live with the alternating optimizer in :mod:`gridopt.alternating`.
 
 Every method returns a :class:`BaselineRun` whose schedule is validated and
 whose ``degraded`` flag records solver failures instead of raising, so a
@@ -12,7 +13,6 @@ benchmark sweep never dies halfway through.
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -20,11 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .environment import GridEnvironment, check_budget
+from .environment import GridEnvironment, check_budget, check_seed
 from .evaluator import makespan_of, makespans_of
-from .model import build_fixed_x, build_fixed_yz, extract_schedule
 from .schedule import Schedule, random_schedule, validate_batch
-from .solver import solve
 
 
 @dataclass(frozen=True)
@@ -50,27 +48,6 @@ def _finish(env, schedule, statuses=(), degraded=False, **extra) -> BaselineRun:
 def random_baseline(env: GridEnvironment, seed) -> BaselineRun:
     """Uniform random schedule, no optimization at all."""
     return _finish(env, random_schedule(env, seed))
-
-
-def _one_sided(env, build, budget, seed, backend) -> BaselineRun:
-    """Solve ``build(env, init)`` from a random ``init``; keep ``init`` on failure."""
-    init = random_schedule(env, seed)
-    mdl = build(env, init)
-    res = solve(mdl, budget, backend=backend)
-    if not res.ok:
-        return _finish(env, init, statuses=(res.status,), degraded=True)
-    return _finish(env, extract_schedule(mdl, res.x), statuses=(res.status,))
-
-
-def min_trans(env: GridEnvironment, budget: float, seed, backend=None) -> BaselineRun:
-    """Keep a random assignment and order; optimize only the data placement."""
-    return _one_sided(env, functools.partial(build_fixed_x, pin_order=True),
-                      budget, seed, backend)
-
-
-def min_exe(env: GridEnvironment, budget: float, seed, backend=None) -> BaselineRun:
-    """Keep a random order and placement; optimize only the job assignment."""
-    return _one_sided(env, build_fixed_yz, budget, seed, backend)
 
 
 def greedy_data_assignment(env: GridEnvironment) -> np.ndarray:
@@ -146,6 +123,7 @@ def ensemble_greedy(env: GridEnvironment, seed, runs: int | None = None,
     (the first block of a budget-only run is 10), and the budget is checked
     between blocks.  The first order reaching the smallest makespan wins.
     """
+    check_seed(seed)
     if runs is not None and runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     if budget is not None:
@@ -246,6 +224,7 @@ class GaConfig:
             raise ValueError("mutation_rate must be in [0, 1]")
         if self.elitism < 0 or self.elitism >= self.population:
             raise ValueError("elitism must be in [0, population)")
+        check_seed(self.seed, "seed")
         if self.budget is not None:
             check_budget(self.budget)
 

@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines
-from .alternating import AlterMilpConfig, OptimizationTrace, run as altermilp_run
+from .alternating import (AlterMilpConfig, OptimizationTrace, min_exe, min_trans,
+                          run as altermilp_run)
 from .environment import (GenerationConfig, GRID_PRESETS, build_from_document,
                           check_budget, check_document, check_seed,
                           config_from_document, generate, is_kind, load_document,
@@ -86,8 +87,8 @@ def _altermilp(env, seed, budget, *, iterations=3, optimize_order=True,
 # their defaults are the method's defaults.
 RUNNERS = {
     "random": lambda env, seed, budget: _baseline(baselines.random_baseline(env, seed)),
-    "mintrans": lambda env, seed, budget: _baseline(baselines.min_trans(env, budget, seed)),
-    "minexe": lambda env, seed, budget: _baseline(baselines.min_exe(env, budget, seed)),
+    "mintrans": lambda env, seed, budget: _baseline(min_trans(env, budget, seed)),
+    "minexe": lambda env, seed, budget: _baseline(min_exe(env, budget, seed)),
     "greedy": lambda env, seed, budget: _baseline(baselines.greedy(env)),
     "ensgreedy": lambda env, seed, budget, *, runs=None: _baseline(
         baselines.ensemble_greedy(env, seed, runs=runs, budget=budget)),
@@ -175,6 +176,9 @@ class ExperimentConfig:
         check_budget(self.budget)
         if (self.preset is None) == (self.generation is None):
             raise ValueError("give exactly one of preset and generation")
+        if self.generation is not None and self.generation.rng_seed != 0:
+            raise ValueError(f"generation.rng_seed must be 0 in an experiment, got "
+                             f"{self.generation.rng_seed!r}; the grids are seeded by seeds")
         if self.preset is not None and self.preset not in GRID_PRESETS:
             raise ValueError(
                 f"unknown preset {self.preset!r}; known: {sorted(GRID_PRESETS)}"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -21,12 +22,13 @@ def _add_gen(sub):
                    help="named grid size supplying default dimensions")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output environment JSON path")
+    # the flags below store under the name of the GenerationConfig field they set
     p.add_argument("--num-jobs", type=int)
     p.add_argument("--num-objects", type=int)
     p.add_argument("--num-cns", type=int)
     p.add_argument("--num-local-sns", type=int)
     p.add_argument("--num-remote-sns", type=int)
-    p.add_argument("--object-size-range", type=float, nargs=2,
+    p.add_argument("--object-size-range", type=float, nargs=2, dest="object_size_range_kb",
                    metavar=("LO", "HI"), help="object size range in KB")
     p.add_argument("--wan-bandwidth-range", type=float, nargs=2, metavar=("LO", "HI"))
     p.add_argument("--lan-bandwidth-range", type=float, nargs=2, metavar=("LO", "HI"))
@@ -37,27 +39,17 @@ def _add_gen(sub):
 
 
 def _cmd_gen(args) -> int:
+    fields = dataclasses.fields(GenerationConfig)
     overrides = {}
-    for flag, key in (
-        ("num_jobs", "num_jobs"), ("num_objects", "num_objects"),
-        ("num_cns", "num_cns"), ("num_local_sns", "num_local_sns"),
-        ("num_remote_sns", "num_remote_sns"),
-        ("object_size_range", "object_size_range_kb"),
-        ("wan_bandwidth_range", "wan_bandwidth_range"),
-        ("lan_bandwidth_range", "lan_bandwidth_range"),
-        ("cn_speed_range", "cn_speed_range"), ("gamma", "gamma"),
-        ("zipf_exponent", "zipf_exponent"),
-        ("objects_per_job", "objects_per_job"),
-    ):
-        value = getattr(args, flag)
+    for f in fields:
+        value = getattr(args, f.name, None)
         if value is not None:
-            overrides[key] = tuple(value) if isinstance(value, list) else value
+            overrides[f.name] = tuple(value) if isinstance(value, list) else value
     if args.preset is not None:
         config = preset_config(args.preset, seed=args.seed, **overrides)
     else:
-        needed = ("num_jobs", "num_objects", "num_cns", "num_local_sns",
-                  "num_remote_sns")
-        missing = [n for n in needed if n not in overrides]
+        missing = [f.name for f in fields
+                   if f.default is dataclasses.MISSING and f.name not in overrides]
         if missing:
             raise SystemExit(
                 "without --preset, the dimensions must be given explicitly; "

@@ -32,9 +32,6 @@ class MakespanReport:
     exec_length: np.ndarray     # e: pure compute time
     replication_done: np.ndarray  # per object, WAN transfer finish time
 
-    def completion_times(self) -> np.ndarray:
-        return self.ready + self.exec_length
-
     def to_document(self) -> dict:
         return {
             "schema": REPORT_SCHEMA,

@@ -36,7 +36,7 @@ import numpy as np
 
 from .environment import GridEnvironment
 from .evaluator import compute_big_a, evaluate
-from .schedule import Schedule, order_from_tournament
+from .schedule import Schedule
 
 if TYPE_CHECKING:
     import scipy.sparse
@@ -297,7 +297,8 @@ def _build(env: GridEnvironment, schedule: Schedule | None = None, pinned: str =
     if schedule is not None:
         schedule.validate(env)
         job_cn, object_sn = schedule.job_cn, schedule.object_sn
-        x01, y01, z01 = (_one_hot(job_cn, nc), schedule.precedence_matrix(),
+        pos = schedule.positions()     # Y[i, j] = 1 where job i precedes job j
+        x01, y01, z01 = (_one_hot(job_cn, nc), (pos[:, None] < pos).astype(np.int64),
                          _one_hot(object_sn, nl))
 
     big_a = compute_big_a(env)
@@ -462,12 +463,16 @@ def build_fixed_all(env: GridEnvironment, schedule: Schedule) -> MilpModel:
 def extract_schedule(model: MilpModel, x: np.ndarray) -> Schedule:
     """Schedule encoded by a feasible variable vector of ``model``.
 
-    Reads the one-hot X and Z blocks by arg-max and canonicalizes the
-    precedence matrix of the Y block into a priority list.
+    Reads the one-hot X and Z blocks by arg-max.  Y matters only between jobs
+    sharing a CN, where a feasible point holds a strict total order; each job
+    ranks by the number of same-CN jobs it follows, and the order sorts by
+    rank, then job id, which interleaves the CNs deterministically.
     """
     job_cn = x[model.x_vars].argmax(axis=1)
     object_sn = x[model.z_vars].argmax(axis=1)
     wins = np.where(model.y_vars >= 0, np.round(x[model.y_vars]), 0).astype(np.int64)
-    order = order_from_tournament(wins, job_cn)
+    same = job_cn[:, None] == job_cn
+    rank = same.sum(axis=1) - 1 - (wins * same).sum(axis=1)
+    order = np.argsort(rank, kind="stable")
     return Schedule(job_cn=job_cn, order=order, object_sn=object_sn)
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .environment import (GridEnvironment, build_from_document, check_document,
-                          load_document, read_field, save_document)
+                          check_seed, load_document, read_field, save_document)
 
 SCHEDULE_SCHEMA = "grid-schedule/1"
 
@@ -62,13 +62,6 @@ class Schedule:
         pos[self.order] = np.arange(self.order.size)
         return pos
 
-    def precedence_matrix(self) -> np.ndarray:
-        """Binary (J, J) matrix with 1 where row job precedes column job."""
-        pos = self.positions()
-        mat = (pos[:, None] < pos[None, :]).astype(np.int64)
-        np.fill_diagonal(mat, 0)
-        return mat
-
     def to_document(self) -> dict:
         return {
             "schema": SCHEDULE_SCHEMA,
@@ -116,34 +109,11 @@ def load_schedule(path) -> Schedule:
 
 def random_schedule(env: GridEnvironment, rng) -> Schedule:
     """Uniform random schedule.  ``rng`` is a seed or a numpy Generator."""
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    if not isinstance(rng, np.random.Generator):
+        check_seed(rng)
+        rng = np.random.default_rng(rng)
     return Schedule(
         job_cn=rng.integers(0, env.num_cns, size=env.num_jobs),
         order=rng.permutation(env.num_jobs),
         object_sn=rng.integers(0, env.num_local_sns, size=env.num_objects),
     )
-
-
-def order_from_tournament(wins: np.ndarray, job_cn: np.ndarray) -> np.ndarray:
-    """Canonical priority order from a pairwise-precedence matrix.
-
-    ``wins[i, j] == 1`` means job i precedes job j.  Only entries between
-    jobs on the same CN matter; there the relation must be a strict total
-    order (anything a feasible ordering model can emit is, since ties and
-    cycles are infeasible).  Jobs are ranked by within-CN wins, and slots
-    between CNs are interleaved by job id, which makes the result
-    deterministic.
-    """
-    job_cn = np.asarray(job_cn, dtype=np.int64)
-    wins = np.asarray(wins)
-    n = job_cn.size
-    if wins.shape != (n, n):
-        raise InvalidScheduleError(f"wins must be ({n}, {n}), got {wins.shape}")
-    rank = np.zeros(n, dtype=np.int64)
-    for cn in np.unique(job_cn):
-        members = np.flatnonzero(job_cn == cn)
-        inside = wins[np.ix_(members, members)]
-        won = inside.sum(axis=1)
-        rank[members] = members.size - 1 - won
-    keys = sorted(range(n), key=lambda j: (rank[j], j))
-    return np.asarray(keys, dtype=np.int64)

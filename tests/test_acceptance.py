@@ -11,9 +11,9 @@ import time
 
 import numpy as np
 
-from gridopt.alternating import AlterMilpConfig, run as altermilp
+from gridopt.alternating import AlterMilpConfig, min_exe, min_trans, run as altermilp
 from gridopt.baselines import (GaConfig, diana, ensemble_greedy, ga, greedy,
-                               min_exe, min_trans, random_baseline)
+                               random_baseline)
 from gridopt.bench import ExperimentConfig, MethodSpec, experiment_from_document
 from gridopt.environment import (GenerationConfig, environment_from_document,
                                  generate, preset_config)

@@ -4,10 +4,12 @@ import json
 import numpy as np
 import pytest
 
-from gridopt.alternating import AlterMilpConfig, run
+from gridopt import alternating
+from gridopt.alternating import PINNED, AlterMilpConfig, min_exe, min_trans, run, step
 from gridopt.baselines import greedy
 from gridopt.environment import GenerationConfig, generate
 from gridopt.evaluator import makespan_of
+from gridopt.schedule import random_schedule
 from gridopt.solver import GRACE_FLOOR, GRACE_FRACTION, HighsBackend, brute_force_optimal
 
 from conftest import tiny_env
@@ -64,7 +66,8 @@ def test_trace_is_monotone_and_bounded_by_oracle(env_tiny):
 def test_returned_schedule_is_the_best_step(env_tiny):
     cfg = AlterMilpConfig(iterations=2, total_budget=8.0, seed=2)
     final, trace = run(env_tiny, cfg)
-    assert makespan_of(env_tiny, final) == pytest.approx(trace.best().makespan)
+    best = min(trace.steps, key=lambda s: (s.makespan, s.iteration))
+    assert makespan_of(env_tiny, final) == pytest.approx(best.makespan)
 
 
 def _stagnant_env():
@@ -95,6 +98,7 @@ def test_optimize_order_false_freezes_same_cn_order(env_tiny):
     cfg = AlterMilpConfig(iterations=2, total_budget=8.0, seed=6,
                           optimize_order=False, early_stop=False)
     final, trace = run(env_tiny, cfg)
+    assert [s.stage for s in trace.steps[1:3]] == ["assignment", "placement"]
     start = greedy_start(env_tiny, 6)
     # the global list gets re-canonicalized as assignments move, but two
     # jobs sharing a CN must keep the precedence the start dictated
@@ -181,3 +185,23 @@ def test_trace_document_round_trip(env_tiny, tmp_path):
     path = tmp_path / "trace.json"
     trace.save(path)
     assert json.loads(path.read_text()) == json.loads(json.dumps(trace.to_document()))
+
+
+def test_a_worse_answer_never_replaces_the_input(env_tiny, monkeypatch):
+    rng = np.random.default_rng(0)
+    worst = max((random_schedule(env_tiny, rng) for _ in range(200)),
+                key=lambda s: makespan_of(env_tiny, s))
+    monkeypatch.setattr(alternating, "extract_schedule", lambda mdl, x: worst)
+    for seed in range(4):
+        start = random_schedule(env_tiny, seed)
+        start_mk = makespan_of(env_tiny, start)
+        assert start_mk < makespan_of(env_tiny, worst)
+        for stage in PINNED:
+            kept, mk, res = step(env_tiny, stage, start, start_mk, 1.0)
+            assert res.ok and kept is start and mk == start_mk
+        for method in (min_trans, min_exe):
+            out = method(env_tiny, 1.0, seed)
+            assert not out.degraded
+            assert out.schedule.to_document() == start.to_document()
+    with pytest.raises(ValueError, match="stage must be one of .*, got 'order'"):
+        step(env_tiny, "order", start, start_mk, 1.0)

@@ -88,6 +88,9 @@ def test_experiment_config_validation():
         _config(generation=None, preset="enormous")
     with pytest.raises(ValueError, match="parallelism"):
         _config(parallelism=0)
+    # each seed draws its own grid, so a generation seed would be ignored
+    with pytest.raises(ValueError, match=r"generation\.rng_seed must be 0 .*got 5; .* seeds"):
+        _config(generation=tiny_config(5))
     with pytest.raises(ValueError, match="labels"):
         _config(methods=(MethodSpec("random"), MethodSpec("random")))
     # same method twice under distinct labels is allowed

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from gridopt.alternating import AlterMilpConfig, min_exe, min_trans
+from gridopt.baselines import GaConfig, ensemble_greedy, random_baseline
 from gridopt.bench import ExperimentConfig, MethodSpec, run_method
 from gridopt.environment import (DocumentError, GenerationConfig,
                                  GridEnvironment, GRID_PRESETS,
@@ -12,6 +14,7 @@ from gridopt.environment import (DocumentError, GenerationConfig,
                                  KB_PER_MB, config_from_document,
                                  environment_from_document, generate,
                                  load_environment, preset_config)
+from gridopt.schedule import random_schedule
 
 
 def _config(**overrides):
@@ -144,6 +147,25 @@ def test_a_negative_seed_is_rejected_naming_it():
     assert ExperimentConfig(methods=(MethodSpec("random"),), seeds=(seed,), budget=1.0,
                             preset="small").seeds == (3,)
     run_method(env, MethodSpec("random"), seed, 1.0).schedule.validate(env)
+
+
+# every entry point that takes a seed, called on an environment and a seed
+SEEDED = {
+    "GaConfig": lambda env, seed: GaConfig(seed=seed),
+    "AlterMilpConfig": lambda env, seed: AlterMilpConfig(seed=seed),
+    "ensemble_greedy": lambda env, seed: ensemble_greedy(env, seed, runs=3),
+    "random_schedule": random_schedule,
+    "random_baseline": random_baseline,
+    "min_trans": lambda env, seed: min_trans(env, 1.0, seed),
+    "min_exe": lambda env, seed: min_exe(env, 1.0, seed),
+}
+
+
+@pytest.mark.parametrize("bad", [1.7, True, -1])
+@pytest.mark.parametrize("entry", SEEDED)
+def test_every_seeded_entry_point_rejects_a_bad_seed_by_name(entry, bad):
+    with pytest.raises(ValueError, match=f"^seed must be a non-negative integer, got {bad!r}$"):
+        SEEDED[entry](generate(_config()), bad)
 
 
 def test_preset_dimensions():

@@ -60,7 +60,8 @@ def test_batch_replay_reports_when_each_cn_finishes(env, batch, schedule_seed):
     finish = _finish_times(env, np.stack([s.order for s in schedules]), schedules)
     assert finish.shape == (batch, env.num_cns)
     for row, s in zip(finish, schedules):
-        done = evaluate(env, s).completion_times()
+        rep = evaluate(env, s)
+        done = rep.ready + rep.exec_length
         for c in range(env.num_cns):
             on_c = s.job_cn == c
             assert row[c] == (done[on_c].max() if on_c.any() else 0.0)

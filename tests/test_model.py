@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import re
 
@@ -174,6 +175,99 @@ def test_extract_schedule_roundtrip():
         # order agrees wherever it matters: within each CN
         assert evaluate(env, rebuilt).makespan == pytest.approx(
             evaluate(env, s).makespan, rel=1e-12)
+
+
+def _y_block(mdl, x):
+    """The (J, J) Y block of a variable vector, 0 on the diagonal."""
+    return np.where(mdl.y_vars >= 0, x[mdl.y_vars], 0.0)
+
+
+def _point(mdl, job_cn, wins, object_sn):
+    """A variable vector of ``mdl`` holding the given X, Y and Z, 0 elsewhere."""
+    x = np.zeros(mdl.num_vars)
+    x[mdl.x_vars] = np.eye(mdl.x_vars.shape[1])[job_cn]
+    off = mdl.y_vars >= 0
+    x[mdl.y_vars[off]] = np.asarray(wins)[off]
+    x[mdl.z_vars] = np.eye(mdl.z_vars.shape[1])[object_sn]
+    return x
+
+
+def test_y_encodes_the_priority_positions(env_tiny):
+    s = Schedule(job_cn=[0, 0, 1], order=[2, 0, 1], object_sn=[0, 0, 0])
+    np.testing.assert_array_equal(s.positions(), [1, 2, 0])
+    expected = [[0, 1, 0], [0, 0, 0], [1, 1, 0]]
+    warm = build_monolithic(env_tiny, warm_schedule=s)
+    np.testing.assert_array_equal(_y_block(warm, warm.warm_x), expected)
+    # a model pinning the order fixes Y to the same binaries
+    pinned = build_fixed_all(env_tiny, s)
+    np.testing.assert_array_equal(_y_block(pinned, pinned.lower), expected)
+
+
+def test_y_is_a_strict_total_order_with_a_zero_diagonal():
+    rng = np.random.default_rng(3)
+    for seed in range(5):
+        env = tiny_env(seed)
+        mdl = build_monolithic(env, warm_schedule=random_schedule(env, rng))
+        y = _y_block(mdl, mdl.warm_x)
+        assert np.all(np.diag(y) == 0)
+        assert np.all(y + y.T + np.eye(env.num_jobs) == 1)
+
+
+def test_extract_keeps_a_pinned_schedules_same_cn_order():
+    rng = np.random.default_rng(7)
+    for seed in range(10):
+        env = tiny_env(seed)
+        s = random_schedule(env, rng)
+        mdl = build_fixed_x(env, s, pin_order=True)
+        rebuilt = extract_schedule(mdl, mdl.warm_x)
+        before, after = s.positions(), rebuilt.positions()
+        # same-CN relative order is what the replay consumes; it must survive
+        same = (s.job_cn[:, None] == s.job_cn) & ~np.eye(env.num_jobs, dtype=bool)
+        np.testing.assert_array_equal((before[:, None] < before)[same],
+                                      (after[:, None] < after)[same])
+
+
+def test_extract_interleaves_cns_by_job_id(env_tiny):
+    wins = [[0, 0, 1],
+            [1, 0, 1],
+            [0, 0, 0]]
+    mdl = build_monolithic(env_tiny)
+    order = extract_schedule(mdl, _point(mdl, [0, 0, 1], wins, [0, 0, 0])).order
+    # job 1 beats job 0 inside CN 0; the lone CN-1 job ranks 0 and ties are
+    # broken by id
+    assert order.tolist() == [1, 2, 0]
+
+
+def _per_cn_order(wins, job_cn):
+    """Rank each job by its same-CN wins, one CN at a time; ties by job id."""
+    rank = np.zeros(job_cn.size, dtype=np.int64)
+    for cn in np.unique(job_cn):
+        members = np.flatnonzero(job_cn == cn)
+        rank[members] = members.size - 1 - wins[np.ix_(members, members)].sum(axis=1)
+    return sorted(range(job_cn.size), key=lambda j: (rank[j], j))
+
+
+@functools.lru_cache(maxsize=None)
+def _free_model(num_jobs, num_cns):
+    return build_monolithic(generate(GenerationConfig(
+        num_jobs=num_jobs, num_objects=1, num_cns=num_cns, num_local_sns=1,
+        num_remote_sns=1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), num_jobs=st.integers(1, 9), num_cns=st.integers(1, 4))
+def test_extract_decodes_the_order_like_a_per_cn_loop(data, num_jobs, num_cns):
+    job_cn = np.array(data.draw(st.lists(st.integers(0, num_cns - 1),
+                                         min_size=num_jobs, max_size=num_jobs)))
+    pos = np.array(data.draw(st.permutations(range(num_jobs))))
+    noise = np.array(data.draw(st.lists(st.integers(0, 1), min_size=num_jobs ** 2,
+                                        max_size=num_jobs ** 2))).reshape(num_jobs, num_jobs)
+    # a strict total order between jobs sharing a CN; anything between the others
+    wins = np.where(job_cn[:, None] == job_cn, pos[:, None] < pos, noise)
+    np.fill_diagonal(wins, 0)
+    mdl = _free_model(num_jobs, num_cns)
+    order = extract_schedule(mdl, _point(mdl, job_cn, wins, [0])).order
+    assert order.tolist() == _per_cn_order(wins, job_cn)
 
 
 def test_check_assignment_reports_violations():

@@ -3,8 +3,8 @@ import pytest
 
 from gridopt.environment import DocumentError
 from gridopt.schedule import (InvalidScheduleError, Schedule, load_schedule,
-                              order_from_tournament, random_schedule,
-                              schedule_from_document, validate_batch)
+                              random_schedule, schedule_from_document,
+                              validate_batch)
 
 from conftest import tiny_env
 
@@ -73,56 +73,6 @@ def test_integral_float_ids_are_accepted():
     s = Schedule(job_cn=[1.0, 0.0], order=np.array([1.0, 0.0]), object_sn=[2.0])
     assert s.job_cn.tolist() == [1, 0] and s.order.tolist() == [1, 0]
     assert s.object_sn.dtype == np.int64 and s.object_sn.tolist() == [2]
-
-
-def test_positions_and_precedence():
-    s = Schedule(job_cn=[0, 0, 1], order=[2, 0, 1], object_sn=[0])
-    np.testing.assert_array_equal(s.positions(), [1, 2, 0])
-    p = s.precedence_matrix()
-    assert p[2, 0] == 1 and p[2, 1] == 1 and p[0, 1] == 1
-    assert p[0, 2] == 0 and np.all(np.diag(p) == 0)
-
-
-def test_precedence_is_a_strict_total_order():
-    rng = np.random.default_rng(3)
-    for seed in range(5):
-        env = tiny_env(seed)
-        s = random_schedule(env, rng)
-        p = s.precedence_matrix()
-        assert np.all(p + p.T + np.eye(env.num_jobs, dtype=np.int64) == 1)
-
-
-def test_order_from_tournament_roundtrip():
-    rng = np.random.default_rng(7)
-    for seed in range(10):
-        env = tiny_env(seed)
-        s = random_schedule(env, rng)
-        rebuilt = order_from_tournament(s.precedence_matrix(), s.job_cn)
-        pos_old = s.positions()
-        pos_new = np.empty_like(rebuilt)
-        pos_new[rebuilt] = np.arange(rebuilt.size)
-        # same-CN relative order is what the replay consumes; it must survive
-        for i in range(env.num_jobs):
-            for j in range(env.num_jobs):
-                if i != j and s.job_cn[i] == s.job_cn[j]:
-                    assert (pos_old[i] < pos_old[j]) == (pos_new[i] < pos_new[j])
-
-
-def test_order_from_tournament_is_deterministic_across_groups():
-    wins = np.array([
-        [0, 0, 1],
-        [1, 0, 1],
-        [0, 0, 0],
-    ])
-    order = order_from_tournament(wins, job_cn=[0, 0, 1])
-    # job 1 beats job 0 inside CN 0; the lone CN-1 job ranks 0 and ties are
-    # broken by id
-    assert order.tolist() == [1, 2, 0]
-
-
-def test_order_from_tournament_rejects_bad_shape():
-    with pytest.raises(InvalidScheduleError):
-        order_from_tournament(np.zeros((2, 3)), job_cn=[0, 0])
 
 
 def test_schedule_document_roundtrip(tmp_path, env_tiny):
