@@ -4,10 +4,11 @@
 MILP warm-started from it, and keep the answer only if it replays no worse.
 Min-exe and min-trans are one step from a random schedule.  Altermilp starts
 from the greedy schedule of a seeded random job order and alternates a step
-on the assignment with one on the order and placement, so its replayed
-makespan never increases: interrupted after any step, it leaves a valid
-schedule no worse than its start.  A half-step whose restricted model was
-already solved to optimality (same pinned fields) is not solved again.
+on the assignment, with every CN queue in ERD order, with one on the order
+and placement, so its replayed makespan never increases: interrupted after
+any step, it leaves a valid schedule no worse than its start.  A half-step
+whose restricted model is one it already solved to optimality is not solved
+again.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from .baselines import BaselineRun, _finish, greedy
 from .environment import GridEnvironment, check_budget, check_seed, save_document
 from .evaluator import makespan_of
-from .model import build_fixed_x, build_fixed_yz, extract_schedule
+from .model import build_erd_assignment, build_fixed_x, build_fixed_yz, extract_schedule
 from .schedule import Schedule, random_schedule
 from .solver import SolveResult, solve
 
@@ -31,6 +32,7 @@ EARLY_STOP_REL = 1e-9
 
 # stage -> the schedule fields its restricted model pins; the rest is optimized
 PINNED = {
+    "erd-assignment": ("object_sn",),
     "assignment": ("order", "object_sn"),
     "order-placement": ("job_cn",),
     "placement": ("job_cn", "order"),
@@ -97,20 +99,34 @@ class OptimizationTrace:
 
 
 def step(env: GridEnvironment, stage: str, schedule: Schedule, makespan: float,
-         budget: float, backend=None) -> tuple[Schedule, float, SolveResult]:
+         budget: float, backend=None, proven: dict | None = None
+         ) -> tuple[Schedule, float, SolveResult]:
     """Pin ``PINNED[stage]`` of ``schedule`` (replayed makespan ``makespan``)
     and solve for the rest within ``budget`` seconds.
 
     Returns (schedule, makespan, solve result): the extracted answer if it
     replays no worse, else the input, which a failed solve also keeps.
+    ``proven``, when given, maps the :meth:`~gridopt.model.MilpModel.digest`
+    of each model solved to optimality to its (objective, x); a model found
+    there is not solved again, and the step returns its input with an
+    "optimal" result of zero wall time.
     """
     if stage not in PINNED:
         raise ValueError(f"stage must be one of {', '.join(PINNED)}, got {stage!r}")
-    if stage == "assignment":
+    if stage == "erd-assignment":
+        mdl = build_erd_assignment(env, schedule)
+    elif stage == "assignment":
         mdl = build_fixed_yz(env, schedule)
     else:
         mdl = build_fixed_x(env, schedule, pin_order=stage == "placement")
+    if proven is not None:
+        key = mdl.digest()
+        if key in proven:
+            objective, x = proven[key]
+            return schedule, makespan, SolveResult("optimal", objective, x, 0.0, model=mdl)
     res = solve(mdl, budget, backend=backend)
+    if proven is not None and res.status == "optimal":
+        proven[key] = res.objective, res.x
     if res.ok:
         candidate = extract_schedule(mdl, res.x)
         candidate_mk = makespan_of(env, candidate)
@@ -137,35 +153,29 @@ def min_exe(env: GridEnvironment, budget: float, seed, backend=None) -> Baseline
 def run(env: GridEnvironment, config: AlterMilpConfig) -> tuple[Schedule, OptimizationTrace]:
     """Alternating optimization from the greedy schedule of a seeded job order.
 
-    Each iteration is a :func:`step` on the assignment, then one on the order
-    and placement (the placement alone without ``config.optimize_order``).
-    The trace records failed solves; a skipped repeat of an optimal sub-solve
-    is recorded as "optimal" with zero wall time.  The returned schedule is
-    the last iterate, which is also the best.
+    Each iteration is a :func:`step` on the assignment in ERD order, then one
+    on the order and placement.  Without ``config.optimize_order`` the order
+    stays the start's: the steps are the assignment under the pinned order,
+    then the placement alone.  The trace records failed solves; a skipped
+    repeat of an optimal sub-solve is recorded as "optimal" with zero wall
+    time.  The returned schedule is the last iterate, which is also the best.
     """
     order = np.random.default_rng(config.seed).permutation(env.num_jobs)
     current = greedy(env, order=order).schedule
     current_mk = makespan_of(env, current)
     steps = [TraceStep(0, "init", "init", None, current_mk, 0.0, current)]
     budget = config.total_budget / (2 * config.iterations)    # per solve
-    stages = ("assignment", "order-placement" if config.optimize_order else "placement")
+    stages = (("erd-assignment", "order-placement") if config.optimize_order
+              else ("assignment", "placement"))
     any_success = False
     quiet_iterations = 0
-    proven = {}     # stage -> (pinned arrays, objective) of its last optimal solve
+    proven = {}     # model digest -> (objective, x) of its optimal solve
 
     for it in range(1, config.iterations + 1):
         mk_before = current_mk
         for stage in stages:
-            pinned = [getattr(current, name) for name in PINNED[stage]]
-            known = proven.get(stage)
-            if known is not None and all(map(np.array_equal, known[0], pinned)):
-                steps.append(TraceStep(it, stage, "optimal", known[1], current_mk, 0.0,
-                                       current))
-                continue
             current, current_mk, res = step(env, stage, current, current_mk, budget,
-                                            config.backend)
-            if res.status == "optimal":
-                proven[stage] = (pinned, res.objective)
+                                            config.backend, proven)
             any_success |= res.ok
             steps.append(TraceStep(it, stage, res.status, res.objective,
                                    current_mk, res.wall_time, current))

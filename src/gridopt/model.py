@@ -25,17 +25,23 @@ formulation reads as.  Warm starts and solver answers are vectors in that
 variable order, and a schedule is read back through the X, Y and Z index
 blocks the model keeps.  Variable and row names are formatted on demand,
 for messages and inspection only.
+
+:func:`build_erd_assignment` stands outside the family: with the placement
+pinned and every CN in ERD order, the assignment is the only decision, and
+its model holds just the makespan and the X block.
 """
 
 from __future__ import annotations
 
 import functools
+import hashlib
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .environment import GridEnvironment
 from .evaluator import compute_big_a, evaluate
+from .kernels import job_pairs
 from .schedule import Schedule
 
 if TYPE_CHECKING:
@@ -60,12 +66,15 @@ class MilpModel:
     ``x_vars`` (J, C), ``y_vars`` (J, J) and ``z_vars`` (D, L) hold the
     variable index of each ``X[j,c]``, ``Y[i,j]`` and ``Z[d,l]``; the
     diagonal of ``y_vars``, which has no variable, is -1.  ``warm_x`` is the
-    read-only warm-start vector, or None.
+    read-only warm-start vector, or None.  An ``erd-assignment`` model has
+    no Y or Z block and no big-A (all three None); it keeps its pinned
+    placement ``object_sn`` and the (J, C) ``release`` table that orders
+    its extracted schedule.
     """
 
     def __init__(self, kind, var_namer, lower, upper, integer, objective,
                  row_namer, row_lower, row_upper, indptr, indices, data,
-                 big_a, x_vars, y_vars, z_vars, warm_x):
+                 big_a, x_vars, y_vars, z_vars, warm_x, object_sn=None, release=None):
         self.kind = kind
         self._var_namer = var_namer
         self.lower = np.asarray(lower, dtype=np.float64)
@@ -81,6 +90,7 @@ class MilpModel:
         self.big_a = big_a
         self.x_vars, self.y_vars, self.z_vars = x_vars, y_vars, z_vars
         self.warm_x = warm_x
+        self.object_sn, self.release = object_sn, release
 
     @property
     def num_vars(self) -> int:
@@ -120,6 +130,16 @@ class MilpModel:
     @functools.cached_property
     def _abs_matrix(self) -> scipy.sparse.csr_matrix:
         return abs(self.matrix)
+
+    def digest(self) -> str:
+        """sha256 of the arrays that pose the problem: bounds, integrality,
+        objective and rows.  Names and the warm start are left out, so two
+        models with one digest have one optimum."""
+        h = hashlib.sha256()
+        for a in (self.lower, self.upper, self.integer, self.objective, self.row_lower,
+                  self.row_upper, self.indptr, self.indices, self.data):
+            h.update(a.tobytes())
+        return h.hexdigest()
 
     def objective_value(self, x: np.ndarray) -> float:
         return float(self.objective @ x)
@@ -460,15 +480,83 @@ def build_fixed_all(env: GridEnvironment, schedule: Schedule) -> MilpModel:
     return _build(env, schedule, "xyz", warm=False)
 
 
+def build_erd_assignment(env: GridEnvironment, schedule: Schedule) -> MilpModel:
+    """Optimize the job-to-CN assignment under ``schedule``'s placement, each
+    CN running its jobs in ERD order; warm-started from ``schedule``'s
+    assignment.
+
+    With the placement pinned, job j on CN c is released at
+    ``rho[j, c] = latest - slowest`` and then holds the CN for
+    ``q[j, c] = slowest + exec_time[j, c]`` (:func:`kernels.job_pairs`).
+    Earliest release first is optimal on each CN (Jackson's rule), where it
+    finishes at ``max_k (max(rho_k, 0) + sum of q_j over its jobs j at or
+    after k in ERD order)``.  So the variables are ``m`` and the X block,
+    and the rows are one assignment row per job and one tail row per CN c
+    and ERD position k,
+    ``m >= max(rho_kc, 0) * X[k,c] + sum_{j at or after k} q_jc * X[j,c]``:
+    no order variable and no big-A.  Each tail row lists only the jobs at or
+    after its position, so no zero coefficient is stored.  ``m`` is bounded
+    below by the latest of the jobs' earliest finishes, each alone on its
+    best CN: a valid bound the relaxation does not see, which lets HiGHS
+    prove small instances optimal several times faster.
+    """
+    schedule.validate(env)
+    nj, nc = env.num_jobs, env.num_cns
+    jobs, cns = np.arange(nj), np.arange(nc)
+    # row c of the (C, J) tables puts every job on CN c
+    slowest, latest = job_pairs(env, np.broadcast_to(cns[:, None], (nc, nj)),
+                                np.broadcast_to(schedule.object_sn, (nc, env.num_objects)))
+    release = (latest - slowest).T
+    body = slowest.T + env.exec_time()
+    alone = np.maximum(release, 0.0) + body     # finish of each job alone on each CN
+    erd = np.argsort(release, axis=0, kind="stable").T    # (C, J) jobs by release per CN
+
+    var = _Vars()
+    # no schedule ends before a job alone on its best CN; the one key fills no field of "m"
+    m = var.add("m", ([0],), lo=alone.min(axis=1).max())[0]
+    x = var.binaries("X[{},{}]", (jobs.repeat(nc), np.tile(cns, nj))).reshape(nj, nc)
+
+    rows = _Rows()
+    rows.add(rows.reserve(nj), "assign[{}]", (jobs,), [(x, 1.0)], lo=1.0, hi=1.0)
+    slots = rows.reserve(nc, nj)
+    for k in range(nj):
+        tail = erd[:, k:]                   # (C, J - k) jobs at or after position k
+        coef = body[tail, cns[:, None]]
+        coef[:, 0] = alone[tail[:, 0], cns]
+        rows.add(slots[:, k], "tail[{},{}]", (cns, tail[:, 0]),
+                 [(m, 1.0), (x[tail, cns[:, None]], -coef)], lo=0.0)
+    row_lower, row_upper, indptr, indices, data = rows.csr()
+
+    warm_x = np.zeros(var.count)
+    warm_x[x] = _one_hot(schedule.job_cn, nc)
+    # with m at 0, a tail row's activity is minus its right-hand side
+    activity = np.add.reduceat(data * warm_x[indices], indptr[:-1])
+    warm_x[m] = -activity[nj:].min()
+    warm_x.setflags(write=False)
+
+    objective = np.zeros(var.count)
+    objective[m] = 1.0
+    return MilpModel("erd-assignment", var.namer(), np.concatenate(var.lower),
+                     np.concatenate(var.upper), np.concatenate(var.integer), objective,
+                     rows.namer(), row_lower, row_upper, indptr, indices, data,
+                     None, x, None, None, warm_x, schedule.object_sn, release)
+
+
 def extract_schedule(model: MilpModel, x: np.ndarray) -> Schedule:
     """Schedule encoded by a feasible variable vector of ``model``.
 
     Reads the one-hot X and Z blocks by arg-max.  Y matters only between jobs
     sharing a CN, where a feasible point holds a strict total order; each job
     ranks by the number of same-CN jobs it follows, and the order sorts by
-    rank, then job id, which interleaves the CNs deterministically.
+    rank, then job id, which interleaves the CNs deterministically.  An
+    ``erd-assignment`` model keeps its pinned placement and orders the jobs
+    by their release at their CN, ties to the lower job id, which is
+    :func:`kernels.erd_orders` of the extracted schedule.
     """
     job_cn = x[model.x_vars].argmax(axis=1)
+    if model.kind == "erd-assignment":
+        order = np.argsort(model.release[np.arange(job_cn.size), job_cn], kind="stable")
+        return Schedule(job_cn=job_cn, order=order, object_sn=model.object_sn)
     object_sn = x[model.z_vars].argmax(axis=1)
     wins = np.where(model.y_vars >= 0, np.round(x[model.y_vars]), 0).astype(np.int64)
     same = job_cn[:, None] == job_cn

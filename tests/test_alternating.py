@@ -43,7 +43,7 @@ def test_start_is_the_greedy_schedule_of_a_seeded_order(env_tiny):
 def test_single_iteration_trace_shape(env_tiny):
     cfg = AlterMilpConfig(iterations=1, total_budget=4.0, seed=3)
     final, trace = run(env_tiny, cfg)
-    assert [s.stage for s in trace.steps] == ["init", "assignment", "order-placement"]
+    assert [s.stage for s in trace.steps] == ["init", "erd-assignment", "order-placement"]
     assert [s.iteration for s in trace.steps] == [0, 1, 1]
     assert trace.stop_reason == "completed"
     assert not trace.degraded
@@ -146,6 +146,19 @@ def test_optimal_sub_solve_is_not_repeated(env_tiny):
         assert step.schedule.to_document() == before.schedule.to_document()
 
 
+def test_step_solves_a_proven_model_once(env_tiny):
+    backend, proven = _RecordingBackend(), {}
+    start = greedy_start(env_tiny, 0)
+    start_mk = makespan_of(env_tiny, start)
+    first = step(env_tiny, "erd-assignment", start, start_mk, 2.0, backend, proven)
+    assert first[2].status == "optimal" and len(proven) == 1
+    again = step(env_tiny, "erd-assignment", start, start_mk, 2.0, backend, proven)
+    assert len(backend.solved) == 1
+    assert again[0] is start and again[1] == start_mk
+    assert (again[2].status, again[2].objective, again[2].wall_time) == (
+        "optimal", first[2].objective, 0.0)
+
+
 class _InfeasibleBackend:
     name = "always-infeasible"
 
@@ -192,6 +205,7 @@ def test_a_worse_answer_never_replaces_the_input(env_tiny, monkeypatch):
     worst = max((random_schedule(env_tiny, rng) for _ in range(200)),
                 key=lambda s: makespan_of(env_tiny, s))
     monkeypatch.setattr(alternating, "extract_schedule", lambda mdl, x: worst)
+    assert "erd-assignment" in PINNED
     for seed in range(4):
         start = random_schedule(env_tiny, seed)
         start_mk = makespan_of(env_tiny, start)

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import gridopt
 from gridopt import AlterMilpConfig, baselines
+from gridopt.alternating import min_exe
 
 from conftest import tiny_env
 
@@ -31,31 +32,42 @@ class _NoIncumbent:
         return None, "limit", "scripted"
 
 
-def _traced_run(tracing, backend):
+def _traced(tracing, method):
+    """(layer metrics, solve count, what ``method()`` returned) under a tracer."""
     tracer = tracing.Tracer()
-    config = AlterMilpConfig(iterations=1, total_budget=2.0, backend=backend,
-                             early_stop=False)
     with tracing.installed(tracer):
-        schedule, trace = gridopt.run_altermilp(tiny_env(1), config)
-    schedule.validate(tiny_env(1))
+        out = method()
     metrics = {name: value for name, (value, _) in tracing.layer_metrics(tracer).items()}
     solves = sum(1 for span in tracer.spans if span[0] == "solver.solve")
-    return metrics, solves, trace
+    return metrics, solves, out
 
 
 def test_one_iteration_altermilp_under_the_tracer():
     tracing = _tracing()
+    env = tiny_env(1)
     for backend in (None, _NoIncumbent()):
-        metrics, solves, trace = _traced_run(tracing, backend)
+        config = AlterMilpConfig(iterations=1, total_budget=2.0, backend=backend,
+                                 early_stop=False)
+        metrics, solves, (schedule, trace) = _traced(
+            tracing, lambda: gridopt.run_altermilp(env, config))
+        schedule.validate(env)
         assert solves == 2
         assert sum(metrics[f"solver.status.{s}"] for s in tracing.SOLVER_STATUSES) == solves
         assert metrics["alternating.steps"] == len(trace.steps) - 1 == 2
-        for kind in tracing.MODEL_KINDS:
+        # altermilp's assignment half-step builds the erd-assignment model,
+        # which the tracer does not size; min_exe builds the fixed-yz one
+        exe_metrics, exe_solves, run = _traced(tracing, lambda: min_exe(env, 1.0, 0, backend))
+        run.schedule.validate(env)
+        assert exe_solves == 1
+        sized = {"fixed-x": metrics, "fixed-yz": exe_metrics}
+        assert set(sized) == set(tracing.MODEL_KINDS)
+        for kind, traced in sized.items():
             for size in ("vars", "rows", "nnz"):
-                assert metrics[f"model.{kind}.{size}"] > 0
+                assert traced[f"model.{kind}.{size}"] > 0
         assert metrics["model.extract_schedule.s"] > 0
         if backend is not None:
             assert metrics["solver.warm_start_kept"] == solves
+            assert exe_metrics["solver.warm_start_kept"] == exe_solves
 
 
 def test_search_methods_under_the_tracer():

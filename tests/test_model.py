@@ -8,14 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridopt import model
-from gridopt.environment import GenerationConfig, generate, preset_config
-from gridopt.evaluator import evaluate, makespan_of
-from gridopt.model import (build_fixed_all, build_fixed_x, build_fixed_yz,
-                           build_monolithic, extract_schedule)
+from gridopt.environment import GenerationConfig, GridEnvironment, generate, preset_config
+from gridopt.evaluator import evaluate, makespan_of, makespans_of
+from gridopt.kernels import erd_orders
+from gridopt.model import (build_erd_assignment, build_fixed_all, build_fixed_x,
+                           build_fixed_yz, build_monolithic, extract_schedule)
 from gridopt.schedule import InvalidScheduleError, Schedule, random_schedule
 from gridopt.solver import solve
 
-from conftest import tiny_env
+from conftest import grids, tiny_env
 
 
 def _env_and_schedule(seed):
@@ -76,7 +77,7 @@ def test_build_solve_extract_formats_no_name(monkeypatch):
     formatted = []
     monkeypatch.setattr(model, "_labels", lambda fmt, keys: formatted.append(fmt) or [])
     env, s = _env_and_schedule(2)
-    for mdl in (build_fixed_yz(env, s), build_fixed_x(env, s)):
+    for mdl in (build_fixed_yz(env, s), build_fixed_x(env, s), build_erd_assignment(env, s)):
         res = solve(mdl, budget=10.0)
         assert res.ok
         extract_schedule(mdl, res.x).validate(env)
@@ -90,6 +91,7 @@ def test_model_kinds():
     assert build_fixed_x(env, s).kind == "fixed-x"
     assert build_fixed_x(env, s, pin_order=True).kind == "fixed-xy"
     assert build_fixed_all(env, s).kind == "fixed-xyz"
+    assert build_erd_assignment(env, s).kind == "erd-assignment"
 
 
 def test_builder_argument_validation():
@@ -103,6 +105,9 @@ def test_builder_argument_validation():
     with pytest.raises(InvalidScheduleError):
         build_fixed_yz(env, Schedule(job_cn=s.job_cn, order=s.order,
                                      object_sn=np.full(env.num_objects, -1)))
+    with pytest.raises(InvalidScheduleError):
+        build_erd_assignment(env, Schedule(job_cn=s.job_cn, order=s.order,
+                                           object_sn=np.full(env.num_objects, -1)))
 
 
 def test_pinned_variables_keep_full_variable_set():
@@ -270,6 +275,97 @@ def test_extract_decodes_the_order_like_a_per_cn_loop(data, num_jobs, num_cns):
     assert order.tolist() == _per_cn_order(wins, job_cn)
 
 
+# -- the ERD assignment model -------------------------------------------------
+
+
+def _erd_schedule(env, s):
+    """``s`` with every CN queue in ERD order, as kernels.erd_orders gives it."""
+    order = erd_orders(env, s.job_cn[None], s.object_sn[None])[0]
+    return Schedule(job_cn=s.job_cn, order=order, object_sn=s.object_sn)
+
+
+def _lan_bound_env(seed, num_jobs=5, num_cns=3):
+    """A grid whose LAN transfers rival its replication, so that the ERD
+    order differs from CN to CN; on generated grids replication dominates
+    and every CN orders its jobs alike."""
+    rng = np.random.default_rng(seed)
+    num_objects, num_local_sns = 5, 2
+    return GridEnvironment(
+        object_sizes=rng.uniform(1e3, 1e5, num_objects),
+        hosting=rng.integers(0, 2, num_objects),
+        job_inputs=[sorted(rng.choice(num_objects, size=rng.integers(2, 4),
+                                      replace=False).tolist()) for _ in range(num_jobs)],
+        cn_speeds=rng.uniform(1e3, 1e4, num_cns),
+        wan_bandwidth=rng.uniform(1e2, 1e3, (2, num_local_sns)),
+        lan_bandwidth=10 ** rng.uniform(1, 3, (num_local_sns, num_cns)),
+        gamma=1.0)
+
+
+def _cn_orders_differ(env, object_sn):
+    nj, nc = env.num_jobs, env.num_cns
+    job_cns = np.broadcast_to(np.arange(nc)[:, None], (nc, nj))
+    orders = erd_orders(env, job_cns, np.broadcast_to(object_sn, (nc, env.num_objects)))
+    return bool(np.any(orders != orders[0]))
+
+
+erd_grids = st.one_of(grids, st.builds(_lan_bound_env, st.integers(0, 2**31 - 1),
+                                       st.integers(1, 7), st.integers(1, 4)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(env=erd_grids, schedule_seed=st.integers(0, 2**31 - 1))
+def test_erd_warm_start_is_the_erd_replay(env, schedule_seed):
+    s = random_schedule(env, schedule_seed)
+    mdl = build_erd_assignment(env, s)
+    erd = _erd_schedule(env, s)
+    assert mdl.check_assignment(mdl.warm_x) == []
+    assert mdl.objective_value(mdl.warm_x) == pytest.approx(makespan_of(env, erd), rel=1e-12)
+    # extraction keeps the placement and orders by ERD, bit for bit
+    assert extract_schedule(mdl, mdl.warm_x).to_document() == erd.to_document()
+
+
+@settings(max_examples=40, deadline=None)
+@given(env=erd_grids, schedule_seed=st.integers(0, 2**31 - 1))
+def test_erd_model_size(env, schedule_seed):
+    mdl = build_erd_assignment(env, random_schedule(env, schedule_seed))
+    nj, nc = env.num_jobs, env.num_cns
+    assert mdl.num_vars == nj * nc + 1
+    assert mdl.num_rows == nj + nj * nc
+    # X in the assignment rows, m in each tail row, and the tail row of ERD
+    # position k lists the J - k jobs at or after it
+    assert mdl.data.size == 2 * nj * nc + nc * nj * (nj + 1) // 2
+    assert np.all(mdl.data != 0)
+
+
+def _every_assignment_in_erd_order(env, object_sn):
+    """min over all C**J assignments of the ERD replay at ``object_sn``."""
+    nj, nc = env.num_jobs, env.num_cns
+    index = np.arange(nc ** nj)
+    job_cns = index[:, None] // nc ** np.arange(nj) % nc
+    object_sns = np.broadcast_to(object_sn, (job_cns.shape[0], env.num_objects))
+    orders = erd_orders(env, job_cns, object_sns)
+    return float(makespans_of(env, job_cns, orders, object_sns).min())
+
+
+def test_erd_optimum_is_the_best_assignment_in_erd_order():
+    envs = [tiny_env(seed) for seed in range(6)]
+    envs += [generate(GenerationConfig(num_jobs=5, num_objects=5, num_cns=3, num_local_sns=2,
+                                       num_remote_sns=2, gamma=1.3, rng_seed=seed))
+             for seed in range(3)]
+    envs += [_lan_bound_env(seed) for seed in range(6)]
+    starts = [random_schedule(env, seed) for seed, env in enumerate(envs)]
+    assert sum(_cn_orders_differ(env, s.object_sn) for env, s in zip(envs, starts)) >= 3
+    for env, s in zip(envs, starts):
+        mdl = build_erd_assignment(env, s)
+        res = solve(mdl, budget=10.0)
+        assert res.status == "optimal"
+        best = _every_assignment_in_erd_order(env, s.object_sn)
+        assert res.objective == pytest.approx(best, rel=1e-6)
+        found = extract_schedule(mdl, res.x)
+        np.testing.assert_array_equal(found.object_sn, s.object_sn)
+        assert makespan_of(env, found) == pytest.approx(best, rel=1e-9)
+
+
 def test_check_assignment_reports_violations():
     env, s = _env_and_schedule(0)
     mdl = build_fixed_yz(env, s)
@@ -318,6 +414,7 @@ def _every_builder(env, s):
         "fixed-x": build_fixed_x(env, s),
         "fixed-xy": build_fixed_x(env, s, pin_order=True),
         "fixed-xyz": build_fixed_all(env, s),
+        "erd-assignment": build_erd_assignment(env, s),
     }
 
 
@@ -334,6 +431,9 @@ _FINGERPRINTS = {
     ("small", "fixed-x"): "f115467a36a7c9b1ad74afc680fdd421dd31513f72ca28ff8633c8509d580035",
     ("small", "fixed-xy"): "2e1ec0cf056666d129c83d5ddef20e8c265b7af737cccd38d5087f9e87431ae6",
     ("small", "fixed-xyz"): "9aa4a68fd3530e9553ed8421a008a4f67b61c8375ef24ad6dc7d109a994f9b1f",
+    # the ERD assignment model has no per-row predecessor: recorded as first built
+    ("tiny", "erd-assignment"): "aaabeab441c2ecabeee64db5f6d265025ab85d76e57728821cc6f3fb055d1637",
+    ("small", "erd-assignment"): "0a0574d942ba4c81c221004d3b25223d059d8826c03656a89cd8bffed0096203",
 }
 
 
