@@ -45,12 +45,10 @@ class AlterMilpConfig:
     total_budget: float = 3.0       # seconds of solver time over all 2T solves
     seed: int = 0                   # seeds the job order of the greedy start
     backend: object | None = None   # solver backend; None -> HiGHS
-    optimize_order: bool = True     # False pins the order in the second half-step
     early_stop: bool = True
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError(f"iterations must be >= 1, got {self.iterations}")
+        check_seed(self.iterations, "iterations", minimum=1)
         check_budget(self.total_budget, "total_budget")
         check_seed(self.seed, "seed")
 
@@ -154,9 +152,7 @@ def run(env: GridEnvironment, config: AlterMilpConfig) -> tuple[Schedule, Optimi
     """Alternating optimization from the greedy schedule of a seeded job order.
 
     Each iteration is a :func:`step` on the assignment in ERD order, then one
-    on the order and placement.  Without ``config.optimize_order`` the order
-    stays the start's: the steps are the assignment under the pinned order,
-    then the placement alone.  The trace records failed solves; a skipped
+    on the order and placement.  The trace records failed solves; a skipped
     repeat of an optimal sub-solve is recorded as "optimal" with zero wall
     time.  The returned schedule is the last iterate, which is also the best.
     """
@@ -165,15 +161,13 @@ def run(env: GridEnvironment, config: AlterMilpConfig) -> tuple[Schedule, Optimi
     current_mk = makespan_of(env, current)
     steps = [TraceStep(0, "init", "init", None, current_mk, 0.0, current)]
     budget = config.total_budget / (2 * config.iterations)    # per solve
-    stages = (("erd-assignment", "order-placement") if config.optimize_order
-              else ("assignment", "placement"))
     any_success = False
     quiet_iterations = 0
     proven = {}     # model digest -> (objective, x) of its optimal solve
 
     for it in range(1, config.iterations + 1):
         mk_before = current_mk
-        for stage in stages:
+        for stage in ("erd-assignment", "order-placement"):
             current, current_mk, res = step(env, stage, current, current_mk, budget,
                                             config.backend, proven)
             any_success |= res.ok

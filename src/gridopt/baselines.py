@@ -32,9 +32,10 @@ class BaselineRun:
     solver_statuses: tuple[str, ...] = ()
     degraded: bool = False
     extra: dict = field(default_factory=dict)
+    trace: object = None    # the OptimizationTrace of an altermilp run
 
 
-def _finish(env, schedule, statuses=(), degraded=False, **extra) -> BaselineRun:
+def _finish(env, schedule, statuses=(), degraded=False, trace=None, **extra) -> BaselineRun:
     schedule.validate(env)
     return BaselineRun(
         schedule=schedule,
@@ -42,6 +43,7 @@ def _finish(env, schedule, statuses=(), degraded=False, **extra) -> BaselineRun:
         solver_statuses=tuple(statuses),
         degraded=degraded,
         extra=extra,
+        trace=trace,
     )
 
 
@@ -124,8 +126,8 @@ def ensemble_greedy(env: GridEnvironment, seed, runs: int | None = None,
     between blocks.  The first order reaching the smallest makespan wins.
     """
     check_seed(seed)
-    if runs is not None and runs < 1:
-        raise ValueError(f"runs must be >= 1, got {runs}")
+    if runs is not None:
+        check_seed(runs, "runs", minimum=1)
     if budget is not None:
         check_budget(budget)
     if runs is None and budget is None:
@@ -214,15 +216,15 @@ class GaConfig:
     budget: float | None = None          # wall seconds; None -> generations only
 
     def __post_init__(self):
-        if self.population < 2:
-            raise ValueError(f"population must be >= 2, got {self.population}")
-        if self.generations < 1:
-            raise ValueError(f"generations must be >= 1, got {self.generations}")
-        if not 1 <= self.tournament <= self.population:
+        check_seed(self.population, "population", minimum=2)
+        check_seed(self.generations, "generations", minimum=1)
+        check_seed(self.tournament, "tournament", minimum=1)
+        if self.tournament > self.population:
             raise ValueError("tournament size must be in [1, population]")
         if self.mutation_rate is not None and not 0 <= self.mutation_rate <= 1:
             raise ValueError("mutation_rate must be in [0, 1]")
-        if self.elitism < 0 or self.elitism >= self.population:
+        check_seed(self.elitism, "elitism")
+        if self.elitism >= self.population:
             raise ValueError("elitism must be in [0, population)")
         check_seed(self.seed, "seed")
         if self.budget is not None:

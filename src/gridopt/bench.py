@@ -22,13 +22,11 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines
-from .alternating import (AlterMilpConfig, OptimizationTrace, min_exe, min_trans,
-                          run as altermilp_run)
+from .alternating import AlterMilpConfig, min_exe, min_trans, run as altermilp_run
 from .environment import (GenerationConfig, GRID_PRESETS, build_from_document,
                           check_budget, check_document, check_seed,
                           config_from_document, generate, is_kind, load_document,
                           preset_config, read_field, save_document)
-from .evaluator import makespan_of
 from .schedule import Schedule
 
 EXPERIMENT_SCHEMA = "experiment-config/1"
@@ -43,57 +41,32 @@ AGGREGATE_HEADER = ["setup", "method", "budget", "iterations", "n_rows",
                     "mean_wall_time_s", "rank"]
 
 
-@dataclass(frozen=True)
-class MethodRun:
-    """What one method run returns to the bench and the CLI."""
-
-    schedule: Schedule
-    solver_statuses: tuple[str, ...]
-    degraded: bool
-    log: str
-    trace: OptimizationTrace | None = None   # altermilp only
-
-
-def _baseline(out: baselines.BaselineRun) -> MethodRun:
-    log = f"statuses={out.solver_statuses} degraded={out.degraded}"
-    if out.extra:
-        log += f" extra={json.dumps({k: v for k, v in out.extra.items() if k != 'history'})}"
-    return MethodRun(out.schedule, out.solver_statuses, out.degraded, log)
-
-
 def _ga(env, seed, budget, *, population=50, generations=1_000_000, tournament=3,
-        mutation_rate=None, elitism=1) -> MethodRun:
-    return _baseline(baselines.ga(env, baselines.GaConfig(
+        mutation_rate=None, elitism=1) -> baselines.BaselineRun:
+    return baselines.ga(env, baselines.GaConfig(
         population=population, generations=generations, tournament=tournament,
-        mutation_rate=mutation_rate, elitism=elitism, seed=seed, budget=budget)))
+        mutation_rate=mutation_rate, elitism=elitism, seed=seed, budget=budget))
 
 
-def _altermilp(env, seed, budget, *, iterations=3, optimize_order=True,
-               early_stop=True) -> MethodRun:
+def _altermilp(env, seed, budget, *, iterations=3, early_stop=True) -> baselines.BaselineRun:
     schedule, trace = altermilp_run(env, AlterMilpConfig(
-        iterations=iterations, total_budget=budget, seed=seed,
-        optimize_order=optimize_order, early_stop=early_stop))
-    statuses = tuple(s.status for s in trace.steps if s.stage != "init")
-    log = "\n".join(
-        f"iter {s.iteration} {s.stage}: status={s.status} "
-        f"makespan={s.makespan!r} wall={s.wall_time:.3f}s"
-        for s in trace.steps
-    ) + f"\nstop_reason={trace.stop_reason}"
-    return MethodRun(schedule, statuses, trace.degraded, log, trace)
+        iterations=iterations, total_budget=budget, seed=seed, early_stop=early_stop))
+    return baselines._finish(env, schedule, [s.status for s in trace.steps[1:]],
+                             trace.degraded, trace=trace)
 
 
 # The method registry: name -> runner(env, seed, budget, **params).  A
 # runner's keyword-only parameters are the params the method takes, and
 # their defaults are the method's defaults.
 RUNNERS = {
-    "random": lambda env, seed, budget: _baseline(baselines.random_baseline(env, seed)),
-    "mintrans": lambda env, seed, budget: _baseline(min_trans(env, budget, seed)),
-    "minexe": lambda env, seed, budget: _baseline(min_exe(env, budget, seed)),
-    "greedy": lambda env, seed, budget: _baseline(baselines.greedy(env)),
-    "ensgreedy": lambda env, seed, budget, *, runs=None: _baseline(
-        baselines.ensemble_greedy(env, seed, runs=runs, budget=budget)),
-    "diana": lambda env, seed, budget, *, threshold=1.0: _baseline(
-        baselines.diana(env, threshold=threshold)),
+    "random": lambda env, seed, budget: baselines.random_baseline(env, seed),
+    "mintrans": lambda env, seed, budget: min_trans(env, budget, seed),
+    "minexe": lambda env, seed, budget: min_exe(env, budget, seed),
+    "greedy": lambda env, seed, budget: baselines.greedy(env),
+    "ensgreedy": lambda env, seed, budget, *, runs=None: baselines.ensemble_greedy(
+        env, seed, runs=runs, budget=budget),
+    "diana": lambda env, seed, budget, *, threshold=1.0: baselines.diana(
+        env, threshold=threshold),
     "ga": _ga,
     "altermilp": _altermilp,
 }
@@ -183,8 +156,7 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown preset {self.preset!r}; known: {sorted(GRID_PRESETS)}"
             )
-        if self.parallelism < 1:
-            raise ValueError("parallelism must be >= 1")
+        check_seed(self.parallelism, "parallelism", minimum=1)
         labels = [m.name for m in self.methods]
         if len(set(labels)) != len(labels):
             raise ValueError("method labels must be unique within an experiment")
@@ -309,7 +281,7 @@ class ExperimentResult:
     output_dir: Path | None = None
 
 
-def run_method(env, spec: MethodSpec, seed: int, budget: float) -> MethodRun:
+def run_method(env, spec: MethodSpec, seed: int, budget: float) -> baselines.BaselineRun:
     """Run one method through the registry.
 
     The seed and the budget are checked even for methods that ignore them.
@@ -327,6 +299,20 @@ def _iterations_label(spec: MethodSpec) -> int | None:
     return int(spec.params.get("iterations", default))
 
 
+def _log(run: baselines.BaselineRun) -> str:
+    """A run's log: an altermilp run's trace steps, else its statuses and extras."""
+    if run.trace is not None:
+        return "\n".join(
+            f"iter {s.iteration} {s.stage}: status={s.status} "
+            f"makespan={s.makespan!r} wall={s.wall_time:.3f}s"
+            for s in run.trace.steps
+        ) + f"\nstop_reason={run.trace.stop_reason}"
+    log = f"statuses={run.solver_statuses} degraded={run.degraded}"
+    if run.extra:
+        log += f" extra={json.dumps({k: v for k, v in run.extra.items() if k != 'history'})}"
+    return log
+
+
 def _execute_item(payload) -> ResultRow:
     """One (seed, method, budget) run; module-level so pools can pickle it."""
     config, seed, spec, budget = payload
@@ -337,17 +323,16 @@ def _execute_item(payload) -> ResultRow:
     try:
         run = run_method(env, spec, seed, budget)
         wall = time.perf_counter() - start
-        makespan = makespan_of(env, run.schedule)
-        rel = (random_ref - makespan) / random_ref
+        rel = (random_ref - run.makespan) / random_ref
         status = "degraded" if run.degraded else "ok"
     except Exception as exc:
         wall = time.perf_counter() - start
         return ResultRow(config.setup_name, seed, spec.name, None, wall,
                          "failed", (), None, budget, iterations,
                          log=f"failed: {exc!r}")
-    return ResultRow(config.setup_name, seed, spec.name, makespan, wall,
+    return ResultRow(config.setup_name, seed, spec.name, run.makespan, wall,
                      status, run.solver_statuses, rel, budget, iterations,
-                     log=run.log, schedule=run.schedule)
+                     log=_log(run), schedule=run.schedule)
 
 
 def aggregate_rows(rows) -> list[AggregateRow]:
@@ -465,7 +450,7 @@ def sweep_budget(config: ExperimentConfig, budgets, out_dir=None) -> ExperimentR
 
 def sweep_iterations(config: ExperimentConfig, ts, mode: str,
                      out_dir=None) -> ExperimentResult:
-    """Iteration sweep for the alternating optimizer.
+    """Iteration sweep for the methods that take an ``iterations`` param.
 
     mode "divided": config.budget is the fixed total, so more iterations
     mean less time per iteration.  mode "same": config.budget is the fixed
@@ -474,19 +459,20 @@ def sweep_iterations(config: ExperimentConfig, ts, mode: str,
     """
     if mode not in ("divided", "same"):
         raise ValueError(f"mode must be 'divided' or 'same', got {mode!r}")
-    if not ts or any(t < 1 for t in ts):
+    if not ts:
         raise ValueError("ts must be a non-empty list of positive iteration counts")
+    for t in ts:
+        check_seed(t, "ts", minimum=1)
+    iterative = [spec for spec in config.methods if "iterations" in method_params(spec.method)]
     cells = []
     for t in ts:
         for seed in config.seeds:
-            for spec in config.methods:
-                if spec.method != "altermilp":
-                    continue
+            for spec in iterative:
                 spec_t = MethodSpec(spec.method, spec.label,
                                     {**spec.params, "iterations": int(t)})
                 budget = config.budget if mode == "divided" else config.budget * t
                 cells.append((seed, spec_t, budget))
     # non-iterative methods give one flat reference row set, not one per T
     cells += [(seed, spec, config.budget) for seed in config.seeds
-              for spec in config.methods if spec.method != "altermilp"]
+              for spec in config.methods if spec not in iterative]
     return _run_and_persist(config, cells, out_dir)

@@ -114,14 +114,13 @@ def _cmd_optimize(args) -> int:
     start = time.perf_counter()
     run = run_method(env, spec, args.seed, args.budget)
     wall = time.perf_counter() - start
-    makespan = evaluate(env, run.schedule).makespan
     if args.out:
         run.schedule.save(args.out)
     if args.trace and run.trace is not None:
         run.trace.save(args.trace)
     print(json.dumps({
         "method": args.method,
-        "makespan": makespan,
+        "makespan": run.makespan,
         "wall_time_s": round(wall, 6),
         "solver_statuses": list(run.solver_statuses),
         "degraded": run.degraded,

@@ -13,6 +13,7 @@ import dataclasses
 import functools
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -38,14 +39,16 @@ class DocumentError(ValueError):
 
 def check_budget(budget: float, name: str = "budget") -> None:
     """Reject a budget that could never stop a run: only finite seconds > 0 pass."""
-    if not (math.isfinite(budget) and budget > 0):
+    if not (is_kind(budget, numbers.Real) and math.isfinite(budget) and budget > 0):
         raise ValueError(f"{name} must be a finite number of seconds > 0, got {budget!r}")
 
 
-def check_seed(seed: int, name: str = "seed") -> None:
-    """Reject a seed that is a bool, not an integer, or negative, naming it."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"{name} must be a non-negative integer, got {seed!r}")
+def check_seed(value: int, name: str = "seed", minimum: int = 0) -> None:
+    """Reject a seed or a count that is a bool, not an integer, or below
+    ``minimum``, naming it."""
+    if not (is_kind(value, numbers.Integral) and value >= minimum):
+        least = "a non-negative integer" if minimum == 0 else f"an integer >= {minimum}"
+        raise ValueError(f"{name} must be {least}, got {value!r}")
 
 
 def is_kind(value, kind) -> bool:

@@ -21,12 +21,12 @@ def greedy_start(env, seed):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="iterations"):
-        AlterMilpConfig(iterations=0)
-    with pytest.raises(ValueError, match="total_budget"):
-        AlterMilpConfig(total_budget=0.0)
-    with pytest.raises(ValueError, match="total_budget"):
-        AlterMilpConfig(total_budget=float("inf"))
+    for bad in (0, True, 2.5, 2.0, "3"):
+        with pytest.raises(ValueError, match=f"^iterations must be an integer >= 1, got {bad!r}$"):
+            AlterMilpConfig(iterations=bad)
+    for bad in (0.0, float("inf"), True, "3"):
+        with pytest.raises(ValueError, match="total_budget"):
+            AlterMilpConfig(total_budget=bad)
 
 
 def test_start_is_the_greedy_schedule_of_a_seeded_order(env_tiny):
@@ -94,22 +94,23 @@ def test_early_stop_can_be_disabled():
     assert len(trace.steps) == 1 + 2 * 4
 
 
-def test_optimize_order_false_freezes_same_cn_order(env_tiny):
-    cfg = AlterMilpConfig(iterations=2, total_budget=8.0, seed=6,
-                          optimize_order=False, early_stop=False)
-    final, trace = run(env_tiny, cfg)
-    assert [s.stage for s in trace.steps[1:3]] == ["assignment", "placement"]
+def test_assignment_and_placement_steps_keep_same_cn_precedence(env_tiny):
     start = greedy_start(env_tiny, 6)
+    current, mk = start, makespan_of(env_tiny, start)
+    mks = [mk]
+    for stage in ("assignment", "placement") * 2:
+        current, mk, res = step(env_tiny, stage, current, mk, 2.0)
+        assert res.ok
+        mks.append(mk)
     # the global list gets re-canonicalized as assignments move, but two
     # jobs sharing a CN must keep the precedence the start dictated
     start_pos = start.positions()
-    final_pos = final.positions()
+    final_pos = current.positions()
     for i in range(env_tiny.num_jobs):
         for j in range(env_tiny.num_jobs):
-            if i != j and final.job_cn[i] == final.job_cn[j]:
+            if i != j and current.job_cn[i] == current.job_cn[j]:
                 assert ((start_pos[i] < start_pos[j])
                         == (final_pos[i] < final_pos[j]))
-    mks = trace.makespans()
     assert all(b <= a + 1e-12 for a, b in zip(mks, mks[1:]))
 
 

@@ -161,8 +161,9 @@ def test_greedy_placement_breaks_ties_low():
 
 def test_ensemble_rejects_nonpositive_runs(tiny_oracle):
     env, _ = tiny_oracle
-    with pytest.raises(ValueError, match="runs"):
-        ensemble_greedy(env, seed=0, runs=0)
+    for runs in (0, True, 2.5, 2.0):
+        with pytest.raises(ValueError, match=f"^runs must be an integer >= 1, got {runs!r}$"):
+            ensemble_greedy(env, seed=0, runs=runs)
     for budget in (float("nan"), float("inf"), 0.0):
         with pytest.raises(ValueError, match="budget"):
             ensemble_greedy(env, seed=0, budget=budget)
@@ -347,11 +348,17 @@ def test_ga_config_validation():
         GaConfig(population=5, tournament=6)
     with pytest.raises(ValueError):
         GaConfig(mutation_rate=1.5)
-    for budget in (float("nan"), float("inf"), -1.0):
+    for budget in (float("nan"), float("inf"), -1.0, True, "3"):
         with pytest.raises(ValueError, match="budget"):
             GaConfig(budget=budget)
     with pytest.raises(ValueError):
         GaConfig(population=5, elitism=5)
+    # a count is an integer: a bool or a float fails naming its field
+    for name, bad in (("population", 3.5), ("population", True), ("generations", True),
+                      ("generations", 2.0), ("tournament", 2.0), ("elitism", True),
+                      ("elitism", 0.5)):
+        with pytest.raises(ValueError, match=f"^{name} must be .*integer.*, got {bad!r}$"):
+            GaConfig(**{name: bad})
 
 
 def _scalar_order_crossover(a, b, lo, hi):

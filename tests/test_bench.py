@@ -39,8 +39,9 @@ def test_method_spec_validation():
     MethodSpec("ga", params={"tournament": 2, "elitism": 0})
     with pytest.raises(ValueError, match="'ga' takes no param 'populaton'"):
         MethodSpec("ga", params={"populaton": 4, "generations": 2})
-    with pytest.raises(ValueError, match="'altermilp' takes no param 'backend'"):
-        MethodSpec("altermilp", params={"backend": "highs"})
+    for param in ("backend", "optimize_order"):
+        with pytest.raises(ValueError, match=f"'altermilp' takes no param '{param}'"):
+            MethodSpec("altermilp", params={param: False})
     # values must have the type of the runner's default
     MethodSpec("diana", params={"threshold": 2})
     MethodSpec("ga", params={"mutation_rate": 0.5})
@@ -49,7 +50,6 @@ def test_method_spec_validation():
     for method, param, value in (("ga", "population", "abc"), ("ga", "population", True),
                                  ("ga", "population", 8.0), ("diana", "threshold", False),
                                  ("altermilp", "early_stop", 1),
-                                 ("altermilp", "optimize_order", 2),
                                  # params whose default is None are typed by name
                                  ("ensgreedy", "runs", True), ("ensgreedy", "runs", 2.5),
                                  ("ensgreedy", "runs", "3"), ("ga", "mutation_rate", True),
@@ -86,8 +86,9 @@ def test_experiment_config_validation():
         _config(generation=None)
     with pytest.raises(ValueError, match="preset"):
         _config(generation=None, preset="enormous")
-    with pytest.raises(ValueError, match="parallelism"):
-        _config(parallelism=0)
+    for bad in (0, True, 2.0):
+        with pytest.raises(ValueError, match=f"^parallelism must be an integer >= 1, got {bad!r}$"):
+            _config(parallelism=bad)
     # each seed draws its own grid, so a generation seed would be ignored
     with pytest.raises(ValueError, match=r"generation\.rng_seed must be 0 .*got 5; .* seeds"):
         _config(generation=tiny_config(5))
@@ -204,6 +205,26 @@ def test_persisted_files_round_trip(tmp_path):
     assert all(name.endswith(".log") for name in logs)
 
 
+def test_row_logs_hold_the_trace_or_the_statuses_and_extras(tmp_path):
+    out = tmp_path / "exp"
+    cfg = _config(methods=(MethodSpec("altermilp", params={"iterations": 2}),
+                           MethodSpec("ga", params={"population": 4, "generations": 3})),
+                  seeds=(0,), budget=2.0)
+    result = run_experiment(cfg, out_dir=out)
+    alter, ga = sorted(result.rows, key=lambda r: r.method)
+    trace = (out / "logs" / "altermilp_seed0_T2_B2.log").read_text().splitlines()
+    steps = [line for line in trace if line.startswith("iter ")]
+    assert [line.split(":")[0] for line in steps] == [
+        "iter 0 init", "iter 1 erd-assignment", "iter 1 order-placement",
+        "iter 2 erd-assignment", "iter 2 order-placement"]
+    statuses = [line.split(": status=")[1].split()[0] for line in steps]
+    assert statuses == ["init", *alter.solver_statuses]
+    assert trace[-1] == "stop_reason=completed"
+    log = (out / "logs" / "ga_seed0_B2.log").read_text()
+    assert f"statuses={ga.solver_statuses} degraded=False extra=" in log
+    assert '"generations": 3' in log and "history" not in log
+
+
 def test_failed_method_is_recorded_not_raised():
     cfg = _config(methods=(MethodSpec("random"),
                            MethodSpec("ga", params={"population": 1})),
@@ -288,8 +309,9 @@ def test_sweep_iterations_validation():
         sweep_iterations(cfg, [1, 2], mode="other")
     with pytest.raises(ValueError, match="ts"):
         sweep_iterations(cfg, [], mode="same")
-    with pytest.raises(ValueError, match="ts"):
-        sweep_iterations(cfg, [0, 2], mode="divided")
+    for bad in (0, 2.5, True):
+        with pytest.raises(ValueError, match="ts"):
+            sweep_iterations(cfg, [bad, 2], mode="divided")
 
 
 def test_sweep_iterations_divided_keeps_the_total_budget():
