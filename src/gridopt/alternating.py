@@ -4,11 +4,11 @@
 MILP warm-started from it, and keep the answer only if it replays no worse.
 Min-exe and min-trans are one step from a random schedule.  Altermilp starts
 from the greedy schedule of a seeded random job order and alternates a step
-on the assignment, with every CN queue in ERD order, with one on the order
-and placement, so its replayed makespan never increases: interrupted after
-any step, it leaves a valid schedule no worse than its start.  A half-step
-whose restricted model is one it already solved to optimality is not solved
-again.
+on the assignment, with every CN queue in ERD order, with one on the
+placement under that order, so its replayed makespan never increases:
+interrupted after any step, it leaves a valid schedule no worse than its
+start.  A half-step whose restricted model is one it already solved to
+optimality is not solved again.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ EARLY_STOP_REL = 1e-9
 PINNED = {
     "erd-assignment": ("object_sn",),
     "assignment": ("order", "object_sn"),
-    "order-placement": ("job_cn",),
     "placement": ("job_cn", "order"),
 }
 
@@ -116,7 +115,7 @@ def step(env: GridEnvironment, stage: str, schedule: Schedule, makespan: float,
     elif stage == "assignment":
         mdl = build_fixed_yz(env, schedule)
     else:
-        mdl = build_fixed_x(env, schedule, pin_order=stage == "placement")
+        mdl = build_fixed_x(env, schedule, pin_order=True)
     if proven is not None:
         key = mdl.digest()
         if key in proven:
@@ -152,9 +151,13 @@ def run(env: GridEnvironment, config: AlterMilpConfig) -> tuple[Schedule, Optimi
     """Alternating optimization from the greedy schedule of a seeded job order.
 
     Each iteration is a :func:`step` on the assignment in ERD order, then one
-    on the order and placement.  The trace records failed solves; a skipped
-    repeat of an optimal sub-solve is recorded as "optimal" with zero wall
-    time.  The returned schedule is the last iterate, which is also the best.
+    on the placement with the order pinned to the ERD order the first step
+    extracted: given the assignment and placement, ERD is the best order, so
+    the placement step needs no order variables, and the next assignment
+    step re-sorts by ERD under the new placement.  The trace records failed
+    solves; a skipped repeat of an optimal sub-solve is recorded as
+    "optimal" with zero wall time.  The returned schedule is the last
+    iterate, which is also the best.
     """
     order = np.random.default_rng(config.seed).permutation(env.num_jobs)
     current = greedy(env, order=order).schedule
@@ -167,7 +170,7 @@ def run(env: GridEnvironment, config: AlterMilpConfig) -> tuple[Schedule, Optimi
 
     for it in range(1, config.iterations + 1):
         mk_before = current_mk
-        for stage in ("erd-assignment", "order-placement"):
+        for stage in ("erd-assignment", "placement"):
             current, current_mk, res = step(env, stage, current, current_mk, budget,
                                             config.backend, proven)
             any_success |= res.ok

@@ -53,10 +53,17 @@ if TYPE_CHECKING:
 CHECK_TOL = 1e-6
 
 
+def _frozen(values, dtype) -> np.ndarray:
+    out = np.asarray(values, dtype=dtype)
+    out.setflags(write=False)
+    return out
+
+
 class MilpModel:
     """A built model: variables, rows in CSR form, objective, warm start.
 
     Not meant to be constructed directly; use the ``build_*`` functions.
+    Its arrays are read-only, so what a backend reads is what was built.
     ``var_namer`` and ``row_namer`` are zero-argument callables producing
     the variable and row names; each runs on the first read of ``names`` or
     ``row_names`` (a violation message or a caller's inspection), so
@@ -77,16 +84,16 @@ class MilpModel:
                  big_a, x_vars, y_vars, z_vars, warm_x, object_sn=None, release=None):
         self.kind = kind
         self._var_namer = var_namer
-        self.lower = np.asarray(lower, dtype=np.float64)
-        self.upper = np.asarray(upper, dtype=np.float64)
-        self.integer = np.asarray(integer, dtype=bool)
-        self.objective = np.asarray(objective, dtype=np.float64)
+        self.lower = _frozen(lower, np.float64)
+        self.upper = _frozen(upper, np.float64)
+        self.integer = _frozen(integer, bool)
+        self.objective = _frozen(objective, np.float64)
         self._row_namer = row_namer
-        self.row_lower = np.asarray(row_lower, dtype=np.float64)
-        self.row_upper = np.asarray(row_upper, dtype=np.float64)
-        self.indptr = np.asarray(indptr, dtype=np.int64)
-        self.indices = np.asarray(indices, dtype=np.int64)
-        self.data = np.asarray(data, dtype=np.float64)
+        self.row_lower = _frozen(row_lower, np.float64)
+        self.row_upper = _frozen(row_upper, np.float64)
+        self.indptr = _frozen(indptr, np.int64)
+        self.indices = _frozen(indices, np.int64)
+        self.data = _frozen(data, np.float64)
         self.big_a = big_a
         self.x_vars, self.y_vars, self.z_vars = x_vars, y_vars, z_vars
         self.warm_x = warm_x
@@ -117,15 +124,17 @@ class MilpModel:
 
     @functools.cached_property
     def matrix(self) -> scipy.sparse.csr_matrix:
-        """The constraint matrix, built once and shared by check and backend.
+        """The constraint matrix, built once for the check.
 
-        scipy.sparse is imported here, on the first matrix formed, so a
-        process that never checks or solves a model does not load it.
+        It holds copies of the model's CSR arrays, which scipy may reorder
+        in place (sorting each row's indices), so the model's own arrays
+        stay as built.  scipy.sparse is imported here, on the first matrix
+        formed, so a process that never checks a model does not load it.
         """
         import scipy.sparse
 
         return scipy.sparse.csr_matrix((self.data, self.indices, self.indptr),
-                                       shape=(self.num_rows, self.num_vars))
+                                       shape=(self.num_rows, self.num_vars), copy=True)
 
     @functools.cached_property
     def _abs_matrix(self) -> scipy.sparse.csr_matrix:

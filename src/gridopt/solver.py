@@ -14,7 +14,6 @@ from __future__ import annotations
 import logging
 import math
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,12 +25,6 @@ from .model import CHECK_TOL, MilpModel
 from .schedule import Schedule
 
 log = logging.getLogger(__name__)
-
-# Backends get a little more than the requested budget so that model
-# conversion and process overhead are not charged against tiny budgets; the
-# reported wall time is still the truth.
-GRACE_FRACTION = 0.1
-GRACE_FLOOR = 0.25
 
 # A claimed optimum is distrusted only when the warm start beats it by more
 # than this fraction of its magnitude (at least 1).  Both points passed the
@@ -69,66 +62,94 @@ class SolveResult:
         return dict(zip(self.model.names, self.x.tolist()))
 
 
-class HighsBackend:
-    """HiGHS via scipy's milp bindings.
+# Feasibility jump runs before the root node and ignores the time limit
+# (1-2 s on a medium assignment model, whatever the budget).  RINS and
+# RENS, on by default, search around the MIP start.  The soft cap on the
+# cut pool (10000 rows by default) holds the peak of a process running
+# one medium altermilp instance at 104-128 MB; uncapped it reached 144 MB.
+_HIGHS_OPTIONS = {
+    "output_flag": False,
+    "mip_rel_gap": 0.0,     # never accept a suboptimal proof
+    "mip_heuristic_run_feasibility_jump": False,
+    "mip_pool_soft_limit": 1000,
+}
 
-    scipy.optimize (and with it scipy.sparse) is imported when the first
-    backend is constructed, so a process that never solves does not load it.
+# HiGHS model status -> the raw status solve() reads
+_RAW_STATUS = {"kOptimal": "optimal", "kInfeasible": "infeasible", "kTimeLimit": "limit",
+               "kIterationLimit": "limit", "kSolutionLimit": "limit", "kInterrupt": "limit"}
+
+
+def _session_classes():
+    """scipy's bundled HiGHS session and solution classes (private API)."""
+    try:
+        from scipy.optimize._highspy._core import HighsSolution, _Highs
+    except ImportError as exc:
+        import scipy
+        raise ImportError(
+            "HighsBackend needs scipy.optimize._highspy._core._Highs, which "
+            f"scipy {scipy.__version__} does not provide; install scipy>=1.17.1"
+        ) from exc
+    return _Highs, HighsSolution
+
+
+class HighsBackend:
+    """HiGHS through the solver session scipy bundles,
+    ``scipy.optimize._highspy._core._Highs``.
+
+    Each solve passes the model's rows row-wise, hands ``model.warm_x`` to
+    HiGHS as its MIP start and sets ``time_limit`` to exactly the budget.
+    The session class is private scipy API, present from scipy 1.17.1 on;
+    it is imported when the first backend is constructed (and with it
+    scipy.optimize), so a process that never solves does not load it.
     """
 
     name = "highs"
 
     def __init__(self):
-        import scipy.optimize  # noqa: F401
+        _session_classes()
 
     def solve_raw(self, model: MilpModel, budget: float):
-        """Return (x or None, raw_status, message) without postprocessing."""
-        import scipy.optimize  # already loaded by __init__, outside any solve clock
+        """Return (x or None, raw_status, message) without postprocessing.
 
-        with warnings.catch_warnings():
-            # scipy passes options it does not know on to HiGHS, with a warning
-            warnings.filterwarnings("ignore", message="Unrecognized options detected")
-            res = scipy.optimize.milp(
-                c=model.objective,
-                constraints=scipy.optimize.LinearConstraint(model.matrix, model.row_lower,
-                                                            model.row_upper),
-                bounds=scipy.optimize.Bounds(model.lower, model.upper),
-                integrality=model.integer.astype(np.int64),
-                options={
-                    "time_limit": budget,
-                    "mip_rel_gap": 0.0,  # never accept a suboptimal proof
-                    "presolve": True,
-                    # Heuristics that hunt for an incumbent, which the wrapper
-                    # already holds when a warm start is given.  Feasibility
-                    # jump runs before the root node and ignores the time limit
-                    # (1-2 s on a medium assignment model, whatever the budget);
-                    # RINS and RENS solve sub-MIPs on model copies, which made
-                    # peak memory and solve time depend on how far they got.
-                    "mip_heuristic_run_feasibility_jump": False,
-                    "mip_heuristic_run_rins": False,
-                    "mip_heuristic_run_rens": False,
-                },
-            )
-        if res.status == 0:
-            raw = "optimal"
-        elif res.status == 1:
-            raw = "limit"
-        elif res.status == 2:
-            raw = "infeasible"
-        else:
-            raw = f"failed({res.status})"
-        return res.x, raw, str(res.message)
+        The message is HiGHS's model status followed by what it proved, as
+        ``(dual_bound=... gap=... nodes=...)``.
+        """
+        session, solution = _session_classes()
+        highs = session()
+        for option, value in _HIGHS_OPTIONS.items():
+            highs.setOptionValue(option, value)
+        highs.setOptionValue("time_limit", float(budget))
+        highs.passModel(model.num_vars, model.num_rows, int(model.indptr[-1]),
+                        2, 1, 0.0,  # row-wise matrix, minimize, no offset
+                        model.objective, model.lower, model.upper,
+                        model.row_lower, model.row_upper,
+                        model.indptr.astype(np.int32), model.indices.astype(np.int32),
+                        model.data, model.integer.astype(np.int32))
+        if model.warm_x is not None:
+            start = solution()
+            start.col_value = model.warm_x
+            start.value_valid = True
+            highs.setSolution(start)
+        highs.run()
+        status = highs.getModelStatus()
+        info = highs.getInfo()
+        x = None
+        if info.primal_solution_status == 2:    # kSolutionStatusFeasible
+            x = np.array(highs.getSolution().col_value)
+        raw = _RAW_STATUS.get(status.name, f"failed({status.name})")
+        message = (f"{highs.modelStatusToString(status)} (dual_bound={info.mip_dual_bound!r} "
+                   f"gap={info.mip_gap!r} nodes={info.mip_node_count})")
+        return x, raw, message
 
 
 def solve(model: MilpModel, budget: float, backend=None) -> SolveResult:
     """Solve ``model`` within ``budget`` seconds of backend time.
 
-    The backend is granted the budget plus a small grace allowance
-    (GRACE_FRACTION of the budget, at least GRACE_FLOOR seconds) to absorb
-    conversion overhead.  Every candidate solution, backend or warm start,
-    is validated against the model; invalid ones are dropped with a note in
-    ``diagnostics``.  ``backend`` is any object with ``name`` and
-    ``solve_raw(model, budget)``; the default is a :class:`HighsBackend`,
+    The backend's time limit is exactly ``budget``.  Every candidate
+    solution, backend or warm start, is validated against the model;
+    invalid ones are dropped with a note in ``diagnostics``, which ends
+    with the backend's own message.  ``backend`` is any object with
+    ``name`` and ``solve_raw(model, budget)``; the default is a :class:`HighsBackend`,
     constructed before the clock starts so that its one-off scipy import is
     charged to neither ``wall_time`` nor the backend's time limit.
     """
@@ -149,9 +170,7 @@ def solve(model: MilpModel, budget: float, backend=None) -> SolveResult:
 
     start = time.perf_counter()
     try:
-        x, raw, message = backend.solve_raw(
-            model, budget + max(GRACE_FRACTION * budget, GRACE_FLOOR)
-        )
+        x, raw, message = backend.solve_raw(model, budget)
     except Exception as exc:  # backend blew up; the warm start may still save us
         x, raw, message = None, "crashed", repr(exc)
         log.warning("backend %s crashed: %r", backend.name, exc)
@@ -184,22 +203,22 @@ def solve(model: MilpModel, budget: float, backend=None) -> SolveResult:
     if use_warm:
         incumbent, inc_obj = warm_x, warm_obj
 
+    if raw == "infeasible" and warm_x is not None:
+        notes.append("backend reported infeasible but the warm start is feasible")
+    elif raw not in ("optimal", "infeasible") and incumbent is None:
+        notes.append(f"no incumbent ({raw})")
+    diagnostics = "; ".join(notes + [message])
     if raw == "optimal":
-        if distrusted:
-            return SolveResult("feasible-timeout", inc_obj, incumbent, wall,
-                               "; ".join(notes) or message, model)
-        return SolveResult("optimal", inc_obj, incumbent, wall, "; ".join(notes), model)
+        status = "feasible-timeout" if distrusted else "optimal"
+        return SolveResult(status, inc_obj, incumbent, wall, diagnostics, model)
     if raw == "infeasible":
         if warm_x is not None:
-            notes.append("backend reported infeasible but the warm start is feasible")
-            return SolveResult("error", warm_obj, warm_x, wall, "; ".join(notes), model)
-        return SolveResult("infeasible", None, None, wall, message, model)
+            return SolveResult("error", warm_obj, warm_x, wall, diagnostics, model)
+        return SolveResult("infeasible", None, None, wall, diagnostics, model)
     # limit / crashed / failed
     if incumbent is not None:
-        return SolveResult("feasible-timeout", inc_obj, incumbent, wall,
-                           "; ".join(notes) or message, model)
-    return SolveResult("error", None, None, wall,
-                       "; ".join(notes + [f"no incumbent ({raw}): {message}"]), model)
+        return SolveResult("feasible-timeout", inc_obj, incumbent, wall, diagnostics, model)
+    return SolveResult("error", None, None, wall, diagnostics, model)
 
 
 # -- exhaustive search --------------------------------------------------------

@@ -10,7 +10,7 @@ from gridopt.baselines import greedy
 from gridopt.environment import GenerationConfig, generate
 from gridopt.evaluator import makespan_of
 from gridopt.schedule import random_schedule
-from gridopt.solver import GRACE_FLOOR, GRACE_FRACTION, HighsBackend, brute_force_optimal
+from gridopt.solver import HighsBackend, brute_force_optimal
 
 from conftest import tiny_env
 
@@ -43,7 +43,7 @@ def test_start_is_the_greedy_schedule_of_a_seeded_order(env_tiny):
 def test_single_iteration_trace_shape(env_tiny):
     cfg = AlterMilpConfig(iterations=1, total_budget=4.0, seed=3)
     final, trace = run(env_tiny, cfg)
-    assert [s.stage for s in trace.steps] == ["init", "erd-assignment", "order-placement"]
+    assert [s.stage for s in trace.steps] == ["init", "erd-assignment", "placement"]
     assert [s.iteration for s in trace.steps] == [0, 1, 1]
     assert trace.stop_reason == "completed"
     assert not trace.degraded
@@ -177,9 +177,8 @@ def test_step_budgets_equal_split(env_tiny):
 
     run(env_tiny, AlterMilpConfig(iterations=3, total_budget=3.0, backend=_Granted(),
                                   early_stop=False))
-    # each of the 2T solves gets total / (2T) of backend time, plus grace
-    share = 3.0 / 6
-    assert granted == [share + max(GRACE_FRACTION * share, GRACE_FLOOR)] * 6
+    # each of the 2T solves gets exactly total / (2T) of backend time
+    assert granted == [3.0 / 6] * 6
 
 
 def test_all_failed_solves_mark_the_trace_degraded(env_tiny):

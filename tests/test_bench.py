@@ -215,8 +215,8 @@ def test_row_logs_hold_the_trace_or_the_statuses_and_extras(tmp_path):
     trace = (out / "logs" / "altermilp_seed0_T2_B2.log").read_text().splitlines()
     steps = [line for line in trace if line.startswith("iter ")]
     assert [line.split(":")[0] for line in steps] == [
-        "iter 0 init", "iter 1 erd-assignment", "iter 1 order-placement",
-        "iter 2 erd-assignment", "iter 2 order-placement"]
+        "iter 0 init", "iter 1 erd-assignment", "iter 1 placement",
+        "iter 2 erd-assignment", "iter 2 placement"]
     statuses = [line.split(": status=")[1].split()[0] for line in steps]
     assert statuses == ["init", *alter.solver_statuses]
     assert trace[-1] == "stop_reason=completed"

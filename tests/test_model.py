@@ -446,6 +446,21 @@ def test_block_emitted_models_match_recorded_fingerprints():
     assert got == _FINGERPRINTS
 
 
+def test_checking_a_point_leaves_the_model_as_built():
+    # scipy sorts a CSR matrix's indices in place; the check's matrix must
+    # not share the arrays a backend reads
+    env = generate(preset_config("small"), seed=0)
+    for kind, mdl in _every_builder(env, random_schedule(env, 0)).items():
+        digest, indices, data = mdl.digest(), mdl.indices.copy(), mdl.data.copy()
+        point = mdl.warm_x if mdl.warm_x is not None else np.zeros(mdl.num_vars)
+        mdl.check_assignment(point)
+        assert mdl.digest() == digest, kind
+        assert np.array_equal(mdl.indices, indices) and np.array_equal(mdl.data, data), kind
+        for field, _ in _MODEL_FIELDS:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(mdl, field)[0] = 0
+
+
 def _loop_check(mdl, x, tol=1e-6):
     """Row-by-row reference check: (flagged var names, flagged row names, unsure rows).
 

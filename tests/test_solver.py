@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -9,9 +11,10 @@ from gridopt.baselines import (GaConfig, diana, ensemble_greedy, ga, greedy,
                                random_baseline)
 from gridopt.environment import GenerationConfig, generate, preset_config
 from gridopt.evaluator import evaluate, makespan_of, makespans_of
-from gridopt.model import build_fixed_all, build_fixed_yz, build_monolithic
+from gridopt.model import (build_erd_assignment, build_fixed_all, build_fixed_x,
+                           build_fixed_yz, build_monolithic)
 from gridopt.schedule import random_schedule
-from gridopt.solver import (InstanceTooLargeError, SolveResult,
+from gridopt.solver import (HighsBackend, InstanceTooLargeError, SolveResult,
                             brute_force_optimal, candidate_count, solve)
 
 from conftest import tiny_config, tiny_env
@@ -220,3 +223,71 @@ def test_monolithic_solve_matches_brute_force(env_tiny):
                 budget=60.0)
     assert res.status == "optimal"
     assert res.objective == pytest.approx(oracle, rel=1e-9)
+
+
+# -- the HiGHS session --------------------------------------------------------
+
+
+def _medium_erd_model():
+    env = generate(preset_config("medium"), seed=2968811710)
+    start = greedy(env, order=np.random.default_rng(2968811710).permutation(env.num_jobs))
+    return build_erd_assignment(env, start.schedule)
+
+
+def _proved(diagnostics):
+    """(dual bound, gap, nodes) from the backend's message."""
+    found = re.search(r"dual_bound=(\S+) gap=(\S+) nodes=(\d+)\)", diagnostics)
+    return float(found[1]), float(found[2]), int(found[3])
+
+
+def _small_models():
+    for seed in range(3):
+        env = generate(preset_config("small"), seed=seed)
+        s = random_schedule(env, seed)
+        yield from (build_erd_assignment(env, s), build_fixed_yz(env, s),
+                    build_fixed_x(env, s, pin_order=True))
+
+
+def test_highs_starts_from_the_warm_start():
+    # in 0.2 s HiGHS proves the small models optimal with or without the
+    # start; the medium one it cannot, so only the start keeps it this good
+    backend = HighsBackend()
+    for mdl in (*_small_models(), _medium_erd_model()):
+        warm_obj = mdl.objective_value(mdl.warm_x)
+        x, raw, _ = backend.solve_raw(mdl, 0.2)
+        assert raw in ("optimal", "limit") and x is not None, mdl.kind
+        x[mdl.integer] = np.round(x[mdl.integer])
+        assert mdl.check_assignment(x) == [], mdl.kind
+        assert mdl.objective_value(x) <= warm_obj * (1 + 1e-9), mdl.kind
+        res = solve(mdl, 0.2, backend)
+        assert res.ok and "warm start beat" not in res.diagnostics, mdl.kind
+
+
+def test_time_limit_is_the_budget():
+    mdl = _medium_erd_model()
+    res = solve(mdl, 1.0)
+    assert res.ok
+    assert res.wall_time <= 1.0 + 0.1
+
+
+def test_diagnostics_say_what_highs_proved():
+    mdl = _medium_erd_model()
+    res = solve(mdl, 0.5)
+    assert res.status == "feasible-timeout"
+    dual_bound, gap, nodes = _proved(res.diagnostics)
+    assert dual_bound <= res.objective
+    assert 0.0 < gap <= 1.0 and nodes >= 0
+    env = tiny_env(0)
+    res = solve(build_fixed_yz(env, random_schedule(env, 0)), 10.0)
+    assert res.status == "optimal"
+    assert _proved(res.diagnostics)[0] == pytest.approx(res.objective, rel=1e-9)
+
+
+def test_backend_names_what_an_old_scipy_lacks(monkeypatch):
+    import scipy
+
+    monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
+    with pytest.raises(ImportError, match=re.escape(
+            f"scipy.optimize._highspy._core._Highs, which scipy {scipy.__version__} "
+            "does not provide")):
+        HighsBackend()
