@@ -7,8 +7,7 @@ from the greedy schedule of a seeded random job order and alternates a step
 on the assignment, with every CN queue in ERD order, with one on the
 placement under that order, so its replayed makespan never increases:
 interrupted after any step, it leaves a valid schedule no worse than its
-start.  A half-step whose restricted model is one it already solved to
-optimality is not solved again.
+start.
 """
 
 from __future__ import annotations
@@ -59,7 +58,8 @@ class TraceStep:
     status: str             # solver status, or "init"
     model_objective: float | None
     makespan: float         # replayed makespan of the iterate after this step
-    wall_time: float
+    wall_time: float        # backend seconds of this step's solve
+    diagnostics: str        # the solve's notes, ending in what it proved; "" at init
     schedule: Schedule
 
     def to_document(self) -> dict:
@@ -70,6 +70,7 @@ class TraceStep:
             "model_objective": self.model_objective,
             "makespan": self.makespan,
             "wall_time": self.wall_time,
+            "diagnostics": self.diagnostics,
             "schedule": self.schedule.to_document(),
         }
 
@@ -96,17 +97,12 @@ class OptimizationTrace:
 
 
 def step(env: GridEnvironment, stage: str, schedule: Schedule, makespan: float,
-         budget: float, backend=None, proven: dict | None = None
-         ) -> tuple[Schedule, float, SolveResult]:
+         budget: float, backend=None) -> tuple[Schedule, float, SolveResult]:
     """Pin ``PINNED[stage]`` of ``schedule`` (replayed makespan ``makespan``)
     and solve for the rest within ``budget`` seconds.
 
     Returns (schedule, makespan, solve result): the extracted answer if it
     replays no worse, else the input, which a failed solve also keeps.
-    ``proven``, when given, maps the :meth:`~gridopt.model.MilpModel.digest`
-    of each model solved to optimality to its (objective, x); a model found
-    there is not solved again, and the step returns its input with an
-    "optimal" result of zero wall time.
     """
     if stage not in PINNED:
         raise ValueError(f"stage must be one of {', '.join(PINNED)}, got {stage!r}")
@@ -116,14 +112,7 @@ def step(env: GridEnvironment, stage: str, schedule: Schedule, makespan: float,
         mdl = build_fixed_yz(env, schedule)
     else:
         mdl = build_fixed_x(env, schedule, pin_order=True)
-    if proven is not None:
-        key = mdl.digest()
-        if key in proven:
-            objective, x = proven[key]
-            return schedule, makespan, SolveResult("optimal", objective, x, 0.0, model=mdl)
     res = solve(mdl, budget, backend=backend)
-    if proven is not None and res.status == "optimal":
-        proven[key] = res.objective, res.x
     if res.ok:
         candidate = extract_schedule(mdl, res.x)
         candidate_mk = makespan_of(env, candidate)
@@ -154,28 +143,27 @@ def run(env: GridEnvironment, config: AlterMilpConfig) -> tuple[Schedule, Optimi
     on the placement with the order pinned to the ERD order the first step
     extracted: given the assignment and placement, ERD is the best order, so
     the placement step needs no order variables, and the next assignment
-    step re-sorts by ERD under the new placement.  The trace records failed
-    solves; a skipped repeat of an optimal sub-solve is recorded as
-    "optimal" with zero wall time.  The returned schedule is the last
-    iterate, which is also the best.
+    step re-sorts by ERD under the new placement.  Every step is a backend
+    solve, and the trace records its status, wall time and diagnostics,
+    failed solves included.  The returned schedule is the last iterate,
+    which is also the best.
     """
     order = np.random.default_rng(config.seed).permutation(env.num_jobs)
     current = greedy(env, order=order).schedule
     current_mk = makespan_of(env, current)
-    steps = [TraceStep(0, "init", "init", None, current_mk, 0.0, current)]
+    steps = [TraceStep(0, "init", "init", None, current_mk, 0.0, "", current)]
     budget = config.total_budget / (2 * config.iterations)    # per solve
     any_success = False
     quiet_iterations = 0
-    proven = {}     # model digest -> (objective, x) of its optimal solve
 
     for it in range(1, config.iterations + 1):
         mk_before = current_mk
         for stage in ("erd-assignment", "placement"):
             current, current_mk, res = step(env, stage, current, current_mk, budget,
-                                            config.backend, proven)
+                                            config.backend)
             any_success |= res.ok
-            steps.append(TraceStep(it, stage, res.status, res.objective,
-                                   current_mk, res.wall_time, current))
+            steps.append(TraceStep(it, stage, res.status, res.objective, current_mk,
+                                   res.wall_time, res.diagnostics, current))
         improvement = (mk_before - current_mk) / max(1.0, mk_before)
         quiet_iterations = quiet_iterations + 1 if improvement < EARLY_STOP_REL else 0
         if config.early_stop and quiet_iterations >= 2 and it < config.iterations:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .environment import GridEnvironment, check_budget, check_seed
+from .environment import GridEnvironment, check_budget, check_seed, is_kind
 from .evaluator import makespan_of, makespans_of
 from .schedule import Schedule, random_schedule, validate_batch
 
@@ -221,8 +221,10 @@ class GaConfig:
         check_seed(self.tournament, "tournament", minimum=1)
         if self.tournament > self.population:
             raise ValueError("tournament size must be in [1, population]")
-        if self.mutation_rate is not None and not 0 <= self.mutation_rate <= 1:
-            raise ValueError("mutation_rate must be in [0, 1]")
+        if self.mutation_rate is not None and not (
+                is_kind(self.mutation_rate, float) and 0 <= self.mutation_rate <= 1):
+            raise ValueError(
+                f"mutation_rate must be a number in [0, 1], got {self.mutation_rate!r}")
         check_seed(self.elitism, "elitism")
         if self.elitism >= self.population:
             raise ValueError("elitism must be in [0, population)")

@@ -304,7 +304,7 @@ def _log(run: baselines.BaselineRun) -> str:
     if run.trace is not None:
         return "\n".join(
             f"iter {s.iteration} {s.stage}: status={s.status} "
-            f"makespan={s.makespan!r} wall={s.wall_time:.3f}s"
+            f"makespan={s.makespan!r} wall={s.wall_time:.3f}s diagnostics={s.diagnostics!r}"
             for s in run.trace.steps
         ) + f"\nstop_reason={run.trace.stop_reason}"
     log = f"statuses={run.solver_statuses} degraded={run.degraded}"

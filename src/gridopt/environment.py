@@ -381,15 +381,15 @@ class GenerationConfig:
         self._check()
 
     def _check(self):
-        for label, n in (
-            ("num_jobs", self.num_jobs),
-            ("num_objects", self.num_objects),
-            ("num_cns", self.num_cns),
-            ("num_local_sns", self.num_local_sns),
-            ("num_remote_sns", self.num_remote_sns),
-        ):
-            if n < 1:
-                raise InvalidConfigError(f"{label} must be >= 1, got {n}")
+        counts = [(label, getattr(self, label)) for label in
+                  ("num_jobs", "num_objects", "num_cns", "num_local_sns", "num_remote_sns")]
+        if self.objects_per_job is not None:
+            counts += [(f"objects_per_job[{i}]", n) for i, n in enumerate(self.objects_per_job)]
+        for label, n in counts:
+            try:
+                check_seed(n, label, minimum=1)
+            except ValueError as exc:
+                raise InvalidConfigError(str(exc)) from None
         for label, rng in (
             ("object_size_range_kb", self.object_size_range_kb),
             ("wan_bandwidth_range", self.wan_bandwidth_range),

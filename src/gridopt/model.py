@@ -34,8 +34,6 @@ its model holds just the makespan and the X block.
 from __future__ import annotations
 
 import functools
-import hashlib
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -43,9 +41,6 @@ from .environment import GridEnvironment
 from .evaluator import compute_big_a, evaluate
 from .kernels import job_pairs
 from .schedule import Schedule
-
-if TYPE_CHECKING:
-    import scipy.sparse
 
 
 # Tolerance of check_assignment: absolute for integrality, relative to the
@@ -122,34 +117,6 @@ class MilpModel:
             return None
         return dict(zip(self.names, self.warm_x.tolist()))
 
-    @functools.cached_property
-    def matrix(self) -> scipy.sparse.csr_matrix:
-        """The constraint matrix, built once for the check.
-
-        It holds copies of the model's CSR arrays, which scipy may reorder
-        in place (sorting each row's indices), so the model's own arrays
-        stay as built.  scipy.sparse is imported here, on the first matrix
-        formed, so a process that never checks a model does not load it.
-        """
-        import scipy.sparse
-
-        return scipy.sparse.csr_matrix((self.data, self.indices, self.indptr),
-                                       shape=(self.num_rows, self.num_vars), copy=True)
-
-    @functools.cached_property
-    def _abs_matrix(self) -> scipy.sparse.csr_matrix:
-        return abs(self.matrix)
-
-    def digest(self) -> str:
-        """sha256 of the arrays that pose the problem: bounds, integrality,
-        objective and rows.  Names and the warm start are left out, so two
-        models with one digest have one optimum."""
-        h = hashlib.sha256()
-        for a in (self.lower, self.upper, self.integer, self.objective, self.row_lower,
-                  self.row_upper, self.indptr, self.indices, self.data):
-            h.update(a.tobytes())
-        return h.hexdigest()
-
     def objective_value(self, x: np.ndarray) -> float:
         return float(self.objective @ x)
 
@@ -157,10 +124,11 @@ class MilpModel:
         """Constraint, bound and integrality violations of a variable vector.
 
         Returns human-readable violation strings, empty when the point is
-        feasible.  Every row is checked at once: activities are ``A @ x``
-        and each row's slack is ``CHECK_TOL * max(1, |A| @ |x|)``, so rows
-        carrying the big-A constant are not judged more harshly than their
-        arithmetic allows.  Non-finite values are violations of their own.
+        feasible.  Every row is checked at once, from the model's own CSR
+        arrays: activities are ``A @ x`` and each row's slack is
+        ``CHECK_TOL * max(1, |A| @ |x|)``, so rows carrying the big-A
+        constant are not judged more harshly than their arithmetic allows.
+        Non-finite values are violations of their own.
         """
         finite = np.isfinite(x)
         problems = [f"{self.names[i]} = {x[i]!r} is not finite"
@@ -176,13 +144,23 @@ class MilpModel:
         problems += [f"{self.names[i]} = {x[i]!r} outside bounds "
                      f"[{self.lower[i]!r}, {self.upper[i]!r}]"
                      for i in np.flatnonzero(low | high)]
-        act = self.matrix @ x
-        slack = CHECK_TOL * np.maximum(1.0, self._abs_matrix @ np.abs(x))
+        terms = self.data * x[self.indices]
+        act = _row_sums(self.indptr, terms)
+        slack = CHECK_TOL * np.maximum(1.0, _row_sums(self.indptr, np.abs(terms)))
         bad = (act < self.row_lower - slack) | (act > self.row_upper + slack)
         problems += [f"row {self.row_names[r]}: activity {act[r]!r} outside "
                      f"[{self.row_lower[r]!r}, {self.row_upper[r]!r}]"
                      for r in np.flatnonzero(bad)]
         return problems
+
+
+def _row_sums(indptr, terms) -> np.ndarray:
+    """Per-row sums of ``terms``, one value per stored entry in CSR order.
+
+    ``np.add.reduceat`` would misread a row with no entries; every row a
+    builder emits has at least two.
+    """
+    return np.add.reduceat(terms, indptr[:-1])
 
 
 def _labels(fmt, keys) -> list[str]:
@@ -539,7 +517,7 @@ def build_erd_assignment(env: GridEnvironment, schedule: Schedule) -> MilpModel:
     warm_x = np.zeros(var.count)
     warm_x[x] = _one_hot(schedule.job_cn, nc)
     # with m at 0, a tail row's activity is minus its right-hand side
-    activity = np.add.reduceat(data * warm_x[indices], indptr[:-1])
+    activity = _row_sums(indptr, data * warm_x[indices])
     warm_x[m] = -activity[nj:].min()
     warm_x.setflags(write=False)
 

@@ -348,6 +348,9 @@ def test_ga_config_validation():
         GaConfig(population=5, tournament=6)
     with pytest.raises(ValueError):
         GaConfig(mutation_rate=1.5)
+    for bad in (True, "0.1"):
+        with pytest.raises(ValueError, match=f"^mutation_rate must be a number .*, got {bad!r}$"):
+            GaConfig(mutation_rate=bad)
     for budget in (float("nan"), float("inf"), -1.0, True, "3"):
         with pytest.raises(ValueError, match="budget"):
             GaConfig(budget=budget)

@@ -219,6 +219,7 @@ def test_row_logs_hold_the_trace_or_the_statuses_and_extras(tmp_path):
         "iter 2 erd-assignment", "iter 2 placement"]
     statuses = [line.split(": status=")[1].split()[0] for line in steps]
     assert statuses == ["init", *alter.solver_statuses]
+    assert all("diagnostics='" in line and "dual_bound=" in line for line in steps[1:])
     assert trace[-1] == "stop_reason=completed"
     log = (out / "logs" / "ga_seed0_B2.log").read_text()
     assert f"statuses={ga.solver_statuses} degraded=False extra=" in log

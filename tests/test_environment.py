@@ -118,6 +118,9 @@ def test_zipf_skew_prefers_low_object_ids():
     dict(wan_bandwidth_range=(0.0, 10.0)),
     dict(objects_per_job=(0, 2)),
     dict(objects_per_job=(2, 100)),
+    dict(num_jobs=2.5),
+    dict(num_jobs=True),
+    dict(objects_per_job=(1.5, 2)),
 ])
 def test_invalid_configs_rejected(overrides):
     with pytest.raises(InvalidConfigError):

@@ -1,4 +1,4 @@
-"""What each entry point loads: scipy only once a MILP is built or solved.
+"""What each entry point loads: scipy only once a MILP is solved or a result ranked.
 
 Searching and replaying need numpy alone; scipy.sparse, scipy.optimize and
 scipy.stats roughly triple a process's resident memory and import time.
@@ -43,8 +43,8 @@ loaded("search")
 from gridopt.model import build_fixed_x
 model = build_fixed_x(env, run.schedule)
 loaded("build")
-model.matrix
-loaded("matrix")
+assert model.check_assignment(model.warm_x) == []
+loaded("check")
 
 from gridopt.solver import HighsBackend
 HighsBackend()
@@ -68,7 +68,7 @@ def test_scipy_loads_only_where_a_milp_or_a_rank_needs_it():
         "import": [],
         "search": [],
         "build": [],
-        "matrix": ["scipy.sparse"],
+        "check": [],
         "backend": ["scipy.sparse", "scipy.optimize"],
         "aggregate": ["scipy.sparse", "scipy.optimize", "scipy.stats"],
     }

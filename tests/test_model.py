@@ -447,14 +447,14 @@ def test_block_emitted_models_match_recorded_fingerprints():
 
 
 def test_checking_a_point_leaves_the_model_as_built():
-    # scipy sorts a CSR matrix's indices in place; the check's matrix must
-    # not share the arrays a backend reads
+    # the check reads the arrays a backend reads; it must not reorder them
     env = generate(preset_config("small"), seed=0)
     for kind, mdl in _every_builder(env, random_schedule(env, 0)).items():
-        digest, indices, data = mdl.digest(), mdl.indices.copy(), mdl.data.copy()
+        indices, data = mdl.indices.copy(), mdl.data.copy()
         point = mdl.warm_x if mdl.warm_x is not None else np.zeros(mdl.num_vars)
         mdl.check_assignment(point)
-        assert mdl.digest() == digest, kind
+        # the check sums each row by np.add.reduceat, which needs every row non-empty
+        assert np.diff(mdl.indptr).min() >= 1, kind
         assert np.array_equal(mdl.indices, indices) and np.array_equal(mdl.data, data), kind
         for field, _ in _MODEL_FIELDS:
             with pytest.raises(ValueError, match="read-only"):
