@@ -126,14 +126,16 @@ def min_trans(env: GridEnvironment, budget: float, seed, backend=None) -> Baseli
     """Keep a random assignment and order; optimize only the data placement."""
     init = random_schedule(env, seed)
     schedule, _, res = step(env, "placement", init, makespan_of(env, init), budget, backend)
-    return _finish(env, schedule, statuses=(res.status,), degraded=not res.ok)
+    return _finish(env, schedule, statuses=(res.status,), degraded=not res.ok,
+                   diagnostics=res.diagnostics)
 
 
 def min_exe(env: GridEnvironment, budget: float, seed, backend=None) -> BaselineRun:
     """Keep a random order and placement; optimize only the job assignment."""
     init = random_schedule(env, seed)
     schedule, _, res = step(env, "assignment", init, makespan_of(env, init), budget, backend)
-    return _finish(env, schedule, statuses=(res.status,), degraded=not res.ok)
+    return _finish(env, schedule, statuses=(res.status,), degraded=not res.ok,
+                   diagnostics=res.diagnostics)
 
 
 def run(env: GridEnvironment, config: AlterMilpConfig) -> tuple[Schedule, OptimizationTrace]:

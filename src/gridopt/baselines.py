@@ -13,14 +13,13 @@ benchmark sweep never dies halfway through.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kernels
-from .environment import GridEnvironment, check_budget, check_seed, is_kind
+from .environment import GridEnvironment, check_budget, check_positive, check_seed, is_kind
 from .evaluator import makespan_of, makespans_of
 from .schedule import Schedule, random_schedule, validate_batch
 
@@ -185,8 +184,7 @@ def diana(env: GridEnvironment, threshold: float = 1.0) -> BaselineRun:
     CN that downloads their inputs fastest from the chosen placement.
     Placement is the greedy per-object rule, order is submission order.
     """
-    if not (math.isfinite(threshold) and threshold > 0):
-        raise ValueError(f"threshold must be positive, got {threshold}")
+    check_positive(threshold, "threshold")
     object_sn = greedy_data_assignment(env)
     ratios, compute_heavy = classify_jobs(env, object_sn, threshold)
     exec_time = env.exec_time()

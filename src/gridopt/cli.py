@@ -3,17 +3,21 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import time
 
 from .bench import (METHODS, MethodSpec, load_experiment, run_experiment,
                     run_method, sweep_budget, sweep_iterations)
-from .environment import (GRID_PRESETS, GenerationConfig, generate,
-                          load_environment, preset_config)
+from .environment import (_GENERATION_DIMENSIONS, _GENERATION_FIELDS, GRID_PRESETS,
+                          GenerationConfig, generate, load_environment, preset_config)
 from .evaluator import evaluate
 from .schedule import load_schedule
+
+
+def _flag(name: str) -> str:
+    """The `gen` flag that sets GenerationConfig field ``name``."""
+    return "--" + name.removesuffix("_kb").replace("_", "-")
 
 
 def _add_gen(sub):
@@ -22,38 +26,25 @@ def _add_gen(sub):
                    help="named grid size supplying default dimensions")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output environment JSON path")
-    # the flags below store under the name of the GenerationConfig field they set
-    p.add_argument("--num-jobs", type=int)
-    p.add_argument("--num-objects", type=int)
-    p.add_argument("--num-cns", type=int)
-    p.add_argument("--num-local-sns", type=int)
-    p.add_argument("--num-remote-sns", type=int)
-    p.add_argument("--object-size-range", type=float, nargs=2, dest="object_size_range_kb",
-                   metavar=("LO", "HI"), help="object size range in KB")
-    p.add_argument("--wan-bandwidth-range", type=float, nargs=2, metavar=("LO", "HI"))
-    p.add_argument("--lan-bandwidth-range", type=float, nargs=2, metavar=("LO", "HI"))
-    p.add_argument("--cn-speed-range", type=float, nargs=2, metavar=("LO", "HI"))
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--zipf-exponent", type=float)
-    p.add_argument("--objects-per-job", type=int, nargs=2, metavar=("LO", "HI"))
+    # one flag per GenerationConfig field but rng_seed (--seed), stored
+    # under the field's name; its value is checked by the config
+    for name, (kind, pair) in _GENERATION_FIELDS.items():
+        if name != "rng_seed":
+            p.add_argument(_flag(name), dest=name, type=kind, help=f"GenerationConfig.{name}",
+                           **(dict(nargs=2, metavar=("LO", "HI")) if pair else {}))
 
 
 def _cmd_gen(args) -> int:
-    fields = dataclasses.fields(GenerationConfig)
-    overrides = {}
-    for f in fields:
-        value = getattr(args, f.name, None)
-        if value is not None:
-            overrides[f.name] = tuple(value) if isinstance(value, list) else value
+    overrides = {name: getattr(args, name) for name in _GENERATION_FIELDS
+                 if getattr(args, name, None) is not None}
     if args.preset is not None:
         config = preset_config(args.preset, seed=args.seed, **overrides)
     else:
-        missing = [f.name for f in fields
-                   if f.default is dataclasses.MISSING and f.name not in overrides]
+        missing = [name for name in _GENERATION_DIMENSIONS if name not in overrides]
         if missing:
             raise SystemExit(
                 "without --preset, the dimensions must be given explicitly; "
-                "missing: " + ", ".join("--" + n.replace("_", "-") for n in missing)
+                "missing: " + ", ".join(map(_flag, missing))
             )
         config = GenerationConfig(rng_seed=args.seed, **overrides)
     env = generate(config)

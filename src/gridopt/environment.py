@@ -37,10 +37,17 @@ class DocumentError(ValueError):
     """A serialized document is malformed or has the wrong schema tag."""
 
 
+def check_positive(value: float, name: str, noun: str = "number") -> None:
+    """Reject a value that is a bool, not a real number, not finite or not
+    > 0, naming it.  Finiteness is tested without a float conversion, so a
+    huge integer fails by name instead of overflowing."""
+    if not (is_kind(value, numbers.Real) and abs(value) <= sys.float_info.max and value > 0):
+        raise ValueError(f"{name} must be a finite {noun} > 0, got {value!r}")
+
+
 def check_budget(budget: float, name: str = "budget") -> None:
     """Reject a budget that could never stop a run: only finite seconds > 0 pass."""
-    if not (is_kind(budget, numbers.Real) and math.isfinite(budget) and budget > 0):
-        raise ValueError(f"{name} must be a finite number of seconds > 0, got {budget!r}")
+    check_positive(budget, name, "number of seconds")
 
 
 def check_seed(value: int, name: str = "seed", minimum: int = 0) -> None:
@@ -204,8 +211,10 @@ class GridEnvironment:
         ):
             if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
                 raise InvalidEnvironmentError(label + " must be finite and strictly positive")
-        if not (math.isfinite(self.gamma) and self.gamma > 0):
-            raise InvalidEnvironmentError("gamma must be finite and strictly positive")
+        try:
+            check_positive(self.gamma, "gamma")
+        except ValueError as exc:
+            raise InvalidEnvironmentError(str(exc)) from None
         if np.any(self.hosting < 0) or np.any(self.hosting >= self.num_remote_sns):
             raise InvalidEnvironmentError("hosting contains an out-of-range remote SN id")
         if len(self.job_inputs) == 0:
@@ -351,6 +360,41 @@ def load_environment(path) -> GridEnvironment:
 # -- generation --------------------------------------------------------------
 
 
+# field -> (kind, pair) of a GenerationConfig, read by its check, by
+# config_from_document and by `gridopt gen`.  An int is a count >= 1
+# (rng_seed >= 0) within int64, a float finite and > 0, a pair [lo, hi] has
+# lo <= hi (objects_per_job may be None); the first five have no default.
+_GENERATION_FIELDS = {
+    "num_jobs": (int, False), "num_objects": (int, False), "num_cns": (int, False),
+    "num_local_sns": (int, False), "num_remote_sns": (int, False),
+    "object_size_range_kb": (float, True), "wan_bandwidth_range": (float, True),
+    "lan_bandwidth_range": (float, True), "cn_speed_range": (float, True),
+    "gamma": (float, False), "zipf_exponent": (float, False),
+    "objects_per_job": (int, True), "rng_seed": (int, False),
+}
+_GENERATION_DIMENSIONS = tuple(_GENERATION_FIELDS)[:5]
+
+
+def _check_field(name, value, kind, pair):
+    """``value`` as field ``name`` holds it: a pair as a tuple, an integer
+    as a Python int; else ValueError naming the field, or a pair's entry as
+    ``name[i]``."""
+    if pair:
+        if not (isinstance(value, (list, tuple)) and len(value) == 2):
+            raise ValueError(f"{name} must be a pair [lo, hi], got {value!r}")
+        lo, hi = (_check_field(f"{name}[{i}]", v, kind, False) for i, v in enumerate(value))
+        if lo > hi:
+            raise ValueError(f"{name} must satisfy lo <= hi, got {value!r}")
+        return lo, hi
+    if kind is float:
+        check_positive(value, name)
+        return value
+    check_seed(value, name, minimum=0 if name == "rng_seed" else 1)
+    if value >= 2**63:
+        raise ValueError(f"{name} must fit in int64, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class GenerationConfig:
     """Knobs for random environment generation.
@@ -378,37 +422,17 @@ class GenerationConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        self._check()
-
-    def _check(self):
-        counts = [(label, getattr(self, label)) for label in
-                  ("num_jobs", "num_objects", "num_cns", "num_local_sns", "num_remote_sns")]
-        if self.objects_per_job is not None:
-            counts += [(f"objects_per_job[{i}]", n) for i, n in enumerate(self.objects_per_job)]
-        for label, n in counts:
-            try:
-                check_seed(n, label, minimum=1)
-            except ValueError as exc:
-                raise InvalidConfigError(str(exc)) from None
-        for label, rng in (
-            ("object_size_range_kb", self.object_size_range_kb),
-            ("wan_bandwidth_range", self.wan_bandwidth_range),
-            ("lan_bandwidth_range", self.lan_bandwidth_range),
-            ("cn_speed_range", self.cn_speed_range),
-        ):
-            lo, hi = rng
-            if not (math.isfinite(lo) and math.isfinite(hi) and 0 < lo <= hi):
-                raise InvalidConfigError(f"{label} must satisfy 0 < lo <= hi, got {rng}")
-        if not (math.isfinite(self.gamma) and self.gamma > 0):
-            raise InvalidConfigError("gamma must be positive")
-        if not (math.isfinite(self.zipf_exponent) and self.zipf_exponent > 0):
-            raise InvalidConfigError("zipf_exponent must be positive")
-        check_seed(self.rng_seed, "rng_seed")
+        try:
+            for name, (kind, pair) in _GENERATION_FIELDS.items():
+                value = getattr(self, name)
+                if not (value is None and name == "objects_per_job"):
+                    object.__setattr__(self, name, _check_field(name, value, kind, pair))
+        except ValueError as exc:
+            raise InvalidConfigError(str(exc)) from None
         lo, hi = self.resolved_objects_per_job()
-        if not 1 <= lo <= hi <= self.num_objects:
-            raise InvalidConfigError(
-                f"objects_per_job must satisfy 1 <= lo <= hi <= D, got ({lo}, {hi})"
-            )
+        if hi > self.num_objects:
+            raise InvalidConfigError(f"objects_per_job must satisfy hi <= num_objects = "
+                                     f"{self.num_objects}, got ({lo}, {hi})")
 
     def resolved_objects_per_job(self) -> tuple[int, int]:
         if self.objects_per_job is not None:
@@ -422,28 +446,12 @@ class GenerationConfig:
         return doc
 
 
-# field -> (JSON kind, list depth) of a generation-config document; the
-# first five, the dimensions, are required
-_GENERATION_FIELDS = {
-    "num_jobs": (int, 0), "num_objects": (int, 0), "num_cns": (int, 0),
-    "num_local_sns": (int, 0), "num_remote_sns": (int, 0),
-    "object_size_range_kb": (float, 1), "wan_bandwidth_range": (float, 1),
-    "lan_bandwidth_range": (float, 1), "cn_speed_range": (float, 1),
-    "gamma": (float, 0), "zipf_exponent": (float, 0),
-    "objects_per_job": (int, 1), "rng_seed": (int, 0),
-}
-
-
 def config_from_document(doc: dict) -> GenerationConfig:
-    names = list(_GENERATION_FIELDS)
-    check_document(doc, GENERATION_SCHEMA, names[:5], names[5:])
-    kwargs = {}
-    for name in names:
-        if name in doc:
-            kind, depth = _GENERATION_FIELDS[name]
-            value = read_field(doc, name, kind, depth, nullable=name == "objects_per_job")
-            kwargs[name] = tuple(value) if depth and value is not None else value
-    return build_from_document(GenerationConfig, **kwargs)
+    """Rebuild a config from :meth:`GenerationConfig.to_document` output;
+    :class:`DocumentError` names the field that the schema or the config rejects."""
+    check_document(doc, GENERATION_SCHEMA, _GENERATION_DIMENSIONS, _GENERATION_FIELDS)
+    return build_from_document(GenerationConfig, **{name: doc[name] for name in
+                                                    _GENERATION_FIELDS if name in doc})
 
 
 def _zipf_weights(n: int, exponent: float) -> np.ndarray:

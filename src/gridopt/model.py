@@ -69,14 +69,14 @@ class MilpModel:
     variable index of each ``X[j,c]``, ``Y[i,j]`` and ``Z[d,l]``; the
     diagonal of ``y_vars``, which has no variable, is -1.  ``warm_x`` is the
     read-only warm-start vector, or None.  An ``erd-assignment`` model has
-    no Y or Z block and no big-A (all three None); it keeps its pinned
-    placement ``object_sn`` and the (J, C) ``release`` table that orders
-    its extracted schedule.
+    no Y or Z block (both None); it keeps its pinned placement
+    ``object_sn`` and the (J, C) ``release`` table that orders its
+    extracted schedule.
     """
 
     def __init__(self, kind, var_namer, lower, upper, integer, objective,
                  row_namer, row_lower, row_upper, indptr, indices, data,
-                 big_a, x_vars, y_vars, z_vars, warm_x, object_sn=None, release=None):
+                 x_vars, y_vars, z_vars, warm_x, object_sn=None, release=None):
         self.kind = kind
         self._var_namer = var_namer
         self.lower = _frozen(lower, np.float64)
@@ -89,7 +89,6 @@ class MilpModel:
         self.indptr = _frozen(indptr, np.int64)
         self.indices = _frozen(indices, np.int64)
         self.data = _frozen(data, np.float64)
-        self.big_a = big_a
         self.x_vars, self.y_vars, self.z_vars = x_vars, y_vars, z_vars
         self.warm_x = warm_x
         self.object_sn, self.release = object_sn, release
@@ -430,7 +429,7 @@ def _build(env: GridEnvironment, schedule: Schedule | None = None, pinned: str =
     objective[m] = 1.0
     return MilpModel(kind, var.namer(), np.concatenate(var.lower), np.concatenate(var.upper),
                      np.concatenate(var.integer), objective, rows.namer(), *rows.csr(),
-                     big_a, x, y, z, warm_x)
+                     x, y, z, warm_x)
 
 
 # -- public builders ----------------------------------------------------------
@@ -526,7 +525,7 @@ def build_erd_assignment(env: GridEnvironment, schedule: Schedule) -> MilpModel:
     return MilpModel("erd-assignment", var.namer(), np.concatenate(var.lower),
                      np.concatenate(var.upper), np.concatenate(var.integer), objective,
                      rows.namer(), row_lower, row_upper, indptr, indices, data,
-                     None, x, None, None, warm_x, schedule.object_sn, release)
+                     x, None, None, warm_x, schedule.object_sn, release)
 
 
 def extract_schedule(model: MilpModel, x: np.ndarray) -> Schedule:

@@ -293,8 +293,8 @@ def test_ensemble_orders_are_the_stream_of_one_permutation_per_row():
 
 def test_diana_threshold_validation(tiny_oracle):
     env, _ = tiny_oracle
-    for bad in (0.0, -1.0, float("inf"), float("nan")):
-        with pytest.raises(ValueError):
+    for bad in (0.0, -1.0, float("inf"), float("nan"), True, "1"):
+        with pytest.raises(ValueError, match="threshold"):
             diana(env, threshold=bad)
 
 

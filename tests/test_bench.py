@@ -208,10 +208,11 @@ def test_persisted_files_round_trip(tmp_path):
 def test_row_logs_hold_the_trace_or_the_statuses_and_extras(tmp_path):
     out = tmp_path / "exp"
     cfg = _config(methods=(MethodSpec("altermilp", params={"iterations": 2}),
-                           MethodSpec("ga", params={"population": 4, "generations": 3})),
+                           MethodSpec("ga", params={"population": 4, "generations": 3}),
+                           MethodSpec("minexe")),
                   seeds=(0,), budget=2.0)
     result = run_experiment(cfg, out_dir=out)
-    alter, ga = sorted(result.rows, key=lambda r: r.method)
+    alter, ga, minexe = sorted(result.rows, key=lambda r: r.method)
     trace = (out / "logs" / "altermilp_seed0_T2_B2.log").read_text().splitlines()
     steps = [line for line in trace if line.startswith("iter ")]
     assert [line.split(":")[0] for line in steps] == [
@@ -224,6 +225,9 @@ def test_row_logs_hold_the_trace_or_the_statuses_and_extras(tmp_path):
     log = (out / "logs" / "ga_seed0_B2.log").read_text()
     assert f"statuses={ga.solver_statuses} degraded=False extra=" in log
     assert '"generations": 3' in log and "history" not in log
+    # a one-solve method's extras say what its solve proved
+    log = (out / "logs" / "minexe_seed0_B2.log").read_text()
+    assert f"statuses={minexe.solver_statuses}" in log and "dual_bound=" in log
 
 
 def test_failed_method_is_recorded_not_raised():

@@ -1,11 +1,12 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from gridopt.bench import ExperimentConfig, MethodSpec, run_experiment
-from gridopt.cli import main
-from gridopt.environment import load_environment
+from gridopt.cli import build_parser, main
+from gridopt.environment import _GENERATION_FIELDS, load_environment
 from gridopt.evaluator import makespan_of
 from gridopt.schedule import Schedule, load_schedule, random_schedule
 
@@ -52,6 +53,21 @@ def test_gen_custom_dimensions(tmp_path, capsys):
     env = load_environment(out)
     assert env.num_jobs == 3 and env.num_objects == 4
     assert env.object_sizes.min() >= 100 and env.object_sizes.max() <= 200
+
+
+def test_gen_has_a_flag_for_every_generation_field(capsys):
+    args = build_parser().parse_args(["gen", "--out", "x.json",
+                                      "--object-size-range", "100", "200"])
+    assert set(vars(args)) - {"command", "preset", "seed", "out"} == (
+        set(_GENERATION_FIELDS) - {"rng_seed"})
+    assert args.object_size_range_kb == [100.0, 200.0]
+    with pytest.raises(SystemExit):
+        main(["gen", "--help"])
+    flags = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+    assert flags - {"--help", "--preset", "--seed", "--out"} == {
+        "--num-jobs", "--num-objects", "--num-cns", "--num-local-sns", "--num-remote-sns",
+        "--object-size-range", "--wan-bandwidth-range", "--lan-bandwidth-range",
+        "--cn-speed-range", "--gamma", "--zipf-exponent", "--objects-per-job"}
 
 
 def test_gen_without_preset_requires_all_dimensions(tmp_path, capsys):

@@ -63,6 +63,9 @@ def _probe(kind, path, value):
     ("experiment", ("reproduction_mode",), "false", "reproduction_mode"),
     ("experiment", ("seeds", 0), True, "seeds"),
     ("experiment", ("budget",), "1.0", "budget"),
+    ("generation", ("gamma",), True, "gamma"),
+    ("generation", ("wan_bandwidth_range", 0), True, "wan_bandwidth_range"),
+    ("generation", ("objects_per_job",), [1, 2, 3], "objects_per_job"),
 ])
 def test_a_bad_field_is_rejected_by_name(kind, path, value, field):
     load, doc = _probe(kind, path, value)

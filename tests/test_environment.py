@@ -121,9 +121,18 @@ def test_zipf_skew_prefers_low_object_ids():
     dict(num_jobs=2.5),
     dict(num_jobs=True),
     dict(objects_per_job=(1.5, 2)),
+    dict(gamma=True),
+    dict(wan_bandwidth_range=(True, 5)),
+    dict(objects_per_job=(1, 2, 3)),
+    dict(objects_per_job=3),
+    dict(cn_speed_range=(1,)),
+    dict(zipf_exponent="1"),
+    dict(gamma=10**400),
+    dict(rng_seed=2**63),
 ])
 def test_invalid_configs_rejected(overrides):
-    with pytest.raises(InvalidConfigError):
+    (field,) = overrides
+    with pytest.raises(InvalidConfigError, match=field):
         _config(**overrides)
 
 
@@ -147,6 +156,8 @@ def test_a_negative_seed_is_rejected_naming_it():
     # a numpy integer is an integer
     seed = np.int64(3)
     assert generate(_config(), seed=seed).to_document() == generate(_config(rng_seed=3)).to_document()
+    assert json.dumps(_config(rng_seed=seed).to_document()) == json.dumps(
+        _config(rng_seed=3).to_document())
     assert ExperimentConfig(methods=(MethodSpec("random"),), seeds=(seed,), budget=1.0,
                             preset="small").seeds == (3,)
     run_method(env, MethodSpec("random"), seed, 1.0).schedule.validate(env)
@@ -250,6 +261,8 @@ def _valid_env_kwargs():
     dict(hosting=[0]),                        # hosting shorter than objects
     dict(job_inputs=()),                      # no jobs
     dict(job_inputs=((1, 0), (1,))),          # inputs not sorted ascending
+    dict(gamma=True),
+    dict(gamma="1"),
 ])
 def test_environment_invariants_rejected(mutation):
     kwargs = _valid_env_kwargs()

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from gridopt import model
 from gridopt.environment import GenerationConfig, GridEnvironment, generate, preset_config
-from gridopt.evaluator import evaluate, makespan_of, makespans_of
+from gridopt.evaluator import compute_big_a, evaluate, makespan_of, makespans_of
 from gridopt.kernels import erd_orders
 from gridopt.model import (build_erd_assignment, build_fixed_all, build_fixed_x,
                            build_fixed_yz, build_monolithic, extract_schedule)
@@ -148,7 +148,7 @@ def test_precedence_rows_are_emitted_sparsely():
 def test_fixed_all_carries_no_big_a_coefficients():
     env, s = _env_and_schedule(7)
     mdl = build_fixed_all(env, s)
-    assert np.abs(mdl.data).max() < mdl.big_a
+    assert np.abs(mdl.data).max() < compute_big_a(env)
     assert np.all(np.isfinite(mdl.row_lower) | np.isfinite(mdl.row_upper))
 
 

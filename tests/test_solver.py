@@ -22,7 +22,7 @@ from conftest import tiny_config, tiny_env
 
 def test_solve_rejects_bad_budgets(env_tiny):
     mdl = build_fixed_all(env_tiny, random_schedule(env_tiny, 0))
-    for budget in (0.0, -1.0, math.inf, math.nan, True, "3"):
+    for budget in (0.0, -1.0, math.inf, math.nan, True, "3", 10**400):
         with pytest.raises(ValueError, match="budget"):
             solve(mdl, budget)
 
