@@ -12,7 +12,7 @@ start.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -63,16 +63,8 @@ class TraceStep:
     schedule: Schedule
 
     def to_document(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "stage": self.stage,
-            "status": self.status,
-            "model_objective": self.model_objective,
-            "makespan": self.makespan,
-            "wall_time": self.wall_time,
-            "diagnostics": self.diagnostics,
-            "schedule": self.schedule.to_document(),
-        }
+        return {**{f.name: getattr(self, f.name) for f in fields(self)},
+                "schedule": self.schedule.to_document()}
 
 
 @dataclass(frozen=True)
@@ -111,7 +103,7 @@ def step(env: GridEnvironment, stage: str, schedule: Schedule, makespan: float,
     elif stage == "assignment":
         mdl = build_fixed_yz(env, schedule)
     else:
-        mdl = build_fixed_x(env, schedule, pin_order=True)
+        mdl = build_fixed_x(env, schedule)
     res = solve(mdl, budget, backend=backend)
     if res.ok:
         candidate = extract_schedule(mdl, res.x)
@@ -122,20 +114,22 @@ def step(env: GridEnvironment, stage: str, schedule: Schedule, makespan: float,
     return schedule, makespan, res
 
 
-def min_trans(env: GridEnvironment, budget: float, seed, backend=None) -> BaselineRun:
-    """Keep a random assignment and order; optimize only the data placement."""
+def _one_step(env: GridEnvironment, stage: str, budget: float, seed, backend) -> BaselineRun:
+    """One ``stage`` step from ``random_schedule(env, seed)``."""
     init = random_schedule(env, seed)
-    schedule, _, res = step(env, "placement", init, makespan_of(env, init), budget, backend)
+    schedule, _, res = step(env, stage, init, makespan_of(env, init), budget, backend)
     return _finish(env, schedule, statuses=(res.status,), degraded=not res.ok,
                    diagnostics=res.diagnostics)
+
+
+def min_trans(env: GridEnvironment, budget: float, seed, backend=None) -> BaselineRun:
+    """Keep a random assignment and order; optimize only the data placement."""
+    return _one_step(env, "placement", budget, seed, backend)
 
 
 def min_exe(env: GridEnvironment, budget: float, seed, backend=None) -> BaselineRun:
     """Keep a random order and placement; optimize only the job assignment."""
-    init = random_schedule(env, seed)
-    schedule, _, res = step(env, "assignment", init, makespan_of(env, init), budget, backend)
-    return _finish(env, schedule, statuses=(res.status,), degraded=not res.ok,
-                   diagnostics=res.diagnostics)
+    return _one_step(env, "assignment", budget, seed, backend)
 
 
 def run(env: GridEnvironment, config: AlterMilpConfig) -> tuple[Schedule, OptimizationTrace]:
@@ -169,8 +163,5 @@ def run(env: GridEnvironment, config: AlterMilpConfig) -> tuple[Schedule, Optimi
         improvement = (mk_before - current_mk) / max(1.0, mk_before)
         quiet_iterations = quiet_iterations + 1 if improvement < EARLY_STOP_REL else 0
         if config.early_stop and quiet_iterations >= 2 and it < config.iterations:
-            trace = OptimizationTrace(tuple(steps), "converged", not any_success)
-            return current, trace
-
-    trace = OptimizationTrace(tuple(steps), "completed", not any_success)
-    return current, trace
+            return current, OptimizationTrace(tuple(steps), "converged", not any_success)
+    return current, OptimizationTrace(tuple(steps), "completed", not any_success)

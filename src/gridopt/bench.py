@@ -109,7 +109,7 @@ class MethodSpec:
             kind = NONE_DEFAULT_KINDS[name] if default is None else type(default)
             if not (value is None and default is None or is_kind(value, kind)):
                 raise ValueError(f"method {self.method!r} param {name!r} must be "
-                                 f"{kind.__name__}, got {value!r}")
+                                 f"{kind.__name__}, got {value!r:.60}")
 
     @property
     def name(self) -> str:

@@ -40,9 +40,10 @@ class DocumentError(ValueError):
 def check_positive(value: float, name: str, noun: str = "number") -> None:
     """Reject a value that is a bool, not a real number, not finite or not
     > 0, naming it.  Finiteness is tested without a float conversion, so a
-    huge integer fails by name instead of overflowing."""
+    huge integer fails by name instead of overflowing; at most 60 characters
+    of the value are echoed, as in every rejection here."""
     if not (is_kind(value, numbers.Real) and abs(value) <= sys.float_info.max and value > 0):
-        raise ValueError(f"{name} must be a finite {noun} > 0, got {value!r}")
+        raise ValueError(f"{name} must be a finite {noun} > 0, got {value!r:.60}")
 
 
 def check_budget(budget: float, name: str = "budget") -> None:
@@ -55,7 +56,7 @@ def check_seed(value: int, name: str = "seed", minimum: int = 0) -> None:
     ``minimum``, naming it."""
     if not (is_kind(value, numbers.Integral) and value >= minimum):
         least = "a non-negative integer" if minimum == 0 else f"an integer >= {minimum}"
-        raise ValueError(f"{name} must be {least}, got {value!r}")
+        raise ValueError(f"{name} must be {least}, got {value!r:.60}")
 
 
 def is_kind(value, kind) -> bool:
@@ -381,17 +382,17 @@ def _check_field(name, value, kind, pair):
     ``name[i]``."""
     if pair:
         if not (isinstance(value, (list, tuple)) and len(value) == 2):
-            raise ValueError(f"{name} must be a pair [lo, hi], got {value!r}")
+            raise ValueError(f"{name} must be a pair [lo, hi], got {value!r:.60}")
         lo, hi = (_check_field(f"{name}[{i}]", v, kind, False) for i, v in enumerate(value))
         if lo > hi:
-            raise ValueError(f"{name} must satisfy lo <= hi, got {value!r}")
+            raise ValueError(f"{name} must satisfy lo <= hi, got {value!r:.60}")
         return lo, hi
     if kind is float:
         check_positive(value, name)
         return value
     check_seed(value, name, minimum=0 if name == "rng_seed" else 1)
     if value >= 2**63:
-        raise ValueError(f"{name} must fit in int64, got {value!r}")
+        raise ValueError(f"{name} must fit in int64, got {value!r:.60}")
     return int(value)
 
 

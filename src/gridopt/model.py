@@ -1,22 +1,20 @@
 """MILP formulations of the joint scheduling and data-allocation problem.
 
-One emitter covers the whole family.  Decision groups can independently be
-left free or pinned to constants, and the emitter picks, per constraint
-family, the tightest linear form the pins allow:
+One emitter covers the family of models over the assignment X, the order
+Y and the placement Z: the monolithic reference, with all three free; the
+placement model, with X and Y pinned together; and the fully pinned LP
+that reproduces the replay.  Per constraint family it picks the tightest
+linear form the pins allow:
 
-* precedence coupling uses exact binary-product linearization when both the
-  assignment X and the order Y are free, and collapses to plain big-A rows
-  or pure timing rows as one or both get pinned;
+* precedence coupling is exact binary-product linearization with big-A rows
+  when everything is free, and pure timing rows between realized same-CN
+  predecessors once X and Y are pinned; no big-A row appears outside the
+  monolithic model;
 * the transfer-stage rows use X*Z product variables only when both sides
   are free.
 
-Pinned binaries stay in the model as fixed-bound variables, so every family
-member exposes the same variable set.  That keeps warm starts and
-extraction uniform, and lets a solution of one model seed any other.
-
-Big-A rows never appear with a pinned activation: a deactivated row is
-simply not emitted, which keeps the relaxations tight and the row count
-proportional to what is actually undecided.
+Pinned binaries stay in the model as fixed-bound variables, so every member
+exposes the same variable set, and a solution of one seeds any other.
 
 The emitter works on index arrays: each variable group is a block of
 indices and each row family one COO block written at precomputed row
@@ -26,9 +24,10 @@ variable order, and a schedule is read back through the X, Y and Z index
 blocks the model keeps.  Variable and row names are formatted on demand,
 for messages and inspection only.
 
-:func:`build_erd_assignment` stands outside the family: with the placement
-pinned and every CN in ERD order, the assignment is the only decision, and
-its model holds just the makespan and the X block.
+:func:`build_erd_assignment` and :func:`build_fixed_yz` stand outside the
+family: with the placement pinned and each CN's jobs in a fixed sequence,
+the assignment is the only decision, and their one "tail" model holds just
+the makespan and the X block.
 """
 
 from __future__ import annotations
@@ -68,15 +67,15 @@ class MilpModel:
     ``x_vars`` (J, C), ``y_vars`` (J, J) and ``z_vars`` (D, L) hold the
     variable index of each ``X[j,c]``, ``Y[i,j]`` and ``Z[d,l]``; the
     diagonal of ``y_vars``, which has no variable, is -1.  ``warm_x`` is the
-    read-only warm-start vector, or None.  An ``erd-assignment`` model has
-    no Y or Z block (both None); it keeps its pinned placement
-    ``object_sn`` and the (J, C) ``release`` table that orders its
-    extracted schedule.
+    read-only warm-start vector, or None.  A tail model (``erd-assignment``
+    or ``fixed-yz``) has no Y or Z block (both None); it keeps its pinned
+    placement ``object_sn`` and the (J, C) ``priority`` table that orders
+    its extracted schedule.
     """
 
     def __init__(self, kind, var_namer, lower, upper, integer, objective,
                  row_namer, row_lower, row_upper, indptr, indices, data,
-                 x_vars, y_vars, z_vars, warm_x, object_sn=None, release=None):
+                 x_vars, y_vars, z_vars, warm_x, object_sn=None, priority=None):
         self.kind = kind
         self._var_namer = var_namer
         self.lower = _frozen(lower, np.float64)
@@ -91,7 +90,7 @@ class MilpModel:
         self.data = _frozen(data, np.float64)
         self.x_vars, self.y_vars, self.z_vars = x_vars, y_vars, z_vars
         self.warm_x = warm_x
-        self.object_sn, self.release = object_sn, release
+        self.object_sn, self.priority = object_sn, priority
 
     @property
     def num_vars(self) -> int:
@@ -294,12 +293,12 @@ def _link_products(rows, slots, name, keys, p, a1, a2):
 
 def _build(env: GridEnvironment, schedule: Schedule | None = None, pinned: str = "",
            warm: bool = True) -> MilpModel:
-    """The family member pinning the groups in ``pinned`` (a subsequence of
+    """The family member pinning the groups in ``pinned`` ("", "xy" or
     "xyz") to ``schedule``, warm-started from ``schedule`` when ``warm``."""
     nj, nc = env.num_jobs, env.num_cns
     nd, nl = env.num_objects, env.num_local_sns
     kind = f"fixed-{pinned}" if pinned else "monolithic"
-    pin_x, pin_y, pin_z = (group in pinned for group in "xyz")
+    pin_xy, pin_z = bool(pinned), "z" in pinned
     if schedule is not None:
         schedule.validate(env)
         job_cn, object_sn = schedule.job_cn, schedule.object_sn
@@ -307,14 +306,12 @@ def _build(env: GridEnvironment, schedule: Schedule | None = None, pinned: str =
         x01, y01, z01 = (_one_hot(job_cn, nc), (pos[:, None] < pos).astype(np.int64),
                          _one_hot(object_sn, nl))
 
-    big_a = compute_big_a(env)
     rd, ld, exec_coef = env.replication_delay(), env.lan_delay(), env.exec_time()
 
     jobs, objs = np.arange(nj), np.arange(nd)
     cns, sns = np.arange(nc), np.arange(nl)
     # ordered job pairs i != j, i-major
-    off = ~np.eye(nj, dtype=bool)
-    off_i, off_j = np.nonzero(off)
+    off_i, off_j = np.nonzero(~np.eye(nj, dtype=bool))
     # (job, input object) pairs in job_inputs order
     in_j = np.repeat(jobs, [len(inputs) for inputs in env.job_inputs])
     in_d = np.concatenate(env.job_inputs).astype(np.int64)
@@ -326,10 +323,10 @@ def _build(env: GridEnvironment, schedule: Schedule | None = None, pinned: str =
     e = var.add("e[{}]", (jobs,))
     t = var.add("t[{}]", (objs,))
     x = var.binaries("X[{},{}]", (jobs.repeat(nc), np.tile(cns, nj)),
-                     x01 if pin_x else None).reshape(nj, nc)
+                     x01 if pin_xy else None).reshape(nj, nc)
     y = np.full((nj, nj), -1)
     y[off_i, off_j] = var.binaries("Y[{},{}]", (off_i, off_j),
-                                   y01[off_i, off_j] if pin_y else None)
+                                   y01[off_i, off_j] if pin_xy else None)
     z = var.binaries("Z[{},{}]", (objs.repeat(nl), np.tile(sns, nd)),
                      z01 if pin_z else None).reshape(nd, nl)
 
@@ -346,10 +343,13 @@ def _build(env: GridEnvironment, schedule: Schedule | None = None, pinned: str =
     rows.add(slots[:, 0], "replica[{}]", (objs,), [(z, 1.0)], lo=1.0, hi=1.0)
     rows.add(slots[:, 1], "tdelay[{}]", (objs,), [(t, 1.0), (z, -rd)], lo=0.0, hi=0.0)
 
-    # precedence coupling: whenever i precedes j on a shared CN, j's slot
-    # starts no earlier than i completes
+    # precedence coupling (whenever i precedes j on a shared CN, j's slot
+    # starts no earlier than i completes), then the transfer stages (inputs
+    # reach the CN only after replication, via t_d, and not before the slot)
     products = []   # (p, a1, a2) index arrays with p = a1 * a2
-    if not (pin_x or pin_y):
+    n = in_d.size
+    if not pin_xy:
+        big_a = compute_big_a(env)
         pi, pj, pc = off_i.repeat(nc), off_j.repeat(nc), np.tile(cns, off_i.size)
         keys = (pi, pj, pc)
         # W1 and W2 of one (i, j, c) are adjacent
@@ -364,31 +364,6 @@ def _build(env: GridEnvironment, schedule: Schedule | None = None, pinned: str =
         rows.add(slots[:, 6], "prec[{},{},{}]", keys,
                  [(u[pj], 1.0), (w[:, 0], -big_a), (w[:, 1], -big_a), (yij, big_a),
                   (v[pi], -1.0), (e[pi], -1.0)], lo=-big_a)
-    elif not pin_x:
-        # order known: couple only realized predecessor pairs, across every
-        # CN they might share
-        pi, pj = np.nonzero(y01)
-        pi, pj, pc = pi.repeat(nc), pj.repeat(nc), np.tile(cns, pi.size)
-        rows.add(rows.reserve(pi.size), "prec[{},{},{}]", (pi, pj, pc),
-                 [(u[pj], 1.0), (x[pi, pc], -big_a), (x[pj, pc], -big_a),
-                  (v[pi], -1.0), (e[pi], -1.0)], lo=-2.0 * big_a)
-    else:
-        # assignment known: couple ordered pairs that actually share a CN
-        # (and, with the order known too, only realized predecessor pairs)
-        shared = job_cn[:, None] == job_cn[None, :]
-        if not pin_y:
-            pi, pj = np.nonzero(shared & off)
-            terms, lo = [(u[pj], 1.0), (y[pi, pj], -big_a)], -big_a
-        else:
-            pi, pj = np.nonzero(shared & (y01 == 1))
-            terms, lo = [(u[pj], 1.0)], 0.0
-        rows.add(rows.reserve(pi.size), "prec[{},{}]", (pi, pj),
-                 terms + [(v[pi], -1.0), (e[pi], -1.0)], lo=lo)
-
-    # transfer stages: inputs reach the CN only after replication (via t_d)
-    # and no earlier than the job's slot start
-    n = in_d.size
-    if not (pin_x or pin_z):
         k = nl * nc
         keys = (in_j.repeat(k), in_d.repeat(k), np.tile(sns.repeat(nc), n), np.tile(cns, n * nl))
         xz = var.binaries("XZ[{},{},{},{}]", keys)
@@ -399,10 +374,12 @@ def _build(env: GridEnvironment, schedule: Schedule | None = None, pinned: str =
                        keys, xz, *other)
         transfer, lo = [(xz.reshape(n, k), -ld[in_d].reshape(n, k))], 0.0
     else:
+        # assignment and order known: couple only realized same-CN predecessors
+        pi, pj = np.nonzero((job_cn[:, None] == job_cn) & (y01 == 1))
+        rows.add(rows.reserve(pi.size), "prec[{},{}]", (pi, pj),
+                 [(u[pj], 1.0), (v[pi], -1.0), (e[pi], -1.0)], lo=0.0)
         slots = rows.reserve(n, 2)
-        if not pin_x:
-            transfer, lo = [(x[in_j], -ld[in_d, object_sn[in_d], :])], 0.0
-        elif not pin_z:
+        if not pin_z:
             transfer, lo = [(z[in_d], -ld[in_d, :, job_cn[in_j]])], 0.0
         else:
             transfer, lo = [], ld[in_d, object_sn[in_d], job_cn[in_j]]
@@ -442,18 +419,16 @@ def build_monolithic(env: GridEnvironment, warm_schedule: Schedule | None = None
 
 def build_fixed_yz(env: GridEnvironment, schedule: Schedule) -> MilpModel:
     """Optimize the job-to-CN assignment under ``schedule``'s order and
-    placement, warm-started from ``schedule``."""
-    return _build(env, schedule, "yz")
+    placement, warm-started from ``schedule``: the tail model with each CN's
+    rows in that order, exact under any fixed sequence (Carlier 1982)."""
+    schedule.validate(env)
+    return _tail_model(env, schedule, "fixed-yz", schedule.positions()[:, None])
 
 
-def build_fixed_x(env: GridEnvironment, schedule: Schedule, pin_order: bool = False) -> MilpModel:
-    """Optimize order and placement under ``schedule``'s assignment,
-    warm-started from ``schedule``.
-
-    ``pin_order`` additionally pins the order, leaving only the placement
-    free (the data-allocation-only model).
-    """
-    return _build(env, schedule, "xy" if pin_order else "x")
+def build_fixed_x(env: GridEnvironment, schedule: Schedule) -> MilpModel:
+    """Optimize the placement under ``schedule``'s assignment and order,
+    warm-started from ``schedule`` (the data-allocation-only model)."""
+    return _build(env, schedule, "xy")
 
 
 def build_fixed_all(env: GridEnvironment, schedule: Schedule) -> MilpModel:
@@ -468,25 +443,28 @@ def build_fixed_all(env: GridEnvironment, schedule: Schedule) -> MilpModel:
 
 def build_erd_assignment(env: GridEnvironment, schedule: Schedule) -> MilpModel:
     """Optimize the job-to-CN assignment under ``schedule``'s placement, each
-    CN running its jobs in ERD order; warm-started from ``schedule``'s
-    assignment.
-
-    With the placement pinned, job j on CN c is released at
-    ``rho[j, c] = latest - slowest`` and then holds the CN for
-    ``q[j, c] = slowest + exec_time[j, c]`` (:func:`kernels.job_pairs`).
-    Earliest release first is optimal on each CN (Jackson's rule), where it
-    finishes at ``max_k (max(rho_k, 0) + sum of q_j over its jobs j at or
-    after k in ERD order)``.  So the variables are ``m`` and the X block,
-    and the rows are one assignment row per job and one tail row per CN c
-    and ERD position k,
-    ``m >= max(rho_kc, 0) * X[k,c] + sum_{j at or after k} q_jc * X[j,c]``:
-    no order variable and no big-A.  Each tail row lists only the jobs at or
-    after its position, so no zero coefficient is stored.  ``m`` is bounded
-    below by the latest of the jobs' earliest finishes, each alone on its
-    best CN: a valid bound the relaxation does not see, which lets HiGHS
-    prove small instances optimal several times faster.
-    """
+    CN running its jobs in ERD order, which is optimal there (Jackson's
+    rule); warm-started from ``schedule``'s assignment."""
     schedule.validate(env)
+    return _tail_model(env, schedule, "erd-assignment")
+
+
+def _tail_model(env: GridEnvironment, schedule: Schedule, kind: str,
+                priority=None) -> MilpModel:
+    """The assignment model under ``schedule``'s placement, each CN taking
+    its jobs by ascending ``priority`` (broadcast to (J, C), ties to the
+    lower job id; None: by release, which is ERD).
+
+    Job j on CN c is released at ``rho[j, c] = latest - slowest`` and then
+    holds the CN for ``q[j, c] = slowest + exec_time[j, c]``
+    (:func:`kernels.job_pairs`).  Besides ``m`` and the X block there is one
+    assignment row per job and one tail row per CN c and position k,
+    ``m >= max(rho_kc, 0) * X[k,c] + sum_{j at or after k} q_jc * X[j,c]``,
+    listing only those jobs: no order variable, no big-A, no zero
+    coefficient.  ``m`` is bounded below by the latest of the jobs' earliest
+    finishes, each alone on its best CN, which holds in any sequence and
+    lets HiGHS prove small instances optimal several times faster.
+    """
     nj, nc = env.num_jobs, env.num_cns
     jobs, cns = np.arange(nj), np.arange(nc)
     # row c of the (C, J) tables puts every job on CN c
@@ -495,7 +473,8 @@ def build_erd_assignment(env: GridEnvironment, schedule: Schedule) -> MilpModel:
     release = (latest - slowest).T
     body = slowest.T + env.exec_time()
     alone = np.maximum(release, 0.0) + body     # finish of each job alone on each CN
-    erd = np.argsort(release, axis=0, kind="stable").T    # (C, J) jobs by release per CN
+    priority = release if priority is None else np.broadcast_to(priority, (nj, nc))
+    seq = np.argsort(priority, axis=0, kind="stable").T    # (C, J) jobs in sequence per CN
 
     var = _Vars()
     # no schedule ends before a job alone on its best CN; the one key fills no field of "m"
@@ -506,7 +485,7 @@ def build_erd_assignment(env: GridEnvironment, schedule: Schedule) -> MilpModel:
     rows.add(rows.reserve(nj), "assign[{}]", (jobs,), [(x, 1.0)], lo=1.0, hi=1.0)
     slots = rows.reserve(nc, nj)
     for k in range(nj):
-        tail = erd[:, k:]                   # (C, J - k) jobs at or after position k
+        tail = seq[:, k:]                   # (C, J - k) jobs at or after position k
         coef = body[tail, cns[:, None]]
         coef[:, 0] = alone[tail[:, 0], cns]
         rows.add(slots[:, k], "tail[{},{}]", (cns, tail[:, 0]),
@@ -522,10 +501,10 @@ def build_erd_assignment(env: GridEnvironment, schedule: Schedule) -> MilpModel:
 
     objective = np.zeros(var.count)
     objective[m] = 1.0
-    return MilpModel("erd-assignment", var.namer(), np.concatenate(var.lower),
+    return MilpModel(kind, var.namer(), np.concatenate(var.lower),
                      np.concatenate(var.upper), np.concatenate(var.integer), objective,
                      rows.namer(), row_lower, row_upper, indptr, indices, data,
-                     x, None, None, warm_x, schedule.object_sn, release)
+                     x, None, None, warm_x, schedule.object_sn, priority)
 
 
 def extract_schedule(model: MilpModel, x: np.ndarray) -> Schedule:
@@ -534,14 +513,15 @@ def extract_schedule(model: MilpModel, x: np.ndarray) -> Schedule:
     Reads the one-hot X and Z blocks by arg-max.  Y matters only between jobs
     sharing a CN, where a feasible point holds a strict total order; each job
     ranks by the number of same-CN jobs it follows, and the order sorts by
-    rank, then job id, which interleaves the CNs deterministically.  An
-    ``erd-assignment`` model keeps its pinned placement and orders the jobs
-    by their release at their CN, ties to the lower job id, which is
-    :func:`kernels.erd_orders` of the extracted schedule.
+    rank, then job id, which interleaves the CNs deterministically.  A tail
+    model keeps its pinned placement and orders the jobs by their priority
+    at their CN, ties to the lower job id: for ``erd-assignment`` that is
+    :func:`kernels.erd_orders` of the extracted schedule, and for
+    ``fixed-yz`` the pinned schedule's own order.
     """
     job_cn = x[model.x_vars].argmax(axis=1)
-    if model.kind == "erd-assignment":
-        order = np.argsort(model.release[np.arange(job_cn.size), job_cn], kind="stable")
+    if model.z_vars is None:
+        order = np.argsort(model.priority[np.arange(job_cn.size), job_cn], kind="stable")
         return Schedule(job_cn=job_cn, order=order, object_sn=model.object_sn)
     object_sn = x[model.z_vars].argmax(axis=1)
     wins = np.where(model.y_vars >= 0, np.round(x[model.y_vars]), 0).astype(np.int64)

@@ -1,18 +1,22 @@
 """Solving models under wall-clock budgets, plus small-instance enumeration.
 
-The solve wrapper owns two guarantees the backends do not give on their own:
+The solve wrapper owns three guarantees the backends do not give on their own:
 
 * any solution crossing the wrapper is re-checked against the model before
-  it is trusted, and
+  it is trusted,
 * a validated warm start can only help: the wrapper returns the better of
   the backend's incumbent and the warm start, so an anytime caller never
-  regresses by solving.
+  regresses by solving, and
+* a backend writes nothing to stdout, where the command line prints JSON.
 """
 
 from __future__ import annotations
 
+import ctypes
 import logging
 import math
+import os
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -142,6 +146,25 @@ class HighsBackend:
         return x, raw, message
 
 
+def _to_stderr(call, *args):
+    """``call(*args)`` with file descriptor 1 pointing at stderr; HiGHS prints
+    some notes with a bare printf, whatever ``output_flag`` says.  Python's
+    and C's buffers are flushed on both switches, so nothing crosses over."""
+    libc = ctypes.CDLL(None)
+    libc.fflush.argtypes, libc.fflush.restype = [ctypes.c_void_p], ctypes.c_int
+    sys.stdout.flush()
+    libc.fflush(None)
+    saved = os.dup(1)
+    os.dup2(2, 1)
+    try:
+        return call(*args)
+    finally:
+        sys.stdout.flush()
+        libc.fflush(None)
+        os.dup2(saved, 1)
+        os.close(saved)
+
+
 def solve(model: MilpModel, budget: float, backend=None) -> SolveResult:
     """Solve ``model`` within ``budget`` seconds of backend time.
 
@@ -151,7 +174,8 @@ def solve(model: MilpModel, budget: float, backend=None) -> SolveResult:
     with the backend's own message.  ``backend`` is any object with
     ``name`` and ``solve_raw(model, budget)``; the default is a :class:`HighsBackend`,
     constructed before the clock starts so that its one-off scipy import is
-    charged to neither ``wall_time`` nor the backend's time limit.
+    charged to neither ``wall_time`` nor the backend's time limit.  What the
+    backend writes to stdout goes to stderr.
     """
     check_budget(budget)
     if backend is None:
@@ -170,7 +194,7 @@ def solve(model: MilpModel, budget: float, backend=None) -> SolveResult:
 
     start = time.perf_counter()
     try:
-        x, raw, message = backend.solve_raw(model, budget)
+        x, raw, message = _to_stderr(backend.solve_raw, model, budget)
     except Exception as exc:  # backend blew up; the warm start may still save us
         x, raw, message = None, "crashed", repr(exc)
         log.warning("backend %s crashed: %r", backend.name, exc)

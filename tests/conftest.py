@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+import gridopt
 from gridopt.environment import GenerationConfig, GridEnvironment, generate
 
 
@@ -83,3 +89,11 @@ grids = st.builds(
     num_objects=st.integers(1, 12), num_cns=st.integers(1, 4),
     num_local_sns=st.integers(1, 3), max_inputs=st.integers(1, 12),
     gamma=st.floats(0.5, 2.0))
+
+
+def run_python(*args) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter importing this gridopt."""
+    src = str(Path(gridopt.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)).rstrip(os.pathsep)}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)

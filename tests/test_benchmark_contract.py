@@ -56,19 +56,21 @@ def test_one_iteration_altermilp_under_the_tracer():
         assert metrics["alternating.steps"] == len(trace.steps) - 1 == 2
         # altermilp's half-steps build the erd-assignment and fixed-xy
         # models, neither of which the tracer sizes; min_exe builds the
-        # fixed-yz one, and only a direct call builds a fixed-x one
+        # fixed-yz one, and no builder makes a fixed-x one any more
         assert metrics["model.build_fixed_x.s"] > 0
         exe_metrics, exe_solves, run = _traced(tracing, lambda: min_exe(env, 1.0, 0, backend))
         run.schedule.validate(env)
         assert exe_solves == 1
         x_metrics, _, _ = _traced(
             tracing, lambda: gridopt.alternating.build_fixed_x(env, schedule))
-        sized = {"fixed-x": x_metrics, "fixed-yz": exe_metrics}
-        assert set(sized) == set(tracing.MODEL_KINDS)
-        for kind, traced in sized.items():
-            for size in ("vars", "rows", "nnz"):
-                assert traced[f"model.{kind}.{size}"] > 0
-                assert metrics[f"model.{kind}.{size}"] == 0
+        # the tracer still finds and times the placement builder
+        assert x_metrics["model.build_fixed_x.s"] > 0
+        assert set(tracing.MODEL_KINDS) == {"fixed-yz", "fixed-x"}
+        for size in ("vars", "rows", "nnz"):
+            assert exe_metrics[f"model.fixed-yz.{size}"] > 0
+            assert metrics[f"model.fixed-yz.{size}"] == 0
+            for traced in (metrics, exe_metrics, x_metrics):
+                assert traced[f"model.fixed-x.{size}"] == 0
         assert metrics["model.extract_schedule.s"] > 0
         if backend is not None:
             assert metrics["solver.warm_start_kept"] == solves

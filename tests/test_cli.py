@@ -10,7 +10,7 @@ from gridopt.environment import _GENERATION_FIELDS, load_environment
 from gridopt.evaluator import makespan_of
 from gridopt.schedule import Schedule, load_schedule, random_schedule
 
-from conftest import tiny_config, tiny_env
+from conftest import run_python, tiny_config, tiny_env
 
 
 def run_cli(capsys, *argv):
@@ -222,6 +222,18 @@ def test_optimize_altermilp_writes_a_trace(env_file, tmp_path, capsys):
     assert info["makespan"] == pytest.approx(makespan_of(env, final))
     # the written schedule is the trace's last iterate
     assert trace_doc["steps"][-1]["schedule"] == final.to_document()
+
+
+def test_optimize_prints_one_json_document_while_highs_prints(tmp_path):
+    # on this instance HiGHS prints a note from inside the minexe solve
+    env_path = str(tmp_path / "env.json")
+    gen = run_python("-m", "gridopt.cli", "gen", "--preset", "small", "--seed", "7",
+                     "--out", env_path)
+    assert gen.returncode == 0, gen.stderr
+    proc = run_python("-m", "gridopt.cli", "optimize", "--env", env_path,
+                      "--method", "minexe", "--seed", "7", "--budget", "3")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["method"] == "minexe"
 
 
 def test_optimize_rejects_an_unknown_param(env_file, capsys):

@@ -11,9 +11,9 @@ from gridopt.bench import ExperimentConfig, MethodSpec, run_method
 from gridopt.environment import (DocumentError, GenerationConfig,
                                  GridEnvironment, GRID_PRESETS,
                                  InvalidConfigError, InvalidEnvironmentError,
-                                 KB_PER_MB, config_from_document,
-                                 environment_from_document, generate,
-                                 load_environment, preset_config)
+                                 KB_PER_MB, check_budget, check_positive, check_seed,
+                                 config_from_document, environment_from_document,
+                                 generate, load_environment, preset_config)
 from gridopt.schedule import random_schedule
 
 
@@ -161,6 +161,25 @@ def test_a_negative_seed_is_rejected_naming_it():
     assert ExperimentConfig(methods=(MethodSpec("random"),), seeds=(seed,), budget=1.0,
                             preset="small").seeds == (3,)
     run_method(env, MethodSpec("random"), seed, 1.0).schedule.validate(env)
+
+
+# each shared rule, called with a value it rejects, and the field it names
+CHECKS = {
+    "check_positive": (lambda value: check_positive(value, "threshold"), "threshold"),
+    "check_budget": (check_budget, "budget"),
+    "check_seed": (lambda value: check_seed(-value if isinstance(value, int) else value),
+                   "seed"),
+}
+
+
+@pytest.mark.parametrize("bad", [10**400, "x" * 10_000], ids=["10**400", "long-string"])
+@pytest.mark.parametrize("check", CHECKS)
+def test_a_rejected_value_is_echoed_capped(check, bad):
+    # check_seed takes 10**400 as a seed, so it is given -10**400
+    call, field = CHECKS[check]
+    with pytest.raises(ValueError, match=f"^{field} must be ") as err:
+        call(bad)
+    assert len(str(err.value)) < 150
 
 
 # every entry point that takes a seed, called on an environment and a seed

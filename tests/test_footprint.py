@@ -7,12 +7,8 @@ the three modules it has loaded so far.
 """
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
-import gridopt
+from conftest import run_python
 
 SCIPY = ("scipy.sparse", "scipy.optimize", "scipy.stats")
 
@@ -57,11 +53,7 @@ loaded("aggregate")
 
 
 def test_scipy_loads_only_where_a_milp_or_a_rank_needs_it():
-    src = str(Path(gridopt.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)).rstrip(os.pathsep)}
-    proc = subprocess.run([sys.executable, "-c", SCRIPT], env=env,
-                          capture_output=True, text=True)
+    proc = run_python("-c", SCRIPT)
     assert proc.returncode == 0, proc.stderr
     stages = dict(json.loads(line) for line in proc.stdout.splitlines())
     assert stages == {

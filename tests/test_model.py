@@ -40,7 +40,6 @@ def test_every_builder_produces_a_feasible_warm_start():
         build_monolithic(env, warm_schedule=s),
         build_fixed_yz(env, s),
         build_fixed_x(env, s),
-        build_fixed_x(env, s, pin_order=True),
     ]
     for mdl in models:
         assert mdl.warm_x is not None
@@ -67,7 +66,7 @@ def test_every_builder_agrees_with_the_replay(env, schedule_seed):
     assert res.status == "optimal"
     assert res.objective == pytest.approx(mk, rel=1e-9)
     for mdl in (build_monolithic(env, warm_schedule=s), build_fixed_yz(env, s),
-                build_fixed_x(env, s), build_fixed_x(env, s, pin_order=True)):
+                build_fixed_x(env, s)):
         assert mdl.check_assignment(mdl.warm_x) == []
         assert mdl.objective_value(mdl.warm_x) == pytest.approx(mk, rel=1e-12)
         assert makespan_of(env, extract_schedule(mdl, mdl.warm_x)) == pytest.approx(mk, rel=1e-12)
@@ -88,8 +87,7 @@ def test_model_kinds():
     env, s = _env_and_schedule(2)
     assert build_monolithic(env).kind == "monolithic"
     assert build_fixed_yz(env, s).kind == "fixed-yz"
-    assert build_fixed_x(env, s).kind == "fixed-x"
-    assert build_fixed_x(env, s, pin_order=True).kind == "fixed-xy"
+    assert build_fixed_x(env, s).kind == "fixed-xy"
     assert build_fixed_all(env, s).kind == "fixed-xyz"
     assert build_erd_assignment(env, s).kind == "erd-assignment"
 
@@ -116,8 +114,8 @@ def test_pinned_variables_keep_full_variable_set():
     core |= {f"Z[{d},{l}]" for d in range(env.num_objects) for l in range(env.num_local_sns)}
     core |= {"m"}
     for mdl in (build_fixed_all(env, s),
-                build_fixed_yz(env, s),
-                build_fixed_x(env, s)):
+                build_fixed_x(env, s),
+                build_monolithic(env, warm_schedule=s)):
         assert core <= set(mdl.names)
     mdl = build_fixed_all(env, s)
     for j, c in ((0, 0), (1, 1)):
@@ -135,12 +133,8 @@ def test_precedence_rows_are_emitted_sparsely():
 
     mono = build_monolithic(env)
     assert len(prec_rows(mono)) == nj * (nj - 1) * nc
-    yz = build_fixed_yz(env, s)
-    assert len(prec_rows(yz)) == nj * (nj - 1) // 2 * nc
-    fx = build_fixed_x(env, s)
     shared = sum(1 for i in range(nj) for j in range(nj)
                  if i != j and s.job_cn[i] == s.job_cn[j])
-    assert len(prec_rows(fx)) == shared
     fa = build_fixed_all(env, s)
     assert len(prec_rows(fa)) == shared // 2
 
@@ -180,6 +174,10 @@ def test_extract_schedule_roundtrip():
         # order agrees wherever it matters: within each CN
         assert evaluate(env, rebuilt).makespan == pytest.approx(
             evaluate(env, s).makespan, rel=1e-12)
+        # the assignment model's tail rows follow the pinned order, and so
+        # does the order it extracts
+        yz = build_fixed_yz(env, s)
+        np.testing.assert_array_equal(extract_schedule(yz, yz.warm_x).order, s.order)
 
 
 def _y_block(mdl, x):
@@ -223,7 +221,7 @@ def test_extract_keeps_a_pinned_schedules_same_cn_order():
     for seed in range(10):
         env = tiny_env(seed)
         s = random_schedule(env, rng)
-        mdl = build_fixed_x(env, s, pin_order=True)
+        mdl = build_fixed_x(env, s)
         rebuilt = extract_schedule(mdl, mdl.warm_x)
         before, after = s.positions(), rebuilt.positions()
         # same-CN relative order is what the replay consumes; it must survive
@@ -366,9 +364,37 @@ def test_erd_optimum_is_the_best_assignment_in_erd_order():
         assert makespan_of(env, found) == pytest.approx(best, rel=1e-9)
 
 
+def _every_assignment_in_order(env, order, object_sn):
+    """min over all C**J assignments of the replay in ``order`` at ``object_sn``."""
+    nj, nc = env.num_jobs, env.num_cns
+    job_cns = np.arange(nc ** nj)[:, None] // nc ** np.arange(nj) % nc
+    n = job_cns.shape[0]
+    return float(makespans_of(env, job_cns, np.broadcast_to(order, (n, nj)),
+                              np.broadcast_to(object_sn, (n, env.num_objects))).min())
+
+
+def test_fixed_yz_optimum_is_the_best_assignment_in_the_pinned_order():
+    envs = [tiny_env(seed) for seed in range(6)] + [_lan_bound_env(seed) for seed in range(6)]
+    starts = [random_schedule(env, seed) for seed, env in enumerate(envs)]
+    bests = [_every_assignment_in_order(env, s.order, s.object_sn)
+             for env, s in zip(envs, starts)]
+    # the pinned order is not ERD's: on some starts it costs makespan
+    assert sum(best > _every_assignment_in_erd_order(env, s.object_sn) * (1 + 1e-9)
+               for env, s, best in zip(envs, starts, bests)) >= 2
+    for env, s, best in zip(envs, starts, bests):
+        mdl = build_fixed_yz(env, s)
+        res = solve(mdl, budget=10.0)
+        assert res.status == "optimal"
+        assert res.objective == pytest.approx(best, rel=1e-9)
+        found = extract_schedule(mdl, res.x)
+        np.testing.assert_array_equal(found.order, s.order)
+        np.testing.assert_array_equal(found.object_sn, s.object_sn)
+        assert makespan_of(env, found) == pytest.approx(best, rel=1e-9)
+
+
 def test_check_assignment_reports_violations():
     env, s = _env_and_schedule(0)
-    mdl = build_fixed_yz(env, s)
+    mdl = build_monolithic(env, warm_schedule=s)
     good = mdl.warm_x
     assert mdl.check_assignment(good) == []
 
@@ -411,8 +437,7 @@ def _every_builder(env, s):
     return {
         "monolithic": build_monolithic(env, warm_schedule=s),
         "fixed-yz": build_fixed_yz(env, s),
-        "fixed-x": build_fixed_x(env, s),
-        "fixed-xy": build_fixed_x(env, s, pin_order=True),
+        "fixed-xy": build_fixed_x(env, s),
         "fixed-xyz": build_fixed_all(env, s),
         "erd-assignment": build_erd_assignment(env, s),
     }
@@ -422,18 +447,16 @@ def _every_builder(env, s):
 # per-row builder the block emitter replaced
 _FINGERPRINTS = {
     ("tiny", "monolithic"): "5dd0fccfb4db69a43ea61c6692609267de3beaaac9ec41f28599338cbadb36c4",
-    ("tiny", "fixed-yz"): "2c1c87c1f76c46e23b8dc12a18ed3b30f4591e139cb961bc651feb970f0a2d75",
-    ("tiny", "fixed-x"): "003044f62eb137e7c4a9cb856166de2a1d4ddf72f16f367601e0153f68c54396",
     ("tiny", "fixed-xy"): "401ffecf1aacabb0df6026edb30eb35708b5486fc3badd229292033387a81892",
     ("tiny", "fixed-xyz"): "0506e77615662dd8641657e8f6dd1cf7d688d541b9c3bcbfc4c9817008f40899",
     ("small", "monolithic"): "25d6aa99044f909fea77dbd0a9f57de182768c445a2831e271b7ccb651f7d32d",
-    ("small", "fixed-yz"): "1a4b3f0363e173d2be9c984435c54cc00591cee477ef2a63350c079de02aca83",
-    ("small", "fixed-x"): "f115467a36a7c9b1ad74afc680fdd421dd31513f72ca28ff8633c8509d580035",
     ("small", "fixed-xy"): "2e1ec0cf056666d129c83d5ddef20e8c265b7af737cccd38d5087f9e87431ae6",
     ("small", "fixed-xyz"): "9aa4a68fd3530e9553ed8421a008a4f67b61c8375ef24ad6dc7d109a994f9b1f",
-    # the ERD assignment model has no per-row predecessor: recorded as first built
+    # the two tail models have no per-row predecessor: recorded as first built
     ("tiny", "erd-assignment"): "aaabeab441c2ecabeee64db5f6d265025ab85d76e57728821cc6f3fb055d1637",
     ("small", "erd-assignment"): "0a0574d942ba4c81c221004d3b25223d059d8826c03656a89cd8bffed0096203",
+    ("tiny", "fixed-yz"): "2ddce8a194baee9c72fd063445871ac37caebb5cc9890ec4c0f36560312c19a2",
+    ("small", "fixed-yz"): "fa94d07d70de45773cd41c25a39b8e6882595c96535e42661f4c244c047225dd",
 }
 
 
