@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .baselines import BaselineRun, _finish, greedy
-from .environment import GridEnvironment, check_budget, check_seed, save_document
+from .environment import GridEnvironment, check_budget, check_seed, echo, save_document
 from .evaluator import makespan_of
 from .model import build_erd_assignment, build_fixed_x, build_fixed_yz, extract_schedule
 from .schedule import Schedule, random_schedule
@@ -97,7 +97,7 @@ def step(env: GridEnvironment, stage: str, schedule: Schedule, makespan: float,
     replays no worse, else the input, which a failed solve also keeps.
     """
     if stage not in PINNED:
-        raise ValueError(f"stage must be one of {', '.join(PINNED)}, got {stage!r}")
+        raise ValueError(f"stage must be one of {', '.join(PINNED)}, got {echo(stage)}")
     if stage == "erd-assignment":
         mdl = build_erd_assignment(env, schedule)
     elif stage == "assignment":

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .environment import GridEnvironment, check_budget, check_positive, check_seed, is_kind
+from .environment import (GridEnvironment, check_budget, check_positive, check_seed, echo,
+                          is_kind)
 from .evaluator import makespan_of, makespans_of
 from .schedule import Schedule, random_schedule, validate_batch
 
@@ -222,7 +223,7 @@ class GaConfig:
         if self.mutation_rate is not None and not (
                 is_kind(self.mutation_rate, float) and 0 <= self.mutation_rate <= 1):
             raise ValueError(
-                f"mutation_rate must be a number in [0, 1], got {self.mutation_rate!r}")
+                f"mutation_rate must be a number in [0, 1], got {echo(self.mutation_rate)}")
         check_seed(self.elitism, "elitism")
         if self.elitism >= self.population:
             raise ValueError("elitism must be in [0, population)")

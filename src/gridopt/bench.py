@@ -24,7 +24,7 @@ import numpy as np
 from . import baselines
 from .alternating import AlterMilpConfig, min_exe, min_trans, run as altermilp_run
 from .environment import (GenerationConfig, GRID_PRESETS, build_from_document,
-                          check_budget, check_document, check_seed,
+                          check_budget, check_document, check_seed, echo,
                           config_from_document, generate, is_kind, load_document,
                           preset_config, read_field, save_document)
 from .schedule import Schedule
@@ -109,7 +109,7 @@ class MethodSpec:
             kind = NONE_DEFAULT_KINDS[name] if default is None else type(default)
             if not (value is None and default is None or is_kind(value, kind)):
                 raise ValueError(f"method {self.method!r} param {name!r} must be "
-                                 f"{kind.__name__}, got {value!r:.60}")
+                                 f"{kind.__name__}, got {echo(value)}")
 
     @property
     def name(self) -> str:
@@ -151,7 +151,7 @@ class ExperimentConfig:
             raise ValueError("give exactly one of preset and generation")
         if self.generation is not None and self.generation.rng_seed != 0:
             raise ValueError(f"generation.rng_seed must be 0 in an experiment, got "
-                             f"{self.generation.rng_seed!r}; the grids are seeded by seeds")
+                             f"{echo(self.generation.rng_seed)}; the grids are seeded by seeds")
         if self.preset is not None and self.preset not in GRID_PRESETS:
             raise ValueError(
                 f"unknown preset {self.preset!r}; known: {sorted(GRID_PRESETS)}"
@@ -458,7 +458,7 @@ def sweep_iterations(config: ExperimentConfig, ts, mode: str,
     other methods run once, with their usual budget (flat reference lines).
     """
     if mode not in ("divided", "same"):
-        raise ValueError(f"mode must be 'divided' or 'same', got {mode!r}")
+        raise ValueError(f"mode must be 'divided' or 'same', got {echo(mode)}")
     if not ts:
         raise ValueError("ts must be a non-empty list of positive iteration counts")
     for t in ts:

@@ -10,7 +10,7 @@ import time
 from .bench import (METHODS, MethodSpec, load_experiment, run_experiment,
                     run_method, sweep_budget, sweep_iterations)
 from .environment import (_GENERATION_DIMENSIONS, _GENERATION_FIELDS, GRID_PRESETS,
-                          GenerationConfig, generate, load_environment, preset_config)
+                          GenerationConfig, echo, generate, load_environment, preset_config)
 from .evaluator import evaluate
 from .schedule import load_schedule
 
@@ -91,7 +91,7 @@ def _parse_params(items) -> dict:
     for item in items:
         name, sep, text = item.partition("=")
         if not (sep and name):
-            raise ValueError(f"--param expects NAME=VALUE, got {item!r}")
+            raise ValueError(f"--param expects NAME=VALUE, got {echo(item)}")
         try:
             params[name] = json.loads(text)
         except json.JSONDecodeError:
@@ -141,7 +141,7 @@ def _parse_list(text: str, flag: str, kind) -> list:
             values.append(kind(item))
         except ValueError:
             raise ValueError(f"{flag} expects comma-separated {kind.__name__} values, "
-                             f"got {item!r} in {text!r}") from None
+                             f"got {echo(item)} in {echo(text)}") from None
     return values
 
 

@@ -37,13 +37,22 @@ class DocumentError(ValueError):
     """A serialized document is malformed or has the wrong schema tag."""
 
 
+def echo(value) -> str:
+    """``repr(value)`` cut to 60 characters, for a rejection message that
+    names the field first; never raises.  An integer of more than 4300
+    digits has no repr, and a broken ``__repr__`` none worth showing."""
+    try:
+        return repr(value)[:60]
+    except Exception:
+        return f"<unprintable {type(value).__name__}>"
+
+
 def check_positive(value: float, name: str, noun: str = "number") -> None:
     """Reject a value that is a bool, not a real number, not finite or not
     > 0, naming it.  Finiteness is tested without a float conversion, so a
-    huge integer fails by name instead of overflowing; at most 60 characters
-    of the value are echoed, as in every rejection here."""
+    huge integer fails by name instead of overflowing."""
     if not (is_kind(value, numbers.Real) and abs(value) <= sys.float_info.max and value > 0):
-        raise ValueError(f"{name} must be a finite {noun} > 0, got {value!r:.60}")
+        raise ValueError(f"{name} must be a finite {noun} > 0, got {echo(value)}")
 
 
 def check_budget(budget: float, name: str = "budget") -> None:
@@ -56,7 +65,7 @@ def check_seed(value: int, name: str = "seed", minimum: int = 0) -> None:
     ``minimum``, naming it."""
     if not (is_kind(value, numbers.Integral) and value >= minimum):
         least = "a non-negative integer" if minimum == 0 else f"an integer >= {minimum}"
-        raise ValueError(f"{name} must be {least}, got {value!r:.60}")
+        raise ValueError(f"{name} must be {least}, got {echo(value)}")
 
 
 def is_kind(value, kind) -> bool:
@@ -81,7 +90,7 @@ def check_document(doc, schema, required, optional=()) -> None:
     if schema is not None:
         if doc.get("schema") != schema:
             raise DocumentError(
-                f"field 'schema': expected {schema!r}, got {doc.get('schema')!r}")
+                f"field 'schema': expected {schema!r}, got {echo(doc.get('schema'))}")
         allowed.add("schema")
     missing = [name for name in required if name not in doc]
     if missing:
@@ -118,7 +127,7 @@ def read_field(doc, name, kind, depth=0, nullable=False):
     if not (nullable and value is None or _holds(value, kind, depth)):
         shape = "list[" * depth + _KIND_NAMES[kind] + "]" * depth
         raise DocumentError(f"field {name!r} must be {shape}"
-                            + (" or null" if nullable else "") + f", got {value!r:.60}")
+                            + (" or null" if nullable else "") + f", got {echo(value)}")
     return value
 
 
@@ -152,6 +161,26 @@ def _frozen(values, dtype):
     return arr
 
 
+# field -> (dtype, list depth) of the GridEnvironment fields built from arrays
+_ENV_ARRAYS = {"object_sizes": (np.float64, 1), "hosting": (np.int64, 1),
+               "job_inputs": (np.int64, 2), "cn_speeds": (np.float64, 1),
+               "wan_bandwidth": (np.float64, 2), "lan_bandwidth": (np.float64, 2)}
+
+
+def _entry_types(value, depth) -> set:
+    """Types of the entries ``depth`` (1 or 2) levels of lists or tuples down
+    in ``value``.  An array stands for its entries by its dtype's scalar
+    type, and a non-list found higher up counts as an entry itself."""
+    if isinstance(value, np.ndarray):
+        return {value.dtype.type}
+    if not isinstance(value, (list, tuple)):
+        return {type(value)}
+    if depth == 2:
+        value = [d for row in value
+                 for d in (row if isinstance(row, (list, tuple, np.ndarray)) else (row,))]
+    return set(map(type, value))
+
+
 @dataclass(frozen=True)
 class GridEnvironment:
     """Immutable grid instance.
@@ -170,19 +199,28 @@ class GridEnvironment:
     gamma: float                  # ops per KB of input
 
     def __post_init__(self):
-        for name, dtype in (("object_sizes", np.float64), ("hosting", np.int64),
-                            ("cn_speeds", np.float64), ("wan_bandwidth", np.float64),
-                            ("lan_bandwidth", np.float64)):
-            try:
-                object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
-            except ValueError as exc:   # a ragged table, or not numbers
-                raise InvalidEnvironmentError(
-                    f"{name} must be a rectangular array of numbers") from exc
-        object.__setattr__(
-            self,
-            "job_inputs",
-            tuple(tuple(int(d) for d in objs) for objs in self.job_inputs),
-        )
+        for name, (dtype, depth) in _ENV_ARRAYS.items():
+            value = getattr(self, name)
+            # the casts below would read 0.7 as object 0, True as 1.0 and "1" as 1.0
+            kind, noun = ((numbers.Integral, "integers") if dtype is np.int64
+                          else (numbers.Real, "numbers"))
+            if any(cls is bool or not issubclass(cls, kind)
+                   for cls in _entry_types(value, depth)):
+                raise InvalidEnvironmentError(f"{name} must hold only {noun}, "
+                                              f"got {echo(value)}")
+            if name == "job_inputs":
+                try:
+                    value = tuple(tuple(int(d) for d in objs) for objs in value)
+                except TypeError as exc:    # not nested
+                    raise InvalidEnvironmentError(
+                        "job_inputs must be a list of lists of object ids") from exc
+            else:
+                try:
+                    value = _frozen(value, dtype)
+                except ValueError as exc:   # a ragged table
+                    raise InvalidEnvironmentError(
+                        f"{name} must be a rectangular array of numbers") from exc
+            object.__setattr__(self, name, value)
         self._check()
 
     def _check(self):
@@ -382,17 +420,17 @@ def _check_field(name, value, kind, pair):
     ``name[i]``."""
     if pair:
         if not (isinstance(value, (list, tuple)) and len(value) == 2):
-            raise ValueError(f"{name} must be a pair [lo, hi], got {value!r:.60}")
+            raise ValueError(f"{name} must be a pair [lo, hi], got {echo(value)}")
         lo, hi = (_check_field(f"{name}[{i}]", v, kind, False) for i, v in enumerate(value))
         if lo > hi:
-            raise ValueError(f"{name} must satisfy lo <= hi, got {value!r:.60}")
+            raise ValueError(f"{name} must satisfy lo <= hi, got {echo(value)}")
         return lo, hi
     if kind is float:
         check_positive(value, name)
         return value
     check_seed(value, name, minimum=0 if name == "rng_seed" else 1)
     if value >= 2**63:
-        raise ValueError(f"{name} must fit in int64, got {value!r:.60}")
+        raise ValueError(f"{name} must fit in int64, got {echo(value)}")
     return int(value)
 
 

@@ -6,12 +6,15 @@ placement model, with X and Y pinned together; and the fully pinned LP
 that reproduces the replay.  Per constraint family it picks the tightest
 linear form the pins allow:
 
-* precedence coupling is exact binary-product linearization with big-A rows
-  when everything is free, and pure timing rows between realized same-CN
-  predecessors once X and Y are pinned; no big-A row appears outside the
-  monolithic model;
-* the transfer-stage rows use X*Z product variables only when both sides
-  are free.
+* precedence coupling is one big-A row per ordered job pair and CN when
+  everything is free, binding only where the order and both assignments
+  hold, and pure timing rows between realized same-CN predecessors once X
+  and Y are pinned; no big-A row appears outside the monolithic model;
+* the transfer-stage rows read the pinned CN's LAN delays once X is
+  pinned; with X free there is one pair per CN, switched off by that CN's
+  slowest LAN delay unless the job runs there.
+
+No member has a variable for a product of binaries.
 
 Pinned binaries stay in the model as fixed-bound variables, so every member
 exposes the same variable set, and a solution of one seeds any other.
@@ -284,13 +287,6 @@ def _one_hot(values, width):
     return out
 
 
-def _link_products(rows, slots, name, keys, p, a1, a2):
-    # p = a1 * a2 for binaries; slots is (n, 3)
-    rows.add(slots[:, 0], name + ":le1", keys, [(p, 1.0), (a1, -1.0)], hi=0.0)
-    rows.add(slots[:, 1], name + ":le2", keys, [(p, 1.0), (a2, -1.0)], hi=0.0)
-    rows.add(slots[:, 2], name + ":ge", keys, [(p, 1.0), (a1, -1.0), (a2, -1.0)], lo=-1.0)
-
-
 def _build(env: GridEnvironment, schedule: Schedule | None = None, pinned: str = "",
            warm: bool = True) -> MilpModel:
     """The family member pinning the groups in ``pinned`` ("", "xy" or
@@ -346,47 +342,37 @@ def _build(env: GridEnvironment, schedule: Schedule | None = None, pinned: str =
     # precedence coupling (whenever i precedes j on a shared CN, j's slot
     # starts no earlier than i completes), then the transfer stages (inputs
     # reach the CN only after replication, via t_d, and not before the slot)
-    products = []   # (p, a1, a2) index arrays with p = a1 * a2
-    n = in_d.size
     if not pin_xy:
         big_a = compute_big_a(env)
         pi, pj, pc = off_i.repeat(nc), off_j.repeat(nc), np.tile(cns, off_i.size)
-        keys = (pi, pj, pc)
-        # W1 and W2 of one (i, j, c) are adjacent
-        w = var.binaries("W{3}[{0},{1},{2}]", (*(k.repeat(2) for k in keys),
-                                               np.tile((1, 2), pi.size))).reshape(-1, 2)
-        yij = y[pi, pj]
-        slots = rows.reserve(pi.size, 7)
-        for k, other in enumerate((x[pi, pc], x[pj, pc])):
-            products.append((w[:, k], yij, other))
-            _link_products(rows, slots[:, 3 * k:3 * k + 3], f"W{k + 1}[{{}},{{}},{{}}]",
-                           keys, w[:, k], yij, other)
-        rows.add(slots[:, 6], "prec[{},{},{}]", keys,
-                 [(u[pj], 1.0), (w[:, 0], -big_a), (w[:, 1], -big_a), (yij, big_a),
-                  (v[pi], -1.0), (e[pi], -1.0)], lo=-big_a)
-        k = nl * nc
-        keys = (in_j.repeat(k), in_d.repeat(k), np.tile(sns.repeat(nc), n), np.tile(cns, n * nl))
-        xz = var.binaries("XZ[{},{},{},{}]", keys)
-        slots = rows.reserve(n, 3 * k + 2)
-        other = (x[keys[0], keys[3]], z[keys[1], keys[2]])
-        products.append((xz, *other))
-        _link_products(rows, slots[:, :3 * k].reshape(-1, 3), "XZ[{},{},{},{}]",
-                       keys, xz, *other)
-        transfer, lo = [(xz.reshape(n, k), -ld[in_d].reshape(n, k))], 0.0
+        # binds where Y[i,j] = X[i,c] = X[j,c] = 1; each 0 among them relaxes it by A
+        rows.add(rows.reserve(pi.size), "prec[{},{},{}]", (pi, pj, pc),
+                 [(u[pj], 1.0), (v[pi], -1.0), (e[pi], -1.0), (y[pi, pj], -big_a),
+                  (x[pi, pc], -big_a), (x[pj, pc], -big_a)], lo=-3 * big_a)
+        # one stage pair per CN c, the rows pinning j to c would emit, relaxed
+        # by c's slowest LAN delay unless X[j,c] = 1; as v_j >= t_d and
+        # v_j >= u_j hold anyway, that slack switches them off
+        in_c = np.tile(cns, in_d.size)
+        in_j, in_d = in_j.repeat(nc), in_d.repeat(nc)
+        delay = ld[in_d, :, in_c]
+        big_m = delay.max(axis=1)
+        keys, fmt = (in_j, in_d, in_c), "[{},{},{}]"
+        transfer, lo = [(z[in_d], -delay), (x[in_j, in_c], -big_m)], -big_m
     else:
         # assignment and order known: couple only realized same-CN predecessors
         pi, pj = np.nonzero((job_cn[:, None] == job_cn) & (y01 == 1))
         rows.add(rows.reserve(pi.size), "prec[{},{}]", (pi, pj),
                  [(u[pj], 1.0), (v[pi], -1.0), (e[pi], -1.0)], lo=0.0)
-        slots = rows.reserve(n, 2)
+        keys, fmt = (in_j, in_d), "[{},{}]"
         if not pin_z:
             transfer, lo = [(z[in_d], -ld[in_d, :, job_cn[in_j]])], 0.0
         else:
             transfer, lo = [], ld[in_d, object_sn[in_d], job_cn[in_j]]
-    rows.add(slots[:, -2], "stage_t[{},{}]", (in_j, in_d),
-             [(v[in_j], 1.0), (t[in_d], -1.0)] + transfer, lo=lo)
-    rows.add(slots[:, -1], "stage_u[{},{}]", (in_j, in_d),
-             [(v[in_j], 1.0), (u[in_j], -1.0)] + transfer, lo=lo)
+    slots = rows.reserve(in_j.size, 2)
+    rows.add(slots[:, 0], "stage_t" + fmt, keys, [(v[in_j], 1.0), (t[in_d], -1.0)] + transfer,
+             lo=lo)
+    rows.add(slots[:, 1], "stage_u" + fmt, keys, [(v[in_j], 1.0), (u[in_j], -1.0)] + transfer,
+             lo=lo)
 
     warm_x = None
     if schedule is not None and warm:
@@ -398,8 +384,6 @@ def _build(env: GridEnvironment, schedule: Schedule | None = None, pinned: str =
         warm_x[x] = x01
         warm_x[y[off_i, off_j]] = y01[off_i, off_j]
         warm_x[z] = z01
-        for p, a1, a2 in products:
-            warm_x[p] = warm_x[a1] * warm_x[a2]
         warm_x.setflags(write=False)
 
     objective = np.zeros(var.count)

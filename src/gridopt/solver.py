@@ -135,6 +135,14 @@ class HighsBackend:
             start.value_valid = True
             highs.setSolution(start)
         highs.run()
+        left = float(budget) - highs.getRunTime()
+        if highs.getModelStatus().name == "kSolveError" and left > 0:
+            # presolve can leave the optimum exactly at the 1e-6 feasibility
+            # tolerance past a row, and the closing check then reads a rounding
+            # of that as a violation; one more run without presolve avoids it
+            highs.setOptionValue("presolve", "off")
+            highs.setOptionValue("time_limit", left)
+            highs.run()
         status = highs.getModelStatus()
         info = highs.getInfo()
         x = None

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,9 +12,10 @@ from gridopt.bench import ExperimentConfig, MethodSpec, run_method
 from gridopt.environment import (DocumentError, GenerationConfig,
                                  GridEnvironment, GRID_PRESETS,
                                  InvalidConfigError, InvalidEnvironmentError,
-                                 KB_PER_MB, check_budget, check_positive, check_seed,
-                                 config_from_document, environment_from_document,
-                                 generate, load_environment, preset_config)
+                                 KB_PER_MB, check_budget, check_document, check_positive,
+                                 check_seed, config_from_document, echo,
+                                 environment_from_document, generate, load_environment,
+                                 preset_config, read_field)
 from gridopt.schedule import random_schedule
 
 
@@ -163,23 +165,36 @@ def test_a_negative_seed_is_rejected_naming_it():
     run_method(env, MethodSpec("random"), seed, 1.0).schedule.validate(env)
 
 
-# each shared rule, called with a value it rejects, and the field it names
+# each shared rule, called with a value it rejects, and how its message,
+# which names the field, begins
 CHECKS = {
-    "check_positive": (lambda value: check_positive(value, "threshold"), "threshold"),
-    "check_budget": (check_budget, "budget"),
+    "check_positive": (lambda value: check_positive(value, "threshold"), "threshold must be "),
+    "check_budget": (check_budget, "budget must be "),
     "check_seed": (lambda value: check_seed(-value if isinstance(value, int) else value),
-                   "seed"),
+                   "seed must be "),
+    "read_field": (lambda value: read_field({"a": value}, "a", int), "field 'a' must be "),
+    "mutation_rate": (lambda value: GaConfig(mutation_rate=value), "mutation_rate must be "),
+    "check_document": (lambda value: check_document({"schema": value}, "s", ()),
+                       "field 'schema': expected 's', got "),
 }
 
 
-@pytest.mark.parametrize("bad", [10**400, "x" * 10_000], ids=["10**400", "long-string"])
+# 10**5000 has more digits than Python will print
+@pytest.mark.parametrize("bad", [10**400, 10**5000, "x" * 10_000],
+                         ids=["10**400", "10**5000", "long-string"])
 @pytest.mark.parametrize("check", CHECKS)
 def test_a_rejected_value_is_echoed_capped(check, bad):
     # check_seed takes 10**400 as a seed, so it is given -10**400
-    call, field = CHECKS[check]
-    with pytest.raises(ValueError, match=f"^{field} must be ") as err:
+    call, start = CHECKS[check]
+    with pytest.raises(ValueError, match="^" + re.escape(start)) as err:
         call(bad)
     assert len(str(err.value)) < 150
+
+
+def test_echo_caps_the_repr_and_never_raises():
+    assert echo("x" * 200) == repr("x" * 200)[:60]
+    assert echo(-10**5000) == "<unprintable int>"
+    assert echo([1.5, "a"]) == "[1.5, 'a']"
 
 
 # every entry point that takes a seed, called on an environment and a seed
@@ -282,12 +297,38 @@ def _valid_env_kwargs():
     dict(job_inputs=((1, 0), (1,))),          # inputs not sorted ascending
     dict(gamma=True),
     dict(gamma="1"),
+    dict(job_inputs=(0, 1)),                  # not a list of lists
 ])
 def test_environment_invariants_rejected(mutation):
     kwargs = _valid_env_kwargs()
     kwargs.update(mutation)
     with pytest.raises(InvalidEnvironmentError):
         GridEnvironment(**kwargs)
+
+
+@pytest.mark.parametrize("field,bad", [
+    ("job_inputs", ((0.7,), (0, 1))),           # read as object 0
+    ("job_inputs", ((0,), (0, True))),
+    ("cn_speeds", [True, 20.0]),                # read as 1.0
+    ("object_sizes", ["10240", 200.0]),         # read as 10240.0
+    ("hosting", [False, 1]),                    # read as 0
+    ("hosting", np.array([0.0, 1.0])),          # a float array of ids
+    ("lan_bandwidth", np.ones((2, 2), dtype=bool)),
+    ("wan_bandwidth", [[5.0, "6"], [7.0, 8.0]]),
+])
+def test_environment_rejects_what_a_cast_would_coerce(field, bad):
+    kwargs = _valid_env_kwargs()
+    kwargs[field] = bad
+    with pytest.raises(InvalidEnvironmentError, match=f"^{field} must hold only "):
+        GridEnvironment(**kwargs)
+
+
+def test_environment_takes_numpy_numbers():
+    kwargs = _valid_env_kwargs()
+    kwargs.update(hosting=np.array([0, 1], dtype=np.int32), cn_speeds=[np.float64(10.0), 20],
+                  job_inputs=((np.int64(0),), np.array([0, 1])))
+    assert GridEnvironment(**kwargs).to_document() == GridEnvironment(
+        **_valid_env_kwargs()).to_document()
 
 
 def test_environment_arrays_are_read_only():

@@ -14,7 +14,7 @@ from gridopt.kernels import erd_orders
 from gridopt.model import (build_erd_assignment, build_fixed_all, build_fixed_x,
                            build_fixed_yz, build_monolithic, extract_schedule)
 from gridopt.schedule import InvalidScheduleError, Schedule, random_schedule
-from gridopt.solver import solve
+from gridopt.solver import brute_force_optimal, solve
 
 from conftest import grids, tiny_env
 
@@ -70,6 +70,16 @@ def test_every_builder_agrees_with_the_replay(env, schedule_seed):
         assert mdl.check_assignment(mdl.warm_x) == []
         assert mdl.objective_value(mdl.warm_x) == pytest.approx(mk, rel=1e-12)
         assert makespan_of(env, extract_schedule(mdl, mdl.warm_x)) == pytest.approx(mk, rel=1e-12)
+    # the joint model proves the exhaustive optimum, on single-CN and
+    # single-SN grids too, where a switched-off row's bound matters
+    mono = build_monolithic(env)
+    res = solve(mono, budget=10.0)
+    best = brute_force_optimal(env)[1]
+    assert res.status == "optimal"
+    assert makespan_of(env, extract_schedule(mono, res.x)) == pytest.approx(best, rel=1e-9)
+    # HiGHS holds a row to 1e-6 absolute, and its presolve can spend that on
+    # the makespan: 1.6e-9 relative at a makespan of 614 s
+    assert res.objective == pytest.approx(best, rel=1e-9, abs=1e-5)
 
 
 def test_build_solve_extract_formats_no_name(monkeypatch):
@@ -147,13 +157,20 @@ def test_fixed_all_carries_no_big_a_coefficients():
 
 
 def test_product_variables_only_in_monolithic():
+    # no model has one: the joint model switches a row off by big-A or big-M
+    # instead of linearizing a product of binaries with a variable of its own
     env, s = _env_and_schedule(8)
-    assert any(n.startswith("W1[") for n in build_monolithic(env).names)
-    assert any(n.startswith("XZ[") for n in build_monolithic(env).names)
-    for mdl in (build_fixed_yz(env, s),
-                build_fixed_x(env, s),
-                build_fixed_all(env, s)):
-        assert not any(n.startswith(("W1[", "W2[", "XZ[")) for n in mdl.names)
+    groups = {"m", "u", "v", "e", "t", "X", "Y", "Z"}
+    for kind, mdl in _every_builder(env, s).items():
+        assert {re.match(r"\w+", n).group() for n in mdl.names} <= groups, kind
+    nj, nc, nd, nl = env.num_jobs, env.num_cns, env.num_objects, env.num_local_sns
+    n_in = sum(map(len, env.job_inputs))
+    mono = build_monolithic(env)
+    assert mono.num_vars == 1 + 3 * nj + nd + nj * nc + nj * (nj - 1) + nd * nl
+    assert mono.num_rows == (4 * nj + nj * (nj - 1) // 2 + 2 * nd
+                             + nj * (nj - 1) * nc + 2 * n_in * nc)
+    small = build_monolithic(generate(preset_config("small"), seed=0))
+    assert (small.num_vars, small.num_rows, small.data.size) == (441, 1505, 12410)
 
 
 def test_objective_selects_makespan_variable():
@@ -446,10 +463,8 @@ def _every_builder(env, s):
 # sha256 of every array, the warm start and all names, as emitted by the
 # per-row builder the block emitter replaced
 _FINGERPRINTS = {
-    ("tiny", "monolithic"): "5dd0fccfb4db69a43ea61c6692609267de3beaaac9ec41f28599338cbadb36c4",
     ("tiny", "fixed-xy"): "401ffecf1aacabb0df6026edb30eb35708b5486fc3badd229292033387a81892",
     ("tiny", "fixed-xyz"): "0506e77615662dd8641657e8f6dd1cf7d688d541b9c3bcbfc4c9817008f40899",
-    ("small", "monolithic"): "25d6aa99044f909fea77dbd0a9f57de182768c445a2831e271b7ccb651f7d32d",
     ("small", "fixed-xy"): "2e1ec0cf056666d129c83d5ddef20e8c265b7af737cccd38d5087f9e87431ae6",
     ("small", "fixed-xyz"): "9aa4a68fd3530e9553ed8421a008a4f67b61c8375ef24ad6dc7d109a994f9b1f",
     # the two tail models have no per-row predecessor: recorded as first built
@@ -457,6 +472,10 @@ _FINGERPRINTS = {
     ("small", "erd-assignment"): "0a0574d942ba4c81c221004d3b25223d059d8826c03656a89cd8bffed0096203",
     ("tiny", "fixed-yz"): "2ddce8a194baee9c72fd063445871ac37caebb5cc9890ec4c0f36560312c19a2",
     ("small", "fixed-yz"): "fa94d07d70de45773cd41c25a39b8e6882595c96535e42661f4c244c047225dd",
+    # the joint model with switched-off rows instead of product variables:
+    # recorded as first built
+    ("tiny", "monolithic"): "cc1fa5b93f0710e44a9d694c89640293483eecbf7a50aa6bf6d1ed0cc088d3e3",
+    ("small", "monolithic"): "9e50293e5834c1613be65d286945266ac2fa1a893a4db25dd7756e964fe8be1f",
 }
 
 

@@ -259,6 +259,16 @@ def test_monolithic_solve_matches_brute_force(env_tiny):
     assert res.objective == pytest.approx(oracle, rel=1e-9)
 
 
+def test_a_highs_solve_error_is_solved_again_without_presolve():
+    # HiGHS's presolve leaves this grid's optimum at 1e-6 below a precedence
+    # row's bound, and its closing check then rounds that to a violation
+    env = generate(GenerationConfig(num_jobs=4, num_objects=4, num_cns=1, num_local_sns=1,
+                                    num_remote_sns=1, rng_seed=1))
+    res = solve(build_monolithic(env), budget=10.0)
+    assert res.status == "optimal", res.diagnostics
+    assert res.objective == pytest.approx(brute_force_optimal(env)[1], rel=1e-9)
+
+
 # -- the HiGHS session --------------------------------------------------------
 
 
