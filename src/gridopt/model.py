@@ -1,36 +1,31 @@
 """MILP formulations of the joint scheduling and data-allocation problem.
 
-One emitter covers the family of models over the assignment X, the order
-Y and the placement Z: the monolithic reference, with all three free; the
-placement model, with X and Y pinned together; and the fully pinned LP
-that reproduces the replay.  Per constraint family it picks the tightest
-linear form the pins allow:
+Three models, each holding only the decisions it leaves free:
 
-* precedence coupling is one big-A row per ordered job pair and CN when
-  everything is free, binding only where the order and both assignments
-  hold, and pure timing rows between realized same-CN predecessors once X
-  and Y are pinned; no big-A row appears outside the monolithic model;
-* the transfer-stage rows read the pinned CN's LAN delays once X is
-  pinned; with X free there is one pair per CN, switched off by that CN's
-  slowest LAN delay unless the job runs there.
-
-No member has a variable for a product of binaries.
-
-Pinned binaries stay in the model as fixed-bound variables, so every member
-exposes the same variable set, and a solution of one seeds any other.
+* :func:`build_monolithic`, the exact joint model over the assignment X,
+  the order Y and the placement Z.  No product of binaries gets a variable
+  of its own: precedence coupling is one big-A row per ordered job pair and
+  CN, binding only where the order and both assignments hold, and each
+  transfer stage is one row pair per CN, switched off by that CN's slowest
+  LAN delay unless the job runs there;
+* the placement model of :func:`build_fixed_x`, and of
+  :func:`build_fixed_all` with Z pinned too, which takes the assignment and
+  the order as data: timing rows between realized same-CN predecessors, no
+  big-A, the pinned CN's LAN delays in the transfer stages, and Z only for
+  the objects some job reads;
+* the "tail" model of :func:`build_erd_assignment` and
+  :func:`build_fixed_yz`: with the placement pinned and each CN's jobs in a
+  fixed sequence, the assignment is the only decision, and the model holds
+  just the makespan and the X block.
 
 The emitter works on index arrays: each variable group is a block of
 indices and each row family one COO block written at precomputed row
 positions, in the variable and row order of the per-entity loops the
 formulation reads as.  Warm starts and solver answers are vectors in that
 variable order, and a schedule is read back through the X, Y and Z index
-blocks the model keeps.  Variable and row names are formatted on demand,
-for messages and inspection only.
-
-:func:`build_erd_assignment` and :func:`build_fixed_yz` stand outside the
-family: with the placement pinned and each CN's jobs in a fixed sequence,
-the assignment is the only decision, and their one "tail" model holds just
-the makespan and the X block.
+blocks a model keeps, the rest from the schedule it was built from.
+Variable and row names are formatted on demand, for messages and
+inspection only.
 """
 
 from __future__ import annotations
@@ -41,7 +36,7 @@ import numpy as np
 
 from .environment import GridEnvironment
 from .evaluator import compute_big_a, evaluate
-from .kernels import job_pairs
+from .kernels import job_pairs, replay
 from .schedule import Schedule
 
 
@@ -67,18 +62,22 @@ class MilpModel:
     building, solving and extracting from a model that checks out never
     formats a name.
 
-    ``x_vars`` (J, C), ``y_vars`` (J, J) and ``z_vars`` (D, L) hold the
-    variable index of each ``X[j,c]``, ``Y[i,j]`` and ``Z[d,l]``; the
-    diagonal of ``y_vars``, which has no variable, is -1.  ``warm_x`` is the
-    read-only warm-start vector, or None.  A tail model (``erd-assignment``
-    or ``fixed-yz``) has no Y or Z block (both None); it keeps its pinned
-    placement ``object_sn`` and the (J, C) ``priority`` table that orders
-    its extracted schedule.
+    ``warm_x`` is the read-only warm-start vector, or None.  ``x_vars``
+    (J, C), ``y_vars`` (J, J) and ``z_vars`` (D, L) hold the variable index
+    of each ``X[j,c]``, ``Y[i,j]`` and ``Z[d,l]``, -1 where there is no such
+    variable (the diagonal of ``y_vars``; the objects no job reads in the
+    placement model), and a block the model does not hold is None.  Only
+    ``monolithic`` holds all three.  Every other model keeps the
+    ``schedule`` it was built from: the placement model (``fixed-xy``,
+    ``fixed-xyz``) holds only Z, and a tail model (``erd-assignment``,
+    ``fixed-yz``) only X, with the (J, C) ``priority`` table that orders its
+    extracted schedule.
     """
 
     def __init__(self, kind, var_namer, lower, upper, integer, objective,
                  row_namer, row_lower, row_upper, indptr, indices, data,
-                 x_vars, y_vars, z_vars, warm_x, object_sn=None, priority=None):
+                 warm_x, x_vars=None, y_vars=None, z_vars=None, schedule=None,
+                 priority=None):
         self.kind = kind
         self._var_namer = var_namer
         self.lower = _frozen(lower, np.float64)
@@ -91,9 +90,9 @@ class MilpModel:
         self.indptr = _frozen(indptr, np.int64)
         self.indices = _frozen(indices, np.int64)
         self.data = _frozen(data, np.float64)
-        self.x_vars, self.y_vars, self.z_vars = x_vars, y_vars, z_vars
         self.warm_x = warm_x
-        self.object_sn, self.priority = object_sn, priority
+        self.x_vars, self.y_vars, self.z_vars = x_vars, y_vars, z_vars
+        self.schedule, self.priority = schedule, priority
 
     @property
     def num_vars(self) -> int:
@@ -159,7 +158,7 @@ def _row_sums(indptr, terms) -> np.ndarray:
     """Per-row sums of ``terms``, one value per stored entry in CSR order.
 
     ``np.add.reduceat`` would misread a row with no entries; every row a
-    builder emits has at least two.
+    builder emits has at least one.
     """
     return np.add.reduceat(terms, indptr[:-1])
 
@@ -287,22 +286,13 @@ def _one_hot(values, width):
     return out
 
 
-def _build(env: GridEnvironment, schedule: Schedule | None = None, pinned: str = "",
-           warm: bool = True) -> MilpModel:
-    """The family member pinning the groups in ``pinned`` ("", "xy" or
-    "xyz") to ``schedule``, warm-started from ``schedule`` when ``warm``."""
+def build_monolithic(env: GridEnvironment, warm_schedule: Schedule | None = None) -> MilpModel:
+    """Exact joint model: assignment, order and placement all free,
+    warm-started from ``warm_schedule`` when one is given."""
     nj, nc = env.num_jobs, env.num_cns
     nd, nl = env.num_objects, env.num_local_sns
-    kind = f"fixed-{pinned}" if pinned else "monolithic"
-    pin_xy, pin_z = bool(pinned), "z" in pinned
-    if schedule is not None:
-        schedule.validate(env)
-        job_cn, object_sn = schedule.job_cn, schedule.object_sn
-        pos = schedule.positions()     # Y[i, j] = 1 where job i precedes job j
-        x01, y01, z01 = (_one_hot(job_cn, nc), (pos[:, None] < pos).astype(np.int64),
-                         _one_hot(object_sn, nl))
-
     rd, ld, exec_coef = env.replication_delay(), env.lan_delay(), env.exec_time()
+    big_a = compute_big_a(env)
 
     jobs, objs = np.arange(nj), np.arange(nd)
     cns, sns = np.arange(nc), np.arange(nl)
@@ -318,13 +308,10 @@ def _build(env: GridEnvironment, schedule: Schedule | None = None, pinned: str =
     v = var.add("v[{}]", (jobs,))
     e = var.add("e[{}]", (jobs,))
     t = var.add("t[{}]", (objs,))
-    x = var.binaries("X[{},{}]", (jobs.repeat(nc), np.tile(cns, nj)),
-                     x01 if pin_xy else None).reshape(nj, nc)
+    x = var.binaries("X[{},{}]", (jobs.repeat(nc), np.tile(cns, nj))).reshape(nj, nc)
     y = np.full((nj, nj), -1)
-    y[off_i, off_j] = var.binaries("Y[{},{}]", (off_i, off_j),
-                                   y01[off_i, off_j] if pin_xy else None)
-    z = var.binaries("Z[{},{}]", (objs.repeat(nl), np.tile(sns, nd)),
-                     z01 if pin_z else None).reshape(nd, nl)
+    y[off_i, off_j] = var.binaries("Y[{},{}]", (off_i, off_j))
+    z = var.binaries("Z[{},{}]", (objs.repeat(nl), np.tile(sns, nd))).reshape(nd, nl)
 
     rows = _Rows()
     slots = rows.reserve(nj, 4)
@@ -339,66 +326,43 @@ def _build(env: GridEnvironment, schedule: Schedule | None = None, pinned: str =
     rows.add(slots[:, 0], "replica[{}]", (objs,), [(z, 1.0)], lo=1.0, hi=1.0)
     rows.add(slots[:, 1], "tdelay[{}]", (objs,), [(t, 1.0), (z, -rd)], lo=0.0, hi=0.0)
 
-    # precedence coupling (whenever i precedes j on a shared CN, j's slot
-    # starts no earlier than i completes), then the transfer stages (inputs
-    # reach the CN only after replication, via t_d, and not before the slot)
-    if not pin_xy:
-        big_a = compute_big_a(env)
-        pi, pj, pc = off_i.repeat(nc), off_j.repeat(nc), np.tile(cns, off_i.size)
-        # binds where Y[i,j] = X[i,c] = X[j,c] = 1; each 0 among them relaxes it by A
-        rows.add(rows.reserve(pi.size), "prec[{},{},{}]", (pi, pj, pc),
-                 [(u[pj], 1.0), (v[pi], -1.0), (e[pi], -1.0), (y[pi, pj], -big_a),
-                  (x[pi, pc], -big_a), (x[pj, pc], -big_a)], lo=-3 * big_a)
-        # one stage pair per CN c, the rows pinning j to c would emit, relaxed
-        # by c's slowest LAN delay unless X[j,c] = 1; as v_j >= t_d and
-        # v_j >= u_j hold anyway, that slack switches them off
-        in_c = np.tile(cns, in_d.size)
-        in_j, in_d = in_j.repeat(nc), in_d.repeat(nc)
-        delay = ld[in_d, :, in_c]
-        big_m = delay.max(axis=1)
-        keys, fmt = (in_j, in_d, in_c), "[{},{},{}]"
-        transfer, lo = [(z[in_d], -delay), (x[in_j, in_c], -big_m)], -big_m
-    else:
-        # assignment and order known: couple only realized same-CN predecessors
-        pi, pj = np.nonzero((job_cn[:, None] == job_cn) & (y01 == 1))
-        rows.add(rows.reserve(pi.size), "prec[{},{}]", (pi, pj),
-                 [(u[pj], 1.0), (v[pi], -1.0), (e[pi], -1.0)], lo=0.0)
-        keys, fmt = (in_j, in_d), "[{},{}]"
-        if not pin_z:
-            transfer, lo = [(z[in_d], -ld[in_d, :, job_cn[in_j]])], 0.0
-        else:
-            transfer, lo = [], ld[in_d, object_sn[in_d], job_cn[in_j]]
+    # precedence coupling: whenever i precedes j on a shared CN, j's slot
+    # starts no earlier than i completes; binds where Y[i,j] = X[i,c] =
+    # X[j,c] = 1, and each 0 among them relaxes it by A
+    pi, pj, pc = off_i.repeat(nc), off_j.repeat(nc), np.tile(cns, off_i.size)
+    rows.add(rows.reserve(pi.size), "prec[{},{},{}]", (pi, pj, pc),
+             [(u[pj], 1.0), (v[pi], -1.0), (e[pi], -1.0), (y[pi, pj], -big_a),
+              (x[pi, pc], -big_a), (x[pj, pc], -big_a)], lo=-3 * big_a)
+    # the transfer stages (inputs reach the CN only after replication, via
+    # t_d, and not before the slot): one stage pair per CN c, the rows
+    # pinning j to c would emit, relaxed by c's slowest LAN delay unless
+    # X[j,c] = 1; as v_j >= t_d and v_j >= u_j hold anyway, that slack
+    # switches them off
+    in_c = np.tile(cns, in_d.size)
+    in_j, in_d = in_j.repeat(nc), in_d.repeat(nc)
+    delay = ld[in_d, :, in_c]
+    big_m = delay.max(axis=1)
+    keys = (in_j, in_d, in_c)
+    transfer = [(z[in_d], -delay), (x[in_j, in_c], -big_m)]
     slots = rows.reserve(in_j.size, 2)
-    rows.add(slots[:, 0], "stage_t" + fmt, keys, [(v[in_j], 1.0), (t[in_d], -1.0)] + transfer,
-             lo=lo)
-    rows.add(slots[:, 1], "stage_u" + fmt, keys, [(v[in_j], 1.0), (u[in_j], -1.0)] + transfer,
-             lo=lo)
+    rows.add(slots[:, 0], "stage_t[{},{},{}]", keys,
+             [(v[in_j], 1.0), (t[in_d], -1.0)] + transfer, lo=-big_m)
+    rows.add(slots[:, 1], "stage_u[{},{},{}]", keys,
+             [(v[in_j], 1.0), (u[in_j], -1.0)] + transfer, lo=-big_m)
 
     warm_x = None
-    if schedule is not None and warm:
-        rep = evaluate(env, schedule)
+    if warm_schedule is not None:
+        rep = evaluate(env, warm_schedule)
+        pos = warm_schedule.positions()     # Y[i, j] = 1 where job i precedes job j
         warm_x = np.empty(var.count)
         warm_x[m] = rep.makespan
         warm_x[u], warm_x[v], warm_x[e] = rep.exec_start, rep.ready, rep.exec_length
         warm_x[t] = rep.replication_done
-        warm_x[x] = x01
-        warm_x[y[off_i, off_j]] = y01[off_i, off_j]
-        warm_x[z] = z01
+        warm_x[x] = _one_hot(warm_schedule.job_cn, nc)
+        warm_x[y[off_i, off_j]] = pos[off_i] < pos[off_j]
+        warm_x[z] = _one_hot(warm_schedule.object_sn, nl)
         warm_x.setflags(write=False)
-
-    objective = np.zeros(var.count)
-    objective[m] = 1.0
-    return MilpModel(kind, var.namer(), np.concatenate(var.lower), np.concatenate(var.upper),
-                     np.concatenate(var.integer), objective, rows.namer(), *rows.csr(),
-                     x, y, z, warm_x)
-
-
-# -- public builders ----------------------------------------------------------
-
-
-def build_monolithic(env: GridEnvironment, warm_schedule: Schedule | None = None) -> MilpModel:
-    """Exact joint model: assignment, order and placement all free."""
-    return _build(env, warm_schedule)
+    return _model("monolithic", var, rows, m, warm_x, x, y, z)
 
 
 def build_fixed_yz(env: GridEnvironment, schedule: Schedule) -> MilpModel:
@@ -412,17 +376,18 @@ def build_fixed_yz(env: GridEnvironment, schedule: Schedule) -> MilpModel:
 def build_fixed_x(env: GridEnvironment, schedule: Schedule) -> MilpModel:
     """Optimize the placement under ``schedule``'s assignment and order,
     warm-started from ``schedule`` (the data-allocation-only model)."""
-    return _build(env, schedule, "xy")
+    return _placement_model(env, schedule, "fixed-xy")
 
 
 def build_fixed_all(env: GridEnvironment, schedule: Schedule) -> MilpModel:
-    """Every decision pinned; only the timing variables remain.
+    """Every decision pinned: the placement model with Z fixed by bounds,
+    so only the timing variables are free.
 
     The LP optimum of this model equals the replayed makespan of the same
     schedule, which makes it the consistency bridge between the evaluator
     and the MILP family.
     """
-    return _build(env, schedule, "xyz", warm=False)
+    return _placement_model(env, schedule, "fixed-xyz")
 
 
 def build_erd_assignment(env: GridEnvironment, schedule: Schedule) -> MilpModel:
@@ -431,6 +396,62 @@ def build_erd_assignment(env: GridEnvironment, schedule: Schedule) -> MilpModel:
     rule); warm-started from ``schedule``'s assignment."""
     schedule.validate(env)
     return _tail_model(env, schedule, "erd-assignment")
+
+
+def _placement_model(env: GridEnvironment, schedule: Schedule, kind: str) -> MilpModel:
+    """The placement model under ``schedule``'s assignment and order; kind
+    ``fixed-xyz`` pins Z to ``schedule``'s placement by bounds and has no
+    warm start.  Job j's compute time is the constant ``exec_time[j,
+    job_cn[j]]``, and ``t[d]``/``Z[d,l]`` exist only for objects some job
+    reads.  Every job reads an object, so its ``stage_u`` rows hold
+    ``v_j >= u_j`` without a row of its own.
+    """
+    schedule.validate(env)
+    nj, nl = env.num_jobs, env.num_local_sns
+    job_cn, pos = schedule.job_cn, schedule.positions()
+    jobs = np.arange(nj)
+    in_j = np.repeat(jobs, [len(inputs) for inputs in env.job_inputs])
+    in_d = np.concatenate(env.job_inputs).astype(np.int64)
+    read = np.unique(in_d)
+    length = env.exec_time()[jobs, job_cn]
+    z01 = _one_hot(schedule.object_sn[read], nl)
+
+    var = _Vars()
+    m = var.add("m", ([0],))[0]     # the one key fills no field of "m"
+    u = var.add("u[{}]", (jobs,))
+    v = var.add("v[{}]", (jobs,))
+    t = np.full(env.num_objects, -1)
+    t[read] = var.add("t[{}]", (read,))
+    z = np.full((env.num_objects, nl), -1)
+    z[read] = var.binaries("Z[{},{}]", (read.repeat(nl), np.tile(np.arange(nl), read.size)),
+                           z01 if kind == "fixed-xyz" else None).reshape(read.size, nl)
+
+    rows = _Rows()
+    rows.add(rows.reserve(nj), "makespan[{}]", (jobs,), [(m, 1.0), (v, -1.0)], lo=length)
+    slots = rows.reserve(read.size, 2)
+    rows.add(slots[:, 0], "replica[{}]", (read,), [(z[read], 1.0)], lo=1.0, hi=1.0)
+    rows.add(slots[:, 1], "tdelay[{}]", (read,),
+             [(t[read], 1.0), (z[read], -env.replication_delay()[read])], lo=0.0, hi=0.0)
+    # j's slot starts no earlier than each job before it on its CN completes
+    pi, pj = np.nonzero((job_cn[:, None] == job_cn) & (pos[:, None] < pos))
+    rows.add(rows.reserve(pi.size), "prec[{},{}]", (pi, pj),
+             [(u[pj], 1.0), (v[pi], -1.0)], lo=length[pi])
+    # inputs reach the pinned CN only after replication and not before the slot
+    delay = env.object_sizes[in_d, None] / env.lan_bandwidth[:, job_cn[in_j]].T
+    slots = rows.reserve(in_j.size, 2)
+    rows.add(slots[:, 0], "stage_t[{},{}]", (in_j, in_d),
+             [(v[in_j], 1.0), (t[in_d], -1.0), (z[in_d], -delay)], lo=0.0)
+    rows.add(slots[:, 1], "stage_u[{},{}]", (in_j, in_d),
+             [(v[in_j], 1.0), (u[in_j], -1.0), (z[in_d], -delay)], lo=0.0)
+
+    warm_x = None
+    if kind == "fixed-xy":
+        warm_x = np.empty(var.count)
+        warm_x[u], warm_x[v], _, warm_x[m] = replay(env, schedule)
+        warm_x[t[read]] = env.replication_delay()[read, schedule.object_sn[read]]
+        warm_x[z[read]] = z01
+        warm_x.setflags(write=False)
+    return _model(kind, var, rows, m, warm_x, z_vars=z, schedule=schedule)
 
 
 def _tail_model(env: GridEnvironment, schedule: Schedule, kind: str,
@@ -474,7 +495,8 @@ def _tail_model(env: GridEnvironment, schedule: Schedule, kind: str,
         coef[:, 0] = alone[tail[:, 0], cns]
         rows.add(slots[:, k], "tail[{},{}]", (cns, tail[:, 0]),
                  [(m, 1.0), (x[tail, cns[:, None]], -coef)], lo=0.0)
-    row_lower, row_upper, indptr, indices, data = rows.csr()
+    csr = rows.csr()
+    _, _, indptr, indices, data = csr
 
     warm_x = np.zeros(var.count)
     warm_x[x] = _one_hot(schedule.job_cn, nc)
@@ -482,31 +504,47 @@ def _tail_model(env: GridEnvironment, schedule: Schedule, kind: str,
     activity = _row_sums(indptr, data * warm_x[indices])
     warm_x[m] = -activity[nj:].min()
     warm_x.setflags(write=False)
+    return _model(kind, var, rows, m, warm_x, x_vars=x, schedule=schedule, priority=priority,
+                  csr=csr)
 
+
+def _model(kind, var, rows, m, warm_x, x_vars=None, y_vars=None, z_vars=None,
+           schedule=None, priority=None, csr=None) -> MilpModel:
+    """The :class:`MilpModel` of ``var`` and ``rows`` (``csr``, when the
+    caller already has it), minimizing ``m``."""
     objective = np.zeros(var.count)
     objective[m] = 1.0
-    return MilpModel(kind, var.namer(), np.concatenate(var.lower),
-                     np.concatenate(var.upper), np.concatenate(var.integer), objective,
-                     rows.namer(), row_lower, row_upper, indptr, indices, data,
-                     x, None, None, warm_x, schedule.object_sn, priority)
+    return MilpModel(kind, var.namer(), np.concatenate(var.lower), np.concatenate(var.upper),
+                     np.concatenate(var.integer), objective, rows.namer(),
+                     *(rows.csr() if csr is None else csr),
+                     warm_x, x_vars, y_vars, z_vars, schedule, priority)
 
 
 def extract_schedule(model: MilpModel, x: np.ndarray) -> Schedule:
     """Schedule encoded by a feasible variable vector of ``model``.
 
-    Reads the one-hot X and Z blocks by arg-max.  Y matters only between jobs
-    sharing a CN, where a feasible point holds a strict total order; each job
-    ranks by the number of same-CN jobs it follows, and the order sorts by
-    rank, then job id, which interleaves the CNs deterministically.  A tail
-    model keeps its pinned placement and orders the jobs by their priority
-    at their CN, ties to the lower job id: for ``erd-assignment`` that is
-    :func:`kernels.erd_orders` of the extracted schedule, and for
-    ``fixed-yz`` the pinned schedule's own order.
+    Reads the one-hot X and Z blocks by arg-max; what a model does not hold
+    comes from the schedule it was built from.  The placement model keeps
+    that schedule's assignment and order, and objects no job reads keep its
+    SN.  A tail model keeps its placement and orders the jobs by their
+    priority at their CN, ties to the lower job id: for ``erd-assignment``
+    that is :func:`kernels.erd_orders` of the extracted schedule, and for
+    ``fixed-yz`` the pinned schedule's own order.  In the joint model Y
+    matters only between jobs sharing a CN, where a feasible point holds a
+    strict total order; each job ranks by the number of same-CN jobs it
+    follows, and the order sorts by rank, then job id, which interleaves
+    the CNs deterministically.
     """
+    pinned = model.schedule
+    if model.x_vars is None:
+        object_sn = pinned.object_sn.copy()
+        read = model.z_vars[:, 0] >= 0
+        object_sn[read] = x[model.z_vars[read]].argmax(axis=1)
+        return Schedule(job_cn=pinned.job_cn, order=pinned.order, object_sn=object_sn)
     job_cn = x[model.x_vars].argmax(axis=1)
     if model.z_vars is None:
         order = np.argsort(model.priority[np.arange(job_cn.size), job_cn], kind="stable")
-        return Schedule(job_cn=job_cn, order=order, object_sn=model.object_sn)
+        return Schedule(job_cn=job_cn, order=order, object_sn=pinned.object_sn)
     object_sn = x[model.z_vars].argmax(axis=1)
     wins = np.where(model.y_vars >= 0, np.round(x[model.y_vars]), 0).astype(np.int64)
     same = job_cn[:, None] == job_cn
