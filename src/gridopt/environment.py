@@ -161,10 +161,17 @@ def _frozen(values, dtype):
     return arr
 
 
-# field -> (dtype, list depth) of the GridEnvironment fields built from arrays
-_ENV_ARRAYS = {"object_sizes": (np.float64, 1), "hosting": (np.int64, 1),
-               "job_inputs": (np.int64, 2), "cn_speeds": (np.float64, 1),
-               "wan_bandwidth": (np.float64, 2), "lan_bandwidth": (np.float64, 2)}
+# field -> (document key, dtype, list depth) of every GridEnvironment field
+# but gamma, read by the constructor's one check and by both document paths.
+# An int64 table holds integers, a float64 one real numbers that are finite
+# and > 0; each is non-empty.  job_inputs is kept as a tuple of int tuples,
+# whose rows may differ in length.
+_ENV_FIELDS = {"object_sizes": ("object_sizes_kb", np.float64, 1),
+               "hosting": ("hosting", np.int64, 1),
+               "job_inputs": ("job_inputs", np.int64, 2),
+               "cn_speeds": ("cn_speeds", np.float64, 1),
+               "wan_bandwidth": ("wan_bandwidth", np.float64, 2),
+               "lan_bandwidth": ("lan_bandwidth", np.float64, 2)}
 
 
 def _entry_types(value, depth) -> set:
@@ -179,6 +186,27 @@ def _entry_types(value, depth) -> set:
         value = [d for row in value
                  for d in (row if isinstance(row, (list, tuple, np.ndarray)) else (row,))]
     return set(map(type, value))
+
+
+def _check_table(name, value, dtype, depth):
+    """``value`` as field ``name`` holds it; else InvalidEnvironmentError naming it."""
+    kind, noun = ((numbers.Integral, "integers") if dtype is np.int64
+                  else (numbers.Real, "numbers"))
+    # the casts below would read 0.7 as object 0, True as 1.0 and "1" as 1.0
+    if any(cls is bool or not issubclass(cls, kind) for cls in _entry_types(value, depth)):
+        raise InvalidEnvironmentError(f"{name} must hold only {noun}, got {echo(value)}")
+    try:
+        table = (tuple(tuple(int(d) for d in objs) for objs in value)
+                 if name == "job_inputs" else _frozen(value, dtype))
+    except (TypeError, ValueError, OverflowError) as exc:   # not nested, ragged, too big
+        raise InvalidEnvironmentError(f"{name} must be a {depth}-d table of "
+                                      f"{np.dtype(dtype)} values, got {echo(value)}") from exc
+    if not (len(table) if name == "job_inputs" else table.ndim == depth and table.size):
+        raise InvalidEnvironmentError(f"{name} must be a non-empty {depth}-d table, "
+                                      f"got {echo(value)}")
+    if dtype is np.float64 and not (np.isfinite(table).all() and (table > 0).all()):
+        raise InvalidEnvironmentError(f"{name} must be finite and > 0, got {echo(value)}")
+    return table
 
 
 @dataclass(frozen=True)
@@ -199,74 +227,31 @@ class GridEnvironment:
     gamma: float                  # ops per KB of input
 
     def __post_init__(self):
-        for name, (dtype, depth) in _ENV_ARRAYS.items():
-            value = getattr(self, name)
-            # the casts below would read 0.7 as object 0, True as 1.0 and "1" as 1.0
-            kind, noun = ((numbers.Integral, "integers") if dtype is np.int64
-                          else (numbers.Real, "numbers"))
-            if any(cls is bool or not issubclass(cls, kind)
-                   for cls in _entry_types(value, depth)):
-                raise InvalidEnvironmentError(f"{name} must hold only {noun}, "
-                                              f"got {echo(value)}")
-            if name == "job_inputs":
-                try:
-                    value = tuple(tuple(int(d) for d in objs) for objs in value)
-                except TypeError as exc:    # not nested
-                    raise InvalidEnvironmentError(
-                        "job_inputs must be a list of lists of object ids") from exc
-            else:
-                try:
-                    value = _frozen(value, dtype)
-                except ValueError as exc:   # a ragged table
-                    raise InvalidEnvironmentError(
-                        f"{name} must be a rectangular array of numbers") from exc
-            object.__setattr__(self, name, value)
-        self._check()
-
-    def _check(self):
-        if self.object_sizes.ndim != 1 or self.object_sizes.size == 0:
-            raise InvalidEnvironmentError("object_sizes must be a non-empty 1-d array")
-        if self.cn_speeds.ndim != 1 or self.cn_speeds.size == 0:
-            raise InvalidEnvironmentError("cn_speeds must be a non-empty 1-d array")
-        if self.wan_bandwidth.ndim != 2 or self.lan_bandwidth.ndim != 2:
-            raise InvalidEnvironmentError("bandwidth tables must be 2-d")
-        if self.wan_bandwidth.shape[1] != self.lan_bandwidth.shape[0]:
-            raise InvalidEnvironmentError(
-                "wan_bandwidth has %d local SN columns but lan_bandwidth has %d rows"
-                % (self.wan_bandwidth.shape[1], self.lan_bandwidth.shape[0])
-            )
-        if self.lan_bandwidth.shape[1] != self.cn_speeds.size:
-            raise InvalidEnvironmentError(
-                "lan_bandwidth has %d CN columns but there are %d CN speeds"
-                % (self.lan_bandwidth.shape[1], self.cn_speeds.size)
-            )
-        if self.hosting.shape != self.object_sizes.shape:
-            raise InvalidEnvironmentError("hosting must have one entry per object")
-        for label, arr in (
-            ("object_sizes", self.object_sizes),
-            ("cn_speeds", self.cn_speeds),
-            ("wan_bandwidth", self.wan_bandwidth),
-            ("lan_bandwidth", self.lan_bandwidth),
-        ):
-            if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
-                raise InvalidEnvironmentError(label + " must be finite and strictly positive")
+        for name, (_, dtype, depth) in _ENV_FIELDS.items():
+            object.__setattr__(self, name, _check_table(name, getattr(self, name), dtype, depth))
         try:
             check_positive(self.gamma, "gamma")
         except ValueError as exc:
             raise InvalidEnvironmentError(str(exc)) from None
-        if np.any(self.hosting < 0) or np.any(self.hosting >= self.num_remote_sns):
-            raise InvalidEnvironmentError("hosting contains an out-of-range remote SN id")
-        if len(self.job_inputs) == 0:
-            raise InvalidEnvironmentError("there must be at least one job")
+        object.__setattr__(self, "gamma", float(self.gamma))
+        d, r = self.num_objects, self.num_remote_sns
+        if self.hosting.size != d or self.hosting.min() < 0 or self.hosting.max() >= r:
+            raise InvalidEnvironmentError(f"hosting must hold a remote SN id in [0, {r}) for "
+                                          f"each of {d} objects, got {echo(self.hosting.tolist())}")
+        if self.wan_bandwidth.shape[1] != self.num_local_sns:
+            raise InvalidEnvironmentError(
+                f"wan_bandwidth has {self.wan_bandwidth.shape[1]} local SN columns but "
+                f"lan_bandwidth has {self.num_local_sns} rows")
+        if self.lan_bandwidth.shape[1] != self.num_cns:
+            raise InvalidEnvironmentError(
+                f"lan_bandwidth has {self.lan_bandwidth.shape[1]} CN columns but there are "
+                f"{self.num_cns} CN speeds")
         for j, objs in enumerate(self.job_inputs):
-            if len(objs) == 0:
-                raise InvalidEnvironmentError(f"job {j} reads no objects")
-            if len(set(objs)) != len(objs):
-                raise InvalidEnvironmentError(f"job {j} lists a duplicate object")
-            if any(d < 0 or d >= self.num_objects for d in objs):
-                raise InvalidEnvironmentError(f"job {j} references an out-of-range object id")
-            if list(objs) != sorted(objs):
-                raise InvalidEnvironmentError(f"job_inputs[{j}] is not sorted ascending")
+            if not (objs and 0 <= objs[0] and objs[-1] < d
+                    and all(a < b for a, b in zip(objs, objs[1:]))):
+                raise InvalidEnvironmentError(
+                    f"job_inputs[{j}] must be a non-empty, strictly ascending list of "
+                    f"object ids in [0, {d}), got {echo(objs)}")
 
     # -- dimensions ---------------------------------------------------------
 
@@ -353,43 +338,27 @@ class GridEnvironment:
     # -- persistence --------------------------------------------------------
 
     def to_document(self) -> dict:
-        return {
-            "schema": ENVIRONMENT_SCHEMA,
-            "object_sizes_kb": self.object_sizes.tolist(),
-            "hosting": self.hosting.tolist(),
-            "job_inputs": [list(objs) for objs in self.job_inputs],
-            "cn_speeds": self.cn_speeds.tolist(),
-            "wan_bandwidth": self.wan_bandwidth.tolist(),
-            "lan_bandwidth": self.lan_bandwidth.tolist(),
-            "gamma": self.gamma,
-        }
+        doc = {"schema": ENVIRONMENT_SCHEMA}
+        for name, (key, _, _) in _ENV_FIELDS.items():
+            value = getattr(self, name)
+            doc[key] = value.tolist() if name != "job_inputs" else [list(objs) for objs in value]
+        doc["gamma"] = self.gamma
+        return doc
 
     def save(self, path) -> None:
         save_document(self.to_document(), path)
-
-
-# field -> (JSON kind, list depth) of an environment document
-_ENV_FIELDS = {
-    "object_sizes_kb": (float, 1),
-    "hosting": (int, 1),
-    "job_inputs": (int, 2),
-    "cn_speeds": (float, 1),
-    "wan_bandwidth": (float, 2),
-    "lan_bandwidth": (float, 2),
-    "gamma": (float, 0),
-}
 
 
 def environment_from_document(doc: dict) -> GridEnvironment:
     """Rebuild an environment from :meth:`GridEnvironment.to_document` output.
 
     Raises :class:`DocumentError` naming the offending field when the schema
-    tag is wrong or a field is missing, unknown, ill-typed or invalid.
+    tag is wrong, a field is missing or unknown, or the constructor rejects it.
     """
-    check_document(doc, ENVIRONMENT_SCHEMA, _ENV_FIELDS)
-    fields = {name: read_field(doc, name, *spec) for name, spec in _ENV_FIELDS.items()}
-    return build_from_document(GridEnvironment, object_sizes=fields.pop("object_sizes_kb"),
-                               gamma=float(fields.pop("gamma")), **fields)
+    keys = {name: key for name, (key, _, _) in _ENV_FIELDS.items()}
+    keys["gamma"] = "gamma"
+    check_document(doc, ENVIRONMENT_SCHEMA, keys.values())
+    return build_from_document(GridEnvironment, **{name: doc[key] for name, key in keys.items()})
 
 
 def load_environment(path) -> GridEnvironment:

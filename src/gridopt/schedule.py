@@ -6,8 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .environment import (GridEnvironment, build_from_document, check_document,
-                          check_seed, load_document, read_field, save_document)
+from .environment import (GridEnvironment, _entry_types, build_from_document,
+                          check_document, check_seed, echo, load_document, read_field,
+                          save_document)
 
 SCHEDULE_SCHEMA = "grid-schedule/1"
 
@@ -31,9 +32,13 @@ class Schedule:
 
     def __post_init__(self):
         for name in ("job_cn", "order", "object_sn"):
-            given = np.asarray(getattr(self, name))
+            value = getattr(self, name)
             # the int64 cast below would truncate 1.7 to 1 and read True or
-            # "1" as 1 without a word
+            # "1" as 1 without a word; a bool among ints leaves an int dtype
+            if any(issubclass(cls, (bool, np.bool_)) for cls in _entry_types(value, 1)):
+                raise InvalidScheduleError(f"{name} must hold integer ids, "
+                                           f"got a bool in {echo(value)}")
+            given = np.asarray(value)
             if given.dtype.kind == "f":
                 bad = ~np.isfinite(given) | (given != np.round(given))
                 if bad.any():

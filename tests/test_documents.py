@@ -66,6 +66,8 @@ def _probe(kind, path, value):
     ("generation", ("gamma",), True, "gamma"),
     ("generation", ("wan_bandwidth_range", 0), True, "wan_bandwidth_range"),
     ("generation", ("objects_per_job",), [1, 2, 3], "objects_per_job"),
+    ("environment", ("job_inputs", 0, 0), 10**30, "job_inputs"),
+    ("environment", ("object_sizes_kb", 0), 10**400, "object_sizes"),
 ])
 def test_a_bad_field_is_rejected_by_name(kind, path, value, field):
     load, doc = _probe(kind, path, value)

@@ -282,7 +282,9 @@ def _valid_env_kwargs():
     )
 
 
-@pytest.mark.parametrize("mutation", [
+# each mutation of _valid_env_kwargs that the constructor rejects, naming
+# one of the fields it changes
+INVALID_ENVIRONMENTS = [
     dict(job_inputs=((), (0,))),              # empty input set
     dict(job_inputs=((0, 0), (1,))),          # duplicate object
     dict(job_inputs=((0,), (5,))),            # object id out of range
@@ -298,12 +300,33 @@ def _valid_env_kwargs():
     dict(gamma=True),
     dict(gamma="1"),
     dict(job_inputs=(0, 1)),                  # not a list of lists
-])
+    dict(hosting=[2**70]),                    # beyond int64
+    dict(object_sizes=[10**400]),             # beyond float range
+    dict(wan_bandwidth=np.zeros((2, 0)), lan_bandwidth=np.zeros((0, 2))),  # no local SN
+    dict(wan_bandwidth=[[], []], lan_bandwidth=[]),                        # the same as lists
+]
+
+
+@pytest.mark.parametrize("mutation", INVALID_ENVIRONMENTS)
 def test_environment_invariants_rejected(mutation):
     kwargs = _valid_env_kwargs()
     kwargs.update(mutation)
-    with pytest.raises(InvalidEnvironmentError):
+    with pytest.raises(InvalidEnvironmentError, match="|".join(mutation)):
         GridEnvironment(**kwargs)
+
+
+@pytest.mark.parametrize("mutation", [m for m in INVALID_ENVIRONMENTS if not any(
+    isinstance(v, np.ndarray) for v in m.values())])
+def test_a_document_gets_the_constructors_verdict(mutation):
+    kwargs = json.loads(json.dumps({**_valid_env_kwargs(), **mutation}))
+    with pytest.raises(InvalidEnvironmentError) as built:
+        GridEnvironment(**kwargs)
+    doc = GridEnvironment(**_valid_env_kwargs()).to_document()
+    doc.update({"object_sizes_kb" if name == "object_sizes" else name: value
+                for name, value in kwargs.items()})
+    with pytest.raises(DocumentError) as loaded:
+        environment_from_document(doc)
+    assert str(built.value) in str(loaded.value)
 
 
 @pytest.mark.parametrize("field,bad", [

@@ -61,6 +61,8 @@ def test_order_and_job_cn_length_mismatch_rejected():
     ("job_cn", [True, False, True], "bool"),
     ("order", ["0", "1", "2"], "<U1"),
     ("object_sn", [1 + 0j, 0j], "complex"),
+    ("job_cn", [True, 0, 1], "True"),
+    ("order", [np.True_, 1, 2], "True"),
 ])
 def test_non_integral_ids_are_rejected_by_field(field, value, shown):
     fields = dict(job_cn=[0, 1, 0], order=[0, 1, 2], object_sn=[0, 1])
