@@ -7,11 +7,14 @@ from the greedy schedule of a seeded random job order and alternates a step
 on the assignment, with every CN queue in ERD order, with one on the
 placement under that order, so its replayed makespan never increases:
 interrupted after any step, it leaves a valid schedule no worse than its
-start.
+start.  Its assignment half-step first runs :func:`pair_sweep`, the same
+step on two CNs at a time, each cut out as a sub-environment.
 """
 
 from __future__ import annotations
 
+import time
+from collections import Counter
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -19,6 +22,7 @@ import numpy as np
 from .baselines import BaselineRun, _finish, greedy
 from .environment import GridEnvironment, check_budget, check_seed, echo, save_document
 from .evaluator import makespan_of
+from .kernels import erd_orders, replay_batch
 from .model import build_erd_assignment, build_fixed_x, build_fixed_yz, extract_schedule
 from .schedule import Schedule, random_schedule
 from .solver import SolveResult, solve
@@ -40,7 +44,7 @@ PINNED = {
 @dataclass(frozen=True)
 class AlterMilpConfig:
     iterations: int = 3
-    total_budget: float = 3.0       # seconds of solver time over all 2T solves
+    total_budget: float = 3.0       # seconds shared equally by the 2T half-steps
     seed: int = 0                   # seeds the job order of the greedy start
     backend: object | None = None   # solver backend; None -> HiGHS
     early_stop: bool = True
@@ -58,7 +62,7 @@ class TraceStep:
     status: str             # solver status, or "init"
     model_objective: float | None
     makespan: float         # replayed makespan of the iterate after this step
-    wall_time: float        # backend seconds of this step's solve
+    wall_time: float        # backend seconds of this step's solves
     diagnostics: str        # the solve's notes, ending in what it proved; "" at init
     schedule: Schedule
 
@@ -114,6 +118,95 @@ def step(env: GridEnvironment, stage: str, schedule: Schedule, makespan: float,
     return schedule, makespan, res
 
 
+def pair_sweep(env: GridEnvironment, schedule: Schedule, makespan: float, budget: float,
+               backend=None) -> tuple[Schedule, float, list[SolveResult], int]:
+    """Re-assign the jobs of two CNs at a time, each pair solved exactly as
+    its own sub-environment, within ``budget`` seconds of wall time.
+
+    The critical CN (largest replayed finish, ties to the lower id) is
+    paired with every other CN in ascending order of finish, ties to the
+    lower id.  Each pair's jobs and the objects they read form
+    :meth:`GridEnvironment.restrict`'s sub-instance, on which the
+    ``erd-assignment`` model is solved with whatever is left of
+    ``budget``, which is charged every second the sweep takes.  Its answer
+    is written back, the whole grid re-sorted by ERD, and kept only if the
+    full replay is strictly lower; the sweep then restarts from the new
+    critical CN.  It stops when a whole pass keeps nothing or the budget is
+    spent.
+
+    Returns (schedule, makespan, every sub-solve's result, improvements).
+    """
+    deadline = time.perf_counter() + budget
+    results, improved = [], 0
+    while True:
+        finish = replay_batch(env, schedule.job_cn[None], schedule.order[None],
+                              schedule.object_sn[None])[0]
+        critical = int(finish.argmax())
+        for partner in np.argsort(finish, kind="stable"):
+            if partner == critical:
+                continue
+            left = deadline - time.perf_counter()
+            if left <= 0:
+                return schedule, makespan, results, improved
+            cns = np.sort([critical, partner])
+            jobs = np.flatnonzero(np.isin(schedule.job_cn, cns))
+            sub_env = env.restrict(jobs, cns)
+            sub = Schedule(job_cn=np.searchsorted(cns, schedule.job_cn[jobs]),
+                           order=np.arange(jobs.size),
+                           object_sn=schedule.object_sn[env.objects_read(jobs)])
+            mdl = build_erd_assignment(sub_env, sub)
+            res = solve(mdl, left, backend=backend)
+            results.append(res)
+            if not res.ok:
+                continue
+            job_cn = schedule.job_cn.copy()
+            job_cn[jobs] = cns[extract_schedule(mdl, res.x).job_cn]
+            order = erd_orders(env, job_cn[None], schedule.object_sn[None])[0]
+            candidate = Schedule(job_cn=job_cn, order=order, object_sn=schedule.object_sn)
+            candidate_mk = makespan_of(env, candidate)
+            if candidate_mk < makespan:
+                schedule, makespan = candidate, candidate_mk
+                improved += 1
+                break
+        else:
+            return schedule, makespan, results, improved
+
+
+def _assignment_half_step(env: GridEnvironment, iteration: int, schedule: Schedule,
+                          makespan: float, share: float, backend) -> tuple[TraceStep, bool]:
+    """:func:`pair_sweep`, then the ``erd-assignment`` :func:`step` on the
+    whole grid with what is left of ``share`` seconds of wall time; with two
+    CNs or fewer the one pair is the whole grid, so only the step runs, with
+    all of it.
+
+    Returns the trace step and whether any of its solves succeeded.  Its
+    status and objective are the whole-grid solve's, its wall time every
+    backend second of the half-step, and its diagnostics the sweep's counts,
+    then the whole-grid solve's message.  When the sweep spent the share the
+    whole-grid solve is skipped, and the step is a "feasible-timeout" with
+    no objective.
+    """
+    results, note, left = [], "", share
+    if env.num_cns > 2:
+        start = time.perf_counter()
+        schedule, makespan, results, improved = pair_sweep(env, schedule, makespan, share,
+                                                           backend)
+        statuses = Counter(r.status for r in results)
+        note = (f"sweep: {len(results)} sub-solves, {improved} improved"
+                + "".join(f", {s}={n}" for s, n in sorted(statuses.items()))
+                + f", {sum(r.wall_time for r in results):.3f}s backend; ")
+        left = share - (time.perf_counter() - start)
+    status, objective, message = ("feasible-timeout", None,
+                                  "whole-grid solve skipped: the share is spent")
+    if left > 0:
+        schedule, makespan, res = step(env, "erd-assignment", schedule, makespan, left, backend)
+        results.append(res)
+        status, objective, message = res.status, res.objective, res.diagnostics
+    return (TraceStep(iteration, "erd-assignment", status, objective, makespan,
+                      sum(r.wall_time for r in results), note + message, schedule),
+            any(r.ok for r in results))
+
+
 def _one_step(env: GridEnvironment, stage: str, budget: float, seed, backend) -> BaselineRun:
     """One ``stage`` step from ``random_schedule(env, seed)``."""
     init = random_schedule(env, seed)
@@ -135,31 +228,38 @@ def min_exe(env: GridEnvironment, budget: float, seed, backend=None) -> Baseline
 def run(env: GridEnvironment, config: AlterMilpConfig) -> tuple[Schedule, OptimizationTrace]:
     """Alternating optimization from the greedy schedule of a seeded job order.
 
-    Each iteration is a :func:`step` on the assignment in ERD order, then one
-    on the placement with the order pinned to the ERD order the first step
+    Each iteration is a half-step on the assignment in ERD order (a
+    :func:`pair_sweep`, then a :func:`step` on the whole grid), then a step
+    on the placement with the order pinned to the ERD order the first
     extracted: given the assignment and placement, ERD is the best order, so
     the placement step needs no order variables, and the next assignment
-    step re-sorts by ERD under the new placement.  Every step is a backend
-    solve, and the trace records its status, wall time and diagnostics,
-    failed solves included.  The returned schedule is the last iterate,
-    which is also the best.
+    half-step re-sorts by ERD under the new placement.  Each half-step has
+    a share of ``total_budget / 2T`` seconds: the placement solve's time
+    limit, and on more than two CNs the assignment half-step's wall-clock
+    deadline.  Every step runs backend solves, and the trace records their
+    status, wall time and diagnostics, failed solves included.  The returned
+    schedule is the last iterate, which is also the best.
     """
     order = np.random.default_rng(config.seed).permutation(env.num_jobs)
     current = greedy(env, order=order).schedule
     current_mk = makespan_of(env, current)
     steps = [TraceStep(0, "init", "init", None, current_mk, 0.0, "", current)]
-    budget = config.total_budget / (2 * config.iterations)    # per solve
+    share = config.total_budget / (2 * config.iterations)    # per half-step
     any_success = False
     quiet_iterations = 0
 
     for it in range(1, config.iterations + 1):
         mk_before = current_mk
-        for stage in ("erd-assignment", "placement"):
-            current, current_mk, res = step(env, stage, current, current_mk, budget,
-                                            config.backend)
-            any_success |= res.ok
-            steps.append(TraceStep(it, stage, res.status, res.objective, current_mk,
-                                   res.wall_time, res.diagnostics, current))
+        half_step, ok = _assignment_half_step(env, it, current, current_mk, share,
+                                              config.backend)
+        steps.append(half_step)
+        any_success |= ok
+        current, current_mk = half_step.schedule, half_step.makespan
+        current, current_mk, res = step(env, "placement", current, current_mk, share,
+                                        config.backend)
+        any_success |= res.ok
+        steps.append(TraceStep(it, "placement", res.status, res.objective, current_mk,
+                               res.wall_time, res.diagnostics, current))
         improvement = (mk_before - current_mk) / max(1.0, mk_before)
         quiet_iterations = quiet_iterations + 1 if improvement < EARLY_STOP_REL else 0
         if config.early_stop and quiet_iterations >= 2 and it < config.iterations:

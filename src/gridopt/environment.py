@@ -195,6 +195,11 @@ def _check_table(name, value, dtype, depth):
     # the casts below would read 0.7 as object 0, True as 1.0 and "1" as 1.0
     if any(cls is bool or not issubclass(cls, kind) for cls in _entry_types(value, depth)):
         raise InvalidEnvironmentError(f"{name} must hold only {noun}, got {echo(value)}")
+    # and an unsigned array past int64's maximum would wrap to negative ids
+    if isinstance(value, np.ndarray) and value.dtype.kind == "u" and value.size \
+            and value.max() > np.iinfo(np.int64).max:
+        raise InvalidEnvironmentError(f"{name} must hold integers within int64, "
+                                      f"got {int(value.max())}")
     try:
         table = (tuple(tuple(int(d) for d in objs) for objs in value)
                  if name == "job_inputs" else _frozen(value, dtype))
@@ -334,6 +339,35 @@ class GridEnvironment:
         sizes = self.object_sizes[table]
         sizes[1:][table[1:] == table[0]] = 0.0
         return _frozen(np.cumsum(sizes, axis=0)[-1], np.float64)
+
+    # -- sub-instances -------------------------------------------------------
+
+    def restrict(self, jobs, cns) -> GridEnvironment:
+        """The sub-instance of ``jobs`` on ``cns``: its job k is ``jobs[k]``,
+        its CN c is ``cns[c]``, and its objects are those the jobs read,
+        renumbered in ascending order (:meth:`objects_read`); every SN is kept.
+
+        Replication depends only on the placement, and each CN runs its own
+        queue, so a schedule of these jobs on these CNs, with the placement
+        cut to these objects, replays here to exactly the finish times that
+        those CNs have in the full replay.
+        """
+        objects = self.objects_read(jobs)
+        return GridEnvironment(
+            object_sizes=self.object_sizes[objects],
+            hosting=self.hosting[objects],
+            job_inputs=tuple(tuple(objects.searchsorted(self.job_inputs[j]).tolist())
+                             for j in jobs),
+            cn_speeds=self.cn_speeds[cns],
+            wan_bandwidth=self.wan_bandwidth,
+            lan_bandwidth=self.lan_bandwidth[:, cns],
+            gamma=self.gamma,
+        )
+
+    def objects_read(self, jobs) -> np.ndarray:
+        """Ascending ids of the objects that ``jobs`` read: the objects of
+        :meth:`restrict`, in its order."""
+        return np.unique(self.input_table()[:, jobs])
 
     # -- persistence --------------------------------------------------------
 

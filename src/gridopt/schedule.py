@@ -40,13 +40,18 @@ class Schedule:
                                            f"got a bool in {echo(value)}")
             given = np.asarray(value)
             if given.dtype.kind == "f":
-                bad = ~np.isfinite(given) | (given != np.round(given))
+                # 2**63 and beyond would cast to int64's minimum
+                bad = ~(np.abs(given) < 2.0**63) | (given != np.round(given))
                 if bad.any():
-                    raise InvalidScheduleError(f"{name} must hold integer ids, "
+                    raise InvalidScheduleError(f"{name} must hold integer ids within int64, "
                                                f"got {float(given[bad].flat[0])!r}")
             elif given.dtype.kind not in "iu":
                 raise InvalidScheduleError(f"{name} must hold integer ids, "
                                            f"got dtype {given.dtype}")
+            elif given.dtype.kind == "u" and given.size and given.max() > np.iinfo(np.int64).max:
+                # the cast below would wrap it to a negative id
+                raise InvalidScheduleError(f"{name} must hold integer ids within int64, "
+                                           f"got {int(given.max())}")
             # always a copy: a row of a batch array would otherwise keep the
             # whole batch alive for as long as the schedule lives
             arr = np.array(given, dtype=np.int64)

@@ -1,6 +1,6 @@
 """Acceptance gate for the whole toolkit.
 
-Eight behavior-level bars, one test each, ordered from consistency checks to
+Nine behavior-level bars, one test each, ordered from consistency checks to
 end-to-end quality comparisons.  Every test prints a single PASS/FAIL line
 with its measured numbers (visible under -s, or in the failure report), then
 asserts the bar.  Module-level unit tests live in the other files; these are
@@ -251,3 +251,21 @@ def test_criterion_8_cross_module_properties():
     report("8 property suite", True,
            f"validity, dominance, ranges, skew, round-trips; "
            f"{time.perf_counter() - start:.1f}s")
+
+
+def test_criterion_9_altermilp_beats_ensgreedy_at_medium_scale():
+    start = time.perf_counter()
+    budget = 2.0
+    alter, ens = [], []
+    for seed in range(3):
+        env = generate(preset_config("medium"), seed=seed)
+        final, _ = altermilp(env, AlterMilpConfig(iterations=2, total_budget=budget,
+                                                  seed=seed))
+        alter.append(makespan_of(env, final))
+        ens.append(ensemble_greedy(env, seed, budget=budget).makespan)
+    ok = np.mean(alter) <= np.mean(ens)
+    detail = report(
+        "9 medium-scale ordering", ok,
+        f"means alter {np.mean(alter):.0f} vs ensgreedy {np.mean(ens):.0f} at "
+        f"{budget:g} s over 3 seeds; {time.perf_counter() - start:.1f}s")
+    assert ok, detail

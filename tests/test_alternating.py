@@ -1,13 +1,19 @@
+import itertools
 import json
+import re
+import time
 
 import numpy as np
 import pytest
 
 from gridopt import alternating
-from gridopt.alternating import PINNED, AlterMilpConfig, min_exe, min_trans, run, step
+from gridopt.alternating import (PINNED, AlterMilpConfig, min_exe, min_trans, pair_sweep,
+                                 run, step)
 from gridopt.baselines import greedy
 from gridopt.environment import GenerationConfig, generate, preset_config
-from gridopt.evaluator import makespan_of
+from gridopt.evaluator import makespan_of, makespans_of
+from gridopt.kernels import erd_orders
+from gridopt.model import extract_schedule
 from gridopt.schedule import random_schedule
 from gridopt.solver import brute_force_optimal
 
@@ -137,18 +143,68 @@ class _InfeasibleBackend:
         return None, "infeasible", "scripted refusal"
 
 
+class _Granted(_InfeasibleBackend):
+    """Records each solve's model kind and time limit; spends ``spend`` of it."""
+
+    def __init__(self, spend=0.0):
+        self.spend, self.granted = spend, []
+
+    def solve_raw(self, model, budget):
+        self.granted.append((model.kind, budget))
+        time.sleep(self.spend * budget)
+        return super().solve_raw(model, budget)
+
+    def half_steps(self):
+        """The limits of each half-step: a placement solve ends an assignment half-step."""
+        steps, limits = [], []
+        for kind, budget in self.granted:
+            limits.append(budget)
+            if kind == "fixed-xy":
+                steps += [limits[:-1], limits[-1:]]
+                limits = []
+        return steps
+
+
 def test_step_budgets_equal_split(env_tiny):
-    granted = []
-
-    class _Granted(_InfeasibleBackend):
-        def solve_raw(self, model, budget):
-            granted.append(budget)
-            return super().solve_raw(model, budget)
-
-    run(env_tiny, AlterMilpConfig(iterations=3, total_budget=3.0, backend=_Granted(),
+    # each of the 2T half-steps has total / (2T) seconds; on two CNs the one
+    # pair is the whole grid, so each is one solve with all of it
+    backend = _Granted()
+    run(env_tiny, AlterMilpConfig(iterations=3, total_budget=3.0, backend=backend,
                                   early_stop=False))
-    # each of the 2T solves gets exactly total / (2T) of backend time
-    assert granted == [3.0 / 6] * 6
+    assert [budget for _, budget in backend.granted] == [3.0 / 6] * 6
+
+    env = generate(preset_config("small"), seed=0)
+    share = 3.0 / 6
+    backend = _Granted()
+    run(env, AlterMilpConfig(iterations=3, total_budget=3.0, backend=backend,
+                             early_stop=False))
+    steps = backend.half_steps()
+    assert len(steps) == 6
+    for assignment, placement in zip(steps[::2], steps[1::2]):
+        # every sub-solve fails, so one pass pairs the critical CN with the
+        # other C - 1, then the whole-grid solve gets what is left of the share
+        assert len(assignment) == env.num_cns
+        assert all(0 < b <= a <= share for a, b in zip(assignment, assignment[1:]))
+        assert placement == [share]
+
+    # a backend that spends each limit: the share is a deadline, so the
+    # first sub-solve takes all of it and nothing else runs
+    share = 0.3 / 6
+    backend = _Granted(spend=1.0)
+    _, trace = run(env, AlterMilpConfig(iterations=3, total_budget=0.3, backend=backend,
+                                        early_stop=False))
+    steps = backend.half_steps()
+    for assignment, placement in zip(steps[::2], steps[1::2]):
+        assert sum(assignment) <= share and placement == [share]
+    for s in trace.steps[1::2]:
+        assert s.status == "feasible-timeout" and s.model_objective is None
+        assert s.diagnostics.endswith("whole-grid solve skipped: the share is spent")
+
+    # a share too short for even one sub-solve still leaves a valid schedule
+    final, trace = run(env, AlterMilpConfig(iterations=1, total_budget=2e-9))
+    final.validate(env)
+    assert re.match(r"sweep: 0 sub-solves, 0 improved, 0\.000s backend; whole-grid solve "
+                    r"skipped", trace.steps[1].diagnostics)
 
 
 def test_all_failed_solves_mark_the_trace_degraded(env_tiny):
@@ -189,3 +245,94 @@ def test_a_worse_answer_never_replaces_the_input(env_tiny, monkeypatch):
             assert out.schedule.to_document() == start.to_document()
     with pytest.raises(ValueError, match="stage must be one of .*, got 'order'"):
         step(env_tiny, "order", start, start_mk, 1.0)
+
+
+def _sweep_counts(diagnostics):
+    """(sub-solves, improved) from an erd-assignment step's diagnostics."""
+    found = re.match(r"sweep: (\d+) sub-solves, (\d+) improved(, [a-z-]+=\d+)+, "
+                     r"[\d.]+s backend; ", diagnostics)
+    return int(found[1]), int(found[2])
+
+
+def test_a_sweep_never_worsens_the_makespan():
+    for seed in range(4):
+        env = generate(preset_config("small"), seed=seed)
+        start = random_schedule(env, seed)
+        start_mk = makespan_of(env, start)
+        final, mk, results, improved = pair_sweep(env, start, start_mk, 10.0)
+        final.validate(env)
+        assert mk == makespan_of(env, final) and mk <= start_mk
+        assert (improved > 0) == (mk < start_mk)
+        assert len(results) >= env.num_cns - 1 and all(r.ok for r in results)
+        # every CN queue ends in ERD order
+        assert final.order.tolist() == erd_orders(env, final.job_cn[None],
+                                                  final.object_sn[None])[0].tolist()
+        kept, kept_mk, failed, none = pair_sweep(env, start, start_mk, 10.0,
+                                                 _InfeasibleBackend())
+        assert kept is start and kept_mk == start_mk and none == 0
+        assert len(failed) == env.num_cns - 1
+
+
+def test_each_pair_sub_solve_is_the_enumerated_optimum(monkeypatch):
+    built, solved = {}, []
+
+    def build(env, schedule):
+        model = build_erd_assignment(env, schedule)
+        built[id(model)] = env
+        return model
+
+    def solve(model, budget, backend=None):
+        res = real_solve(model, budget, backend=backend)
+        solved.append((model, res))
+        return res
+
+    build_erd_assignment, real_solve = alternating.build_erd_assignment, alternating.solve
+    monkeypatch.setattr(alternating, "build_erd_assignment", build)
+    monkeypatch.setattr(alternating, "solve", solve)
+    for seed in range(3):
+        env = generate(GenerationConfig(num_jobs=8, num_objects=6, num_cns=4,
+                                        num_local_sns=2, num_remote_sns=2, rng_seed=seed))
+        start = random_schedule(env, seed)
+        pair_sweep(env, start, makespan_of(env, start), 30.0)
+    assert len(solved) >= 9
+    for model, res in solved:
+        sub_env = built[id(model)]
+        assert res.status == "optimal"
+        n = sub_env.num_jobs
+        job_cns = np.array(list(itertools.product((0, 1), repeat=n)))
+        object_sns = np.broadcast_to(model.schedule.object_sn, (job_cns.shape[0],
+                                                                sub_env.num_objects))
+        best = makespans_of(sub_env, job_cns, erd_orders(sub_env, job_cns, object_sns),
+                            object_sns).min()
+        answer = makespan_of(sub_env, extract_schedule(model, res.x))
+        assert answer == pytest.approx(best, rel=1e-9)
+
+
+def test_a_run_repeats_exactly_when_no_budget_binds():
+    def trace_of(seed):
+        _, trace = run(env, AlterMilpConfig(iterations=3, total_budget=600.0, seed=seed))
+        doc = trace.to_document()
+        for s in doc["steps"]:
+            del s["wall_time"]
+            s["diagnostics"] = re.sub(r"[\d.]+s backend", "", s["diagnostics"])
+        return doc
+
+    for seed in (0, 1):
+        env = generate(preset_config("small"), seed=seed)
+        assert trace_of(seed) == trace_of(seed)
+
+
+def test_the_trace_explains_the_sweep():
+    env = generate(preset_config("small"), seed=2)
+    _, trace = run(env, AlterMilpConfig(iterations=2, total_budget=4.0, seed=2,
+                                        early_stop=False))
+    assert [s.stage for s in trace.steps] == ["init"] + ["erd-assignment", "placement"] * 2
+    for s in trace.steps[1::2]:
+        runs, improved = _sweep_counts(s.diagnostics)
+        assert runs >= env.num_cns - 1 and 0 <= improved <= runs
+        # then what the whole-grid solve proved
+        assert "dual_bound=" in s.diagnostics.split("backend; ", 1)[1]
+        assert s.wall_time > 0
+    # two CNs: no sweep, the whole-grid solve's message alone
+    _, trace = run(tiny_env(0), AlterMilpConfig(iterations=1, total_budget=2.0))
+    assert trace.steps[1].diagnostics.startswith("Optimal")

@@ -77,6 +77,20 @@ def test_one_iteration_altermilp_under_the_tracer():
             assert exe_metrics["solver.warm_start_kept"] == exe_solves
 
 
+def test_every_pair_sub_solve_is_counted_by_the_tracer():
+    # the sweep's sub-solves go through alternating.solve as the tracer
+    # patched it, each with its time limit as the second positional argument
+    tracing = _tracing()
+    env = gridopt.generate(gridopt.preset_config("small"), seed=3)
+    config = AlterMilpConfig(iterations=1, total_budget=4.0, early_stop=False)
+    metrics, solves, (_, trace) = _traced(tracing, lambda: gridopt.run_altermilp(env, config))
+    sub_solves = int(trace.steps[1].diagnostics.split(" sub-solves", 1)[0].split()[-1])
+    assert sub_solves >= env.num_cns - 1
+    assert solves == sub_solves + 2
+    assert sum(metrics[f"solver.status.{s}"] for s in tracing.SOLVER_STATUSES) == solves
+    assert metrics["alternating.steps"] == 2
+
+
 def test_search_methods_under_the_tracer():
     # every replay goes through kernels.replay as the tracer patched it: a
     # caller holding its own reference to the kernel would read 0 calls

@@ -5,7 +5,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gridopt import kernels
 from gridopt.alternating import AlterMilpConfig, min_exe, min_trans
 from gridopt.baselines import GaConfig, ensemble_greedy, random_baseline
 from gridopt.bench import ExperimentConfig, MethodSpec, run_method
@@ -17,6 +20,8 @@ from gridopt.environment import (DocumentError, GenerationConfig,
                                  environment_from_document, generate, load_environment,
                                  preset_config, read_field)
 from gridopt.schedule import random_schedule
+
+from conftest import grids
 
 
 def _config(**overrides):
@@ -304,6 +309,7 @@ INVALID_ENVIRONMENTS = [
     dict(object_sizes=[10**400]),             # beyond float range
     dict(wan_bandwidth=np.zeros((2, 0)), lan_bandwidth=np.zeros((0, 2))),  # no local SN
     dict(wan_bandwidth=[[], []], lan_bandwidth=[]),                        # the same as lists
+    dict(hosting=np.array([0, 2**64 - 1], dtype=np.uint64)),  # would wrap to -1 in int64
 ]
 
 
@@ -313,6 +319,16 @@ def test_environment_invariants_rejected(mutation):
     kwargs.update(mutation)
     with pytest.raises(InvalidEnvironmentError, match="|".join(mutation)):
         GridEnvironment(**kwargs)
+
+
+def test_unsigned_ids_are_cast_only_within_int64():
+    kwargs = _valid_env_kwargs()
+    kwargs["hosting"] = np.array([0, 2**64 - 1], dtype=np.uint64)
+    with pytest.raises(InvalidEnvironmentError,
+                       match=r"^hosting must hold integers within int64, got 18446744073709551615$"):
+        GridEnvironment(**kwargs)
+    kwargs["hosting"] = np.array([1, 0], dtype=np.uint64)
+    assert GridEnvironment(**kwargs).hosting.tolist() == [1, 0]
 
 
 @pytest.mark.parametrize("mutation", [m for m in INVALID_ENVIRONMENTS if not any(
@@ -408,3 +424,43 @@ def test_generation_config_document_rejects_unknown_field():
     bad["schema"] = "something-else"
     with pytest.raises(DocumentError, match="schema"):
         config_from_document(bad)
+
+
+@settings(max_examples=80, deadline=None)
+@given(env=grids, schedule_seed=st.integers(0, 2**31 - 1), data=st.data())
+def test_a_sub_instance_replays_to_the_full_finishes_of_its_cns(env, schedule_seed, data):
+    schedule = random_schedule(env, schedule_seed)
+    # a CN that runs a job, and any others, busy or idle
+    busy = data.draw(st.sampled_from(schedule.job_cn.tolist()))
+    cns = np.array(sorted({busy} | data.draw(st.sets(st.integers(0, env.num_cns - 1)))))
+    jobs = np.flatnonzero(np.isin(schedule.job_cn, cns))
+    sub_env = env.restrict(jobs, cns)
+    # the schedule cut down: each CN keeps its jobs' relative order
+    pos = schedule.positions()[jobs]
+    full = kernels.replay_batch(env, schedule.job_cn[None], schedule.order[None],
+                                schedule.object_sn[None])[0]
+    sub = kernels.replay_batch(sub_env, np.searchsorted(cns, schedule.job_cn[jobs])[None],
+                               np.argsort(pos)[None],
+                               schedule.object_sn[env.objects_read(jobs)][None])[0]
+    assert sub.tolist() == full[cns].tolist()
+    assert sub_env.num_objects == len({d for j in jobs for d in env.job_inputs[j]})
+
+
+def test_restricting_to_everything_gives_the_same_environment():
+    every_object_read = [GridEnvironment(**_valid_env_kwargs()),
+                         generate(_config(objects_per_job=(10, 10)))]
+    for env in every_object_read:
+        whole = env.restrict(np.arange(env.num_jobs), np.arange(env.num_cns))
+        assert whole.to_document() == env.to_document()
+    env = generate(preset_config("small"), seed=0)
+    jobs, cns = np.array([4, 1]), np.array([3, 0])
+    sub = env.restrict(jobs, cns)
+    objects = env.objects_read(jobs)
+    assert objects.tolist() == sorted(set(env.job_inputs[4]) | set(env.job_inputs[1]))
+    assert sub.job_inputs == tuple(tuple(objects.searchsorted(env.job_inputs[j]).tolist())
+                                   for j in jobs)
+    assert sub.cn_speeds.tolist() == env.cn_speeds[cns].tolist()
+    assert sub.lan_bandwidth.tolist() == env.lan_bandwidth[:, cns].tolist()
+    assert sub.wan_bandwidth.tolist() == env.wan_bandwidth.tolist()
+    assert sub.object_sizes.tolist() == env.object_sizes[objects].tolist()
+    assert sub.hosting.tolist() == env.hosting[objects].tolist()

@@ -63,12 +63,22 @@ def test_order_and_job_cn_length_mismatch_rejected():
     ("object_sn", [1 + 0j, 0j], "complex"),
     ("job_cn", [True, 0, 1], "True"),
     ("order", [np.True_, 1, 2], "True"),
+    ("job_cn", np.array([2**64 - 1, 0, 1], dtype=np.uint64), "got 18446744073709551615$"),
+    ("order", [np.uint64(2**64 - 1), 1, 2], "got 1.8446744073709552e"),
+    ("object_sn", [0.0, 2.0**63], "got 9.223372036854776e"),
 ])
 def test_non_integral_ids_are_rejected_by_field(field, value, shown):
     fields = dict(job_cn=[0, 1, 0], order=[0, 1, 2], object_sn=[0, 1])
     fields[field] = value
     with pytest.raises(InvalidScheduleError, match=rf"^{field} .*{shown}"):
         Schedule(**fields)
+
+
+def test_unsigned_ids_within_int64_are_accepted():
+    s = Schedule(job_cn=np.array([1, 0], dtype=np.uint64), order=[np.uint64(1), 0],
+                 object_sn=np.array([2**63 - 1], dtype=np.uint64))
+    assert s.job_cn.tolist() == [1, 0] and s.order.tolist() == [1, 0]
+    assert s.object_sn.tolist() == [2**63 - 1]
 
 
 def test_integral_float_ids_are_accepted():
