@@ -1,14 +1,15 @@
 """Restricted MILP steps: the alternating optimizer and the one-sided baselines.
 
-:func:`step` is the one unit: pin part of a schedule, optimize the rest by a
-MILP warm-started from it, and keep the answer only if it replays no worse.
+:func:`step` pins part of a schedule, optimizes the rest by a MILP
+warm-started from it, and keeps the answer only if it replays no worse.
 Min-exe and min-trans are one step from a random schedule.  Altermilp starts
-from the greedy schedule of a seeded random job order and alternates a step
-on the assignment, with every CN queue in ERD order, with one on the
-placement under that order, so its replayed makespan never increases:
-interrupted after any step, it leaves a valid schedule no worse than its
-start.  Its assignment half-step first runs :func:`pair_sweep`, the same
-step on two CNs at a time, each cut out as a sub-environment.
+from the greedy schedule of a seeded random job order and alternates two
+half-steps: :func:`pair_sweep` on the assignment, with every CN queue in ERD
+order, which solves two CNs at a time exactly, each pair cut out as a
+sub-environment, until a whole pass improves nothing or the share is spent;
+then a step on the placement under that order.  So its replayed makespan
+never increases: interrupted after any step, it leaves a valid schedule no
+worse than its start.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .evaluator import makespan_of
 from .kernels import erd_orders, replay_batch
 from .model import build_erd_assignment, build_fixed_x, build_fixed_yz, extract_schedule
 from .schedule import Schedule, random_schedule
-from .solver import SolveResult, solve
+from .solver import HighsBackend, SolveResult, solve
 
 TRACE_SCHEMA = "optimization-trace/1"
 
@@ -35,7 +36,6 @@ EARLY_STOP_REL = 1e-9
 
 # stage -> the schedule fields its restricted model pins; the rest is optimized
 PINNED = {
-    "erd-assignment": ("object_sn",),
     "assignment": ("order", "object_sn"),
     "placement": ("job_cn", "order"),
 }
@@ -58,12 +58,12 @@ class AlterMilpConfig:
 @dataclass(frozen=True)
 class TraceStep:
     iteration: int          # 0 for the initial point
-    stage: str              # "init" or a key of PINNED
+    stage: str              # "init", "erd-assignment" (the pair sweep) or "placement"
     status: str             # solver status, or "init"
-    model_objective: float | None
+    model_objective: float | None   # the objective of the step's last solve
     makespan: float         # replayed makespan of the iterate after this step
     wall_time: float        # backend seconds of this step's solves
-    diagnostics: str        # the solve's notes, ending in what it proved; "" at init
+    diagnostics: str        # the last solve's notes, ending in what it proved; "" at init
     schedule: Schedule
 
     def to_document(self) -> dict:
@@ -102,12 +102,7 @@ def step(env: GridEnvironment, stage: str, schedule: Schedule, makespan: float,
     """
     if stage not in PINNED:
         raise ValueError(f"stage must be one of {', '.join(PINNED)}, got {echo(stage)}")
-    if stage == "erd-assignment":
-        mdl = build_erd_assignment(env, schedule)
-    elif stage == "assignment":
-        mdl = build_fixed_yz(env, schedule)
-    else:
-        mdl = build_fixed_x(env, schedule)
+    mdl = (build_fixed_yz if stage == "assignment" else build_fixed_x)(env, schedule)
     res = solve(mdl, budget, backend=backend)
     if res.ok:
         candidate = extract_schedule(mdl, res.x)
@@ -119,7 +114,7 @@ def step(env: GridEnvironment, stage: str, schedule: Schedule, makespan: float,
 
 
 def pair_sweep(env: GridEnvironment, schedule: Schedule, makespan: float, budget: float,
-               backend=None) -> tuple[Schedule, float, list[SolveResult], int]:
+               backend=None) -> tuple[Schedule, float, list[SolveResult], int, bool]:
     """Re-assign the jobs of two CNs at a time, each pair solved exactly as
     its own sub-environment, within ``budget`` seconds of wall time.
 
@@ -131,10 +126,11 @@ def pair_sweep(env: GridEnvironment, schedule: Schedule, makespan: float, budget
     ``budget``, which is charged every second the sweep takes.  Its answer
     is written back, the whole grid re-sorted by ERD, and kept only if the
     full replay is strictly lower; the sweep then restarts from the new
-    critical CN.  It stops when a whole pass keeps nothing or the budget is
-    spent.
+    critical CN.  It stops when a whole pass keeps nothing (it converged:
+    the last C - 1 results are that pass's) or the budget is spent.
 
-    Returns (schedule, makespan, every sub-solve's result, improvements).
+    Returns (schedule, makespan, every sub-solve's result, improvements,
+    converged).
     """
     deadline = time.perf_counter() + budget
     results, improved = [], 0
@@ -147,7 +143,7 @@ def pair_sweep(env: GridEnvironment, schedule: Schedule, makespan: float, budget
                 continue
             left = deadline - time.perf_counter()
             if left <= 0:
-                return schedule, makespan, results, improved
+                return schedule, makespan, results, improved, False
             cns = np.sort([critical, partner])
             jobs = np.flatnonzero(np.isin(schedule.job_cn, cns))
             sub_env = env.restrict(jobs, cns)
@@ -169,42 +165,42 @@ def pair_sweep(env: GridEnvironment, schedule: Schedule, makespan: float, budget
                 improved += 1
                 break
         else:
-            return schedule, makespan, results, improved
+            return schedule, makespan, results, improved, True
 
 
 def _assignment_half_step(env: GridEnvironment, iteration: int, schedule: Schedule,
                           makespan: float, share: float, backend) -> tuple[TraceStep, bool]:
-    """:func:`pair_sweep`, then the ``erd-assignment`` :func:`step` on the
-    whole grid with what is left of ``share`` seconds of wall time; with two
-    CNs or fewer the one pair is the whole grid, so only the step runs, with
-    all of it.
+    """:func:`pair_sweep` with ``share`` seconds of wall time, as a trace step.
 
-    Returns the trace step and whether any of its solves succeeded.  Its
-    status and objective are the whole-grid solve's, its wall time every
-    backend second of the half-step, and its diagnostics the sweep's counts,
-    then the whole-grid solve's message.  When the sweep spent the share the
-    whole-grid solve is skipped, and the step is a "feasible-timeout" with
-    no objective.
+    Returns the trace step and whether any of its sub-solves succeeded.  Its
+    status is "optimal" when the sweep converged and every sub-solve of its
+    last pass proved optimal (with one CN there is no pair, so none runs),
+    the last sub-solve's status when it converged and none succeeded, and
+    otherwise "feasible-timeout", as when the share ran out first.  Its
+    objective is the last sub-solve's, its wall time every backend second of
+    the sweep, and its diagnostics the sweep's counts, then the last
+    sub-solve's message.
     """
-    results, note, left = [], "", share
-    if env.num_cns > 2:
-        start = time.perf_counter()
-        schedule, makespan, results, improved = pair_sweep(env, schedule, makespan, share,
-                                                           backend)
-        statuses = Counter(r.status for r in results)
-        note = (f"sweep: {len(results)} sub-solves, {improved} improved"
-                + "".join(f", {s}={n}" for s, n in sorted(statuses.items()))
-                + f", {sum(r.wall_time for r in results):.3f}s backend; ")
-        left = share - (time.perf_counter() - start)
-    status, objective, message = ("feasible-timeout", None,
-                                  "whole-grid solve skipped: the share is spent")
-    if left > 0:
-        schedule, makespan, res = step(env, "erd-assignment", schedule, makespan, left, backend)
-        results.append(res)
-        status, objective, message = res.status, res.objective, res.diagnostics
-    return (TraceStep(iteration, "erd-assignment", status, objective, makespan,
-                      sum(r.wall_time for r in results), note + message, schedule),
-            any(r.ok for r in results))
+    schedule, makespan, results, improved, converged = pair_sweep(env, schedule, makespan,
+                                                                  share, backend)
+    ok = any(r.ok for r in results)
+    if converged and results and not ok:
+        status = results[-1].status
+    elif converged and all(r.status == "optimal"   # the last pass: one per other CN
+                           for r in results[len(results) - env.num_cns + 1:]):
+        status = "optimal"
+    else:
+        status = "feasible-timeout"
+    statuses = Counter(r.status for r in results)
+    note = (f"sweep: {len(results)} sub-solves, {improved} improved"
+            + "".join(f", {s}={n}" for s, n in sorted(statuses.items()))
+            + f", {sum(r.wall_time for r in results):.3f}s backend")
+    if results:
+        note += "; " + results[-1].diagnostics
+    return (TraceStep(iteration, "erd-assignment", status,
+                      results[-1].objective if results else None, makespan,
+                      sum(r.wall_time for r in results), note, schedule),
+            ok)
 
 
 def _one_step(env: GridEnvironment, stage: str, budget: float, seed, backend) -> BaselineRun:
@@ -229,17 +225,19 @@ def run(env: GridEnvironment, config: AlterMilpConfig) -> tuple[Schedule, Optimi
     """Alternating optimization from the greedy schedule of a seeded job order.
 
     Each iteration is a half-step on the assignment in ERD order (a
-    :func:`pair_sweep`, then a :func:`step` on the whole grid), then a step
-    on the placement with the order pinned to the ERD order the first
-    extracted: given the assignment and placement, ERD is the best order, so
-    the placement step needs no order variables, and the next assignment
-    half-step re-sorts by ERD under the new placement.  Each half-step has
-    a share of ``total_budget / 2T`` seconds: the placement solve's time
-    limit, and on more than two CNs the assignment half-step's wall-clock
-    deadline.  Every step runs backend solves, and the trace records their
-    status, wall time and diagnostics, failed solves included.  The returned
+    :func:`pair_sweep`), then a :func:`step` on the placement with the order
+    pinned to the ERD order the sweep left: given the assignment and
+    placement, ERD is the best order, so the placement step needs no order
+    variables, and the next sweep re-sorts by ERD under the new placement.
+    Each half-step has a share of ``total_budget / 2T`` seconds: the
+    placement solve's time limit, and the sweep's wall-clock deadline; a
+    sweep ends when a whole pass improves nothing or its share is spent,
+    whichever comes first.  One backend, built before any share starts,
+    runs every solve.  The trace records each half-step's status, backend
+    wall time and diagnostics, failed solves included.  The returned
     schedule is the last iterate, which is also the best.
     """
+    backend = HighsBackend() if config.backend is None else config.backend
     order = np.random.default_rng(config.seed).permutation(env.num_jobs)
     current = greedy(env, order=order).schedule
     current_mk = makespan_of(env, current)
@@ -250,13 +248,11 @@ def run(env: GridEnvironment, config: AlterMilpConfig) -> tuple[Schedule, Optimi
 
     for it in range(1, config.iterations + 1):
         mk_before = current_mk
-        half_step, ok = _assignment_half_step(env, it, current, current_mk, share,
-                                              config.backend)
+        half_step, ok = _assignment_half_step(env, it, current, current_mk, share, backend)
         steps.append(half_step)
         any_success |= ok
         current, current_mk = half_step.schedule, half_step.makespan
-        current, current_mk, res = step(env, "placement", current, current_mk, share,
-                                        config.backend)
+        current, current_mk, res = step(env, "placement", current, current_mk, share, backend)
         any_success |= res.ok
         steps.append(TraceStep(it, "placement", res.status, res.objective, current_mk,
                                res.wall_time, res.diagnostics, current))

@@ -15,7 +15,7 @@ from gridopt.evaluator import makespan_of, makespans_of
 from gridopt.kernels import erd_orders
 from gridopt.model import extract_schedule
 from gridopt.schedule import random_schedule
-from gridopt.solver import brute_force_optimal
+from gridopt.solver import HighsBackend, brute_force_optimal
 
 from conftest import tiny_env
 
@@ -132,8 +132,12 @@ def test_each_step_reports_what_its_solve_proved():
     _, trace = run(env, AlterMilpConfig(iterations=2, total_budget=2.0, seed=0))
     assert trace.steps[0].diagnostics == "" and len(trace.steps) > 1
     for s, doc in zip(trace.steps[1:], trace.to_document()["steps"][1:]):
+        # an assignment half-step is the sweep: its counts, then what its
+        # last sub-solve proved
+        assert s.diagnostics.startswith("sweep: ") == (s.stage == "erd-assignment")
         assert "dual_bound=" in s.diagnostics
-        assert doc["diagnostics"] == s.diagnostics
+        assert s.status in ("optimal", "feasible-timeout")
+        assert doc["diagnostics"] == s.diagnostics and doc["status"] == s.status
 
 
 class _InfeasibleBackend:
@@ -166,26 +170,22 @@ class _Granted(_InfeasibleBackend):
 
 
 def test_step_budgets_equal_split(env_tiny):
-    # each of the 2T half-steps has total / (2T) seconds; on two CNs the one
-    # pair is the whole grid, so each is one solve with all of it
-    backend = _Granted()
-    run(env_tiny, AlterMilpConfig(iterations=3, total_budget=3.0, backend=backend,
-                                  early_stop=False))
-    assert [budget for _, budget in backend.granted] == [3.0 / 6] * 6
-
-    env = generate(preset_config("small"), seed=0)
+    # each of the 2T half-steps has total / (2T) seconds: the sweep's
+    # deadline, and the placement solve's time limit
     share = 3.0 / 6
-    backend = _Granted()
-    run(env, AlterMilpConfig(iterations=3, total_budget=3.0, backend=backend,
-                             early_stop=False))
-    steps = backend.half_steps()
-    assert len(steps) == 6
-    for assignment, placement in zip(steps[::2], steps[1::2]):
-        # every sub-solve fails, so one pass pairs the critical CN with the
-        # other C - 1, then the whole-grid solve gets what is left of the share
-        assert len(assignment) == env.num_cns
-        assert all(0 < b <= a <= share for a, b in zip(assignment, assignment[1:]))
-        assert placement == [share]
+    for env in (env_tiny, generate(preset_config("small"), seed=0)):
+        backend = _Granted()
+        run(env, AlterMilpConfig(iterations=3, total_budget=3.0, backend=backend,
+                                 early_stop=False))
+        steps = backend.half_steps()
+        assert len(steps) == 6
+        for assignment, placement in zip(steps[::2], steps[1::2]):
+            # every sub-solve fails, so one pass pairs the critical CN with
+            # the other C - 1, each with what is left of the share
+            assert len(assignment) == env.num_cns - 1
+            assert 0 < assignment[0] <= share
+            assert all(0 < b <= a for a, b in zip(assignment, assignment[1:]))
+            assert placement == [share]
 
     # a backend that spends each limit: the share is a deadline, so the
     # first sub-solve takes all of it and nothing else runs
@@ -197,14 +197,16 @@ def test_step_budgets_equal_split(env_tiny):
     for assignment, placement in zip(steps[::2], steps[1::2]):
         assert sum(assignment) <= share and placement == [share]
     for s in trace.steps[1::2]:
-        assert s.status == "feasible-timeout" and s.model_objective is None
-        assert s.diagnostics.endswith("whole-grid solve skipped: the share is spent")
+        assert s.status == "feasible-timeout"
+        assert s.diagnostics.startswith("sweep: 1 sub-solves, 0 improved, error=1, ")
+        assert s.diagnostics.endswith("scripted refusal")
 
     # a share too short for even one sub-solve still leaves a valid schedule
     final, trace = run(env, AlterMilpConfig(iterations=1, total_budget=2e-9))
     final.validate(env)
-    assert re.match(r"sweep: 0 sub-solves, 0 improved, 0\.000s backend; whole-grid solve "
-                    r"skipped", trace.steps[1].diagnostics)
+    assert trace.steps[1].status == "feasible-timeout"
+    assert trace.steps[1].model_objective is None
+    assert trace.steps[1].diagnostics == "sweep: 0 sub-solves, 0 improved, 0.000s backend"
 
 
 def test_all_failed_solves_mark_the_trace_degraded(env_tiny):
@@ -231,7 +233,7 @@ def test_a_worse_answer_never_replaces_the_input(env_tiny, monkeypatch):
     worst = max((random_schedule(env_tiny, rng) for _ in range(200)),
                 key=lambda s: makespan_of(env_tiny, s))
     monkeypatch.setattr(alternating, "extract_schedule", lambda mdl, x: worst)
-    assert "erd-assignment" in PINNED
+    assert set(PINNED) == {"assignment", "placement"}
     for seed in range(4):
         start = random_schedule(env_tiny, seed)
         start_mk = makespan_of(env_tiny, start)
@@ -259,17 +261,18 @@ def test_a_sweep_never_worsens_the_makespan():
         env = generate(preset_config("small"), seed=seed)
         start = random_schedule(env, seed)
         start_mk = makespan_of(env, start)
-        final, mk, results, improved = pair_sweep(env, start, start_mk, 10.0)
+        final, mk, results, improved, converged = pair_sweep(env, start, start_mk, 10.0)
         final.validate(env)
+        assert converged
         assert mk == makespan_of(env, final) and mk <= start_mk
         assert (improved > 0) == (mk < start_mk)
         assert len(results) >= env.num_cns - 1 and all(r.ok for r in results)
         # every CN queue ends in ERD order
         assert final.order.tolist() == erd_orders(env, final.job_cn[None],
                                                   final.object_sn[None])[0].tolist()
-        kept, kept_mk, failed, none = pair_sweep(env, start, start_mk, 10.0,
-                                                 _InfeasibleBackend())
-        assert kept is start and kept_mk == start_mk and none == 0
+        kept, kept_mk, failed, none, converged = pair_sweep(env, start, start_mk, 10.0,
+                                                            _InfeasibleBackend())
+        assert kept is start and kept_mk == start_mk and none == 0 and converged
         assert len(failed) == env.num_cns - 1
 
 
@@ -330,9 +333,76 @@ def test_the_trace_explains_the_sweep():
     for s in trace.steps[1::2]:
         runs, improved = _sweep_counts(s.diagnostics)
         assert runs >= env.num_cns - 1 and 0 <= improved <= runs
-        # then what the whole-grid solve proved
+        # then what the last sub-solve proved
         assert "dual_bound=" in s.diagnostics.split("backend; ", 1)[1]
         assert s.wall_time > 0
-    # two CNs: no sweep, the whole-grid solve's message alone
+    # two CNs: the one pair is the whole grid, still reported as a sweep
     _, trace = run(tiny_env(0), AlterMilpConfig(iterations=1, total_budget=2.0))
-    assert trace.steps[1].diagnostics.startswith("Optimal")
+    runs, _ = _sweep_counts(trace.steps[1].diagnostics)
+    assert runs >= 1
+    assert trace.steps[1].diagnostics.split("backend; ", 1)[1].startswith("Optimal")
+
+
+class _Recording(HighsBackend):
+    """HiGHS, keeping every model it solves."""
+
+    def __init__(self):
+        super().__init__()
+        self.models = []
+
+    def solve_raw(self, model, budget):
+        self.models.append(model)
+        return super().solve_raw(model, budget)
+
+
+def test_an_assignment_half_step_is_its_pair_sweep_alone():
+    for env, budget in ((tiny_env(0), 2.0), (generate(preset_config("small"), seed=1), 2.0),
+                        (generate(preset_config("medium"), seed=0), 120.0)):
+        backend = _Recording()
+        start = time.perf_counter()
+        _, trace = run(env, AlterMilpConfig(iterations=2, total_budget=budget, backend=backend,
+                                            early_stop=False))
+        # a sweep ends when a pass keeps nothing, long before a generous share
+        assert time.perf_counter() - start < 20
+        assert [m.kind for m in backend.models].count("fixed-xy") == 2
+        for model in backend.models:
+            assert model.kind in ("erd-assignment", "fixed-xy")
+            if model.kind == "erd-assignment":
+                assert model.x_vars.shape[1] == 2
+        for s in trace.steps[1::2]:
+            assert s.stage == "erd-assignment" and s.diagnostics.startswith("sweep: ")
+            assert s.status in ("optimal", "feasible-timeout")
+
+
+def test_one_backend_is_built_before_any_share_starts(monkeypatch):
+    built, granted = [], []
+
+    class Slow(HighsBackend):
+        def __init__(self):
+            time.sleep(0.3)
+            super().__init__()
+            built.append(self)
+
+        def solve_raw(self, model, budget):
+            granted.append((model.kind, budget))
+            return super().solve_raw(model, budget)
+
+    monkeypatch.setattr(alternating, "HighsBackend", Slow)
+    env = generate(preset_config("small"), seed=0)
+    run(env, AlterMilpConfig(iterations=1, total_budget=2.0))
+    assert len(built) == 1
+    assert granted[0][0] == "erd-assignment" and 1.0 - granted[0][1] < 0.05
+    assert granted[-1] == ("fixed-xy", 1.0)
+
+    # one CN: there is no pair, so the assignment half-step solves nothing
+    env = generate(GenerationConfig(num_jobs=6, num_objects=4, num_cns=1, num_local_sns=2,
+                                    num_remote_sns=2, rng_seed=3))
+    granted.clear()
+    final, trace = run(env, AlterMilpConfig(iterations=2, total_budget=2.0, early_stop=False))
+    final.validate(env)
+    assert [kind for kind, _ in granted] == ["fixed-xy"] * 2
+    mks = trace.makespans()
+    assert all(b <= a for a, b in zip(mks, mks[1:])) and not trace.degraded
+    for s in trace.steps[1::2]:
+        assert s.status == "optimal" and s.wall_time == 0
+        assert s.diagnostics == "sweep: 0 sub-solves, 0 improved, 0.000s backend"
