@@ -5,8 +5,8 @@ warm-started from it, and keeps the answer only if it replays no worse.
 Min-exe and min-trans are one step from a random schedule.  Altermilp starts
 from the greedy schedule of a seeded random job order and alternates two
 half-steps: :func:`pair_sweep` on the assignment, with every CN queue in ERD
-order, which solves two CNs at a time exactly, each pair cut out as a
-sub-environment, until a whole pass improves nothing or the share is spent;
+order, which solves two CNs at a time exactly, each pair a slice of the
+assignment model, until a whole pass improves nothing or the share is spent;
 then a step on the placement under that order.  So its replayed makespan
 never increases: interrupted after any step, it leaves a valid schedule no
 worse than its start.
@@ -23,7 +23,7 @@ import numpy as np
 from .baselines import BaselineRun, _finish, greedy
 from .environment import GridEnvironment, check_budget, check_seed, echo, save_document
 from .evaluator import makespan_of
-from .kernels import erd_orders, replay_batch
+from .kernels import replay_batch
 from .model import build_erd_assignment, build_fixed_x, build_fixed_yz, extract_schedule
 from .schedule import Schedule, random_schedule
 from .solver import HighsBackend, SolveResult, solve
@@ -103,31 +103,43 @@ def step(env: GridEnvironment, stage: str, schedule: Schedule, makespan: float,
     if stage not in PINNED:
         raise ValueError(f"stage must be one of {', '.join(PINNED)}, got {echo(stage)}")
     mdl = (build_fixed_yz if stage == "assignment" else build_fixed_x)(env, schedule)
+    return _solve_and_keep(env, mdl, makespan, budget, backend)
+
+
+def _solve_and_keep(env: GridEnvironment, mdl, makespan: float, budget: float, backend,
+                    strict=False) -> tuple[Schedule, float, SolveResult]:
+    """Solve ``mdl`` within ``budget`` seconds, extract its answer and replay
+    it against ``makespan``, the replayed makespan of ``mdl.schedule``.
+
+    Returns (schedule, makespan, solve result): the extracted answer if it
+    replays no worse (``strict``: strictly lower), else ``mdl.schedule``,
+    which a failed solve also keeps.
+    """
     res = solve(mdl, budget, backend=backend)
     if res.ok:
         candidate = extract_schedule(mdl, res.x)
         candidate_mk = makespan_of(env, candidate)
         # extraction can only tighten timings, never worsen them
-        if candidate_mk <= makespan:
+        if candidate_mk < makespan or candidate_mk == makespan and not strict:
             return candidate, candidate_mk, res
-    return schedule, makespan, res
+    return mdl.schedule, makespan, res
 
 
 def pair_sweep(env: GridEnvironment, schedule: Schedule, makespan: float, budget: float,
                backend=None) -> tuple[Schedule, float, list[SolveResult], int, bool]:
-    """Re-assign the jobs of two CNs at a time, each pair solved exactly as
-    its own sub-environment, within ``budget`` seconds of wall time.
+    """Re-assign the jobs of two CNs at a time, each pair solved exactly,
+    within ``budget`` seconds of wall time.
 
     The critical CN (largest replayed finish, ties to the lower id) is
     paired with every other CN in ascending order of finish, ties to the
-    lower id.  Each pair's jobs and the objects they read form
-    :meth:`GridEnvironment.restrict`'s sub-instance, on which the
-    ``erd-assignment`` model is solved with whatever is left of
-    ``budget``, which is charged every second the sweep takes.  Its answer
-    is written back, the whole grid re-sorted by ERD, and kept only if the
-    full replay is strictly lower; the sweep then restarts from the new
-    critical CN.  It stops when a whole pass keeps nothing (it converged:
-    the last C - 1 results are that pass's) or the budget is spent.
+    lower id.  Each pair's sub-problem is ``build_erd_assignment(env,
+    schedule, pair)``: the jobs on those two CNs, every other job in place.
+    It is solved with whatever is left of ``budget``, which is charged
+    every second the sweep takes.  Its answer, the whole grid in ERD order,
+    is kept only if it replays strictly lower; the sweep then restarts from
+    the new critical CN.  It stops when a whole pass keeps nothing (it
+    converged: the last C - 1 results are that pass's) or the budget is
+    spent.
 
     Returns (schedule, makespan, every sub-solve's result, improvements,
     converged).
@@ -144,22 +156,10 @@ def pair_sweep(env: GridEnvironment, schedule: Schedule, makespan: float, budget
             left = deadline - time.perf_counter()
             if left <= 0:
                 return schedule, makespan, results, improved, False
-            cns = np.sort([critical, partner])
-            jobs = np.flatnonzero(np.isin(schedule.job_cn, cns))
-            sub_env = env.restrict(jobs, cns)
-            sub = Schedule(job_cn=np.searchsorted(cns, schedule.job_cn[jobs]),
-                           order=np.arange(jobs.size),
-                           object_sn=schedule.object_sn[env.objects_read(jobs)])
-            mdl = build_erd_assignment(sub_env, sub)
-            res = solve(mdl, left, backend=backend)
+            mdl = build_erd_assignment(env, schedule, np.sort([critical, partner]))
+            candidate, candidate_mk, res = _solve_and_keep(env, mdl, makespan, left, backend,
+                                                           strict=True)
             results.append(res)
-            if not res.ok:
-                continue
-            job_cn = schedule.job_cn.copy()
-            job_cn[jobs] = cns[extract_schedule(mdl, res.x).job_cn]
-            order = erd_orders(env, job_cn[None], schedule.object_sn[None])[0]
-            candidate = Schedule(job_cn=job_cn, order=order, object_sn=schedule.object_sn)
-            candidate_mk = makespan_of(env, candidate)
             if candidate_mk < makespan:
                 schedule, makespan = candidate, candidate_mk
                 improved += 1

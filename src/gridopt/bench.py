@@ -97,6 +97,10 @@ class MethodSpec:
             raise ValueError(
                 f"unknown method {self.method!r}; known: {', '.join(METHODS)}"
             )
+        # the label names each run's log file
+        if self.label is not None and (not self.label or {"/", "\\"} & set(self.label)):
+            raise ValueError(f"label must be non-empty and hold no / or \\, "
+                             f"got {echo(self.label)}")
         takes = method_params(self.method)
         for name, value in self.params.items():
             if name not in takes:

@@ -340,35 +340,6 @@ class GridEnvironment:
         sizes[1:][table[1:] == table[0]] = 0.0
         return _frozen(np.cumsum(sizes, axis=0)[-1], np.float64)
 
-    # -- sub-instances -------------------------------------------------------
-
-    def restrict(self, jobs, cns) -> GridEnvironment:
-        """The sub-instance of ``jobs`` on ``cns``: its job k is ``jobs[k]``,
-        its CN c is ``cns[c]``, and its objects are those the jobs read,
-        renumbered in ascending order (:meth:`objects_read`); every SN is kept.
-
-        Replication depends only on the placement, and each CN runs its own
-        queue, so a schedule of these jobs on these CNs, with the placement
-        cut to these objects, replays here to exactly the finish times that
-        those CNs have in the full replay.
-        """
-        objects = self.objects_read(jobs)
-        return GridEnvironment(
-            object_sizes=self.object_sizes[objects],
-            hosting=self.hosting[objects],
-            job_inputs=tuple(tuple(objects.searchsorted(self.job_inputs[j]).tolist())
-                             for j in jobs),
-            cn_speeds=self.cn_speeds[cns],
-            wan_bandwidth=self.wan_bandwidth,
-            lan_bandwidth=self.lan_bandwidth[:, cns],
-            gamma=self.gamma,
-        )
-
-    def objects_read(self, jobs) -> np.ndarray:
-        """Ascending ids of the objects that ``jobs`` read: the objects of
-        :meth:`restrict`, in its order."""
-        return np.unique(self.input_table()[:, jobs])
-
     # -- persistence --------------------------------------------------------
 
     def to_document(self) -> dict:

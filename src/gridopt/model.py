@@ -16,7 +16,9 @@ Three models, each holding only the decisions it leaves free:
 * the "tail" model of :func:`build_erd_assignment` and
   :func:`build_fixed_yz`: with the placement pinned and each CN's jobs in a
   fixed sequence, the assignment is the only decision, and the model holds
-  just the makespan and the X block.
+  just the makespan and the X block.  :func:`build_erd_assignment` over a
+  set of CNs holds X only for the jobs on them, which makes a pair
+  sub-problem a slice of the grid's model, named with the grid's ids.
 
 The emitter works on index arrays: each variable group is a block of
 indices and each row family one COO block written at precomputed row
@@ -66,12 +68,12 @@ class MilpModel:
     (J, C), ``y_vars`` (J, J) and ``z_vars`` (D, L) hold the variable index
     of each ``X[j,c]``, ``Y[i,j]`` and ``Z[d,l]``, -1 where there is no such
     variable (the diagonal of ``y_vars``; the objects no job reads in the
-    placement model), and a block the model does not hold is None.  Only
-    ``monolithic`` holds all three.  Every other model keeps the
-    ``schedule`` it was built from: the placement model (``fixed-xy``,
-    ``fixed-xyz``) holds only Z, and a tail model (``erd-assignment``,
-    ``fixed-yz``) only X, with the (J, C) ``priority`` table that orders its
-    extracted schedule.
+    placement model; X outside the CNs and jobs of a pair model), and a
+    block the model does not hold is None.  Only ``monolithic`` holds all
+    three.  Every other model keeps the ``schedule`` it was built from: the
+    placement model (``fixed-xy``, ``fixed-xyz``) holds only Z, and a tail
+    model (``erd-assignment``, ``fixed-yz``) only X, with the (J, C)
+    ``priority`` table that orders its extracted schedule.
     """
 
     def __init__(self, kind, var_namer, lower, upper, integer, objective,
@@ -370,7 +372,7 @@ def build_fixed_yz(env: GridEnvironment, schedule: Schedule) -> MilpModel:
     placement, warm-started from ``schedule``: the tail model with each CN's
     rows in that order, exact under any fixed sequence (Carlier 1982)."""
     schedule.validate(env)
-    return _tail_model(env, schedule, "fixed-yz", schedule.positions()[:, None])
+    return _tail_model(env, schedule, "fixed-yz", priority=schedule.positions()[:, None])
 
 
 def build_fixed_x(env: GridEnvironment, schedule: Schedule) -> MilpModel:
@@ -390,12 +392,14 @@ def build_fixed_all(env: GridEnvironment, schedule: Schedule) -> MilpModel:
     return _placement_model(env, schedule, "fixed-xyz")
 
 
-def build_erd_assignment(env: GridEnvironment, schedule: Schedule) -> MilpModel:
-    """Optimize the job-to-CN assignment under ``schedule``'s placement, each
-    CN running its jobs in ERD order, which is optimal there (Jackson's
-    rule); warm-started from ``schedule``'s assignment."""
+def build_erd_assignment(env: GridEnvironment, schedule: Schedule, cns=None) -> MilpModel:
+    """Optimize the assignment of the jobs ``schedule`` puts on ``cns``
+    (None: every CN) among those CNs, under its placement, each CN running
+    its jobs in ERD order, which is optimal there (Jackson's rule);
+    warm-started from ``schedule``'s assignment.  Every other job keeps its
+    CN, so the model over two CNs is a pair sub-problem of the grid."""
     schedule.validate(env)
-    return _tail_model(env, schedule, "erd-assignment")
+    return _tail_model(env, schedule, "erd-assignment", cns)
 
 
 def _placement_model(env: GridEnvironment, schedule: Schedule, kind: str) -> MilpModel:
@@ -454,58 +458,70 @@ def _placement_model(env: GridEnvironment, schedule: Schedule, kind: str) -> Mil
     return _model(kind, var, rows, m, warm_x, z_vars=z, schedule=schedule)
 
 
-def _tail_model(env: GridEnvironment, schedule: Schedule, kind: str,
+def _tail_model(env: GridEnvironment, schedule: Schedule, kind: str, cns=None,
                 priority=None) -> MilpModel:
-    """The assignment model under ``schedule``'s placement, each CN taking
-    its jobs by ascending ``priority`` (broadcast to (J, C), ties to the
-    lower job id; None: by release, which is ERD).
+    """The assignment model under ``schedule``'s placement over the jobs it
+    puts on ``cns`` (None: every CN), each CN taking its jobs by ascending
+    ``priority`` (broadcast to (J, C), ties to the lower job id; None: by
+    release, which is ERD).  Every other job keeps its CN.
 
     Job j on CN c is released at ``rho[j, c] = latest - slowest`` and then
     holds the CN for ``q[j, c] = slowest + exec_time[j, c]``
-    (:func:`kernels.job_pairs`).  Besides ``m`` and the X block there is one
-    assignment row per job and one tail row per CN c and position k,
+    (:func:`kernels.job_pairs`).  These (J, C) tables depend only on the job,
+    the CN and the placement, so the model over ``cns`` reads their slice.
+    Besides ``m`` and the X block of those jobs and CNs (``x_vars`` is -1
+    elsewhere) there is one assignment row per job and one tail row per CN c
+    and position k,
     ``m >= max(rho_kc, 0) * X[k,c] + sum_{j at or after k} q_jc * X[j,c]``,
     listing only those jobs: no order variable, no big-A, no zero
     coefficient.  ``m`` is bounded below by the latest of the jobs' earliest
     finishes, each alone on its best CN, which holds in any sequence and
     lets HiGHS prove small instances optimal several times faster.
+    Variables and rows are named with the grid's job and CN ids.
     """
     nj, nc = env.num_jobs, env.num_cns
-    jobs, cns = np.arange(nj), np.arange(nc)
+    every_cn = np.arange(nc)
     # row c of the (C, J) tables puts every job on CN c
-    slowest, latest = job_pairs(env, np.broadcast_to(cns[:, None], (nc, nj)),
+    slowest, latest = job_pairs(env, np.broadcast_to(every_cn[:, None], (nc, nj)),
                                 np.broadcast_to(schedule.object_sn, (nc, env.num_objects)))
     release = (latest - slowest).T
-    body = slowest.T + env.exec_time()
-    alone = np.maximum(release, 0.0) + body     # finish of each job alone on each CN
     priority = release if priority is None else np.broadcast_to(priority, (nj, nc))
-    seq = np.argsort(priority, axis=0, kind="stable").T    # (C, J) jobs in sequence per CN
+    cns = every_cn if cns is None else np.asarray(cns, dtype=np.int64)
+    jobs = np.flatnonzero(np.isin(schedule.job_cn, cns))
+    held = np.ix_(jobs, cns)
+    release, body = release[held], (slowest.T + env.exec_time())[held]
+    alone = np.maximum(release, 0.0) + body     # finish of each job alone on each CN
+    seq = np.argsort(priority[held], axis=0, kind="stable").T   # indices into jobs, per CN
+    col = np.arange(cns.size)[:, None]
 
     var = _Vars()
     # no schedule ends before a job alone on its best CN; the one key fills no field of "m"
     m = var.add("m", ([0],), lo=alone.min(axis=1).max())[0]
-    x = var.binaries("X[{},{}]", (jobs.repeat(nc), np.tile(cns, nj))).reshape(nj, nc)
+    x = var.binaries("X[{},{}]", (jobs.repeat(cns.size), np.tile(cns, jobs.size)))
+    x = x.reshape(jobs.size, cns.size)
 
     rows = _Rows()
-    rows.add(rows.reserve(nj), "assign[{}]", (jobs,), [(x, 1.0)], lo=1.0, hi=1.0)
-    slots = rows.reserve(nc, nj)
-    for k in range(nj):
-        tail = seq[:, k:]                   # (C, J - k) jobs at or after position k
-        coef = body[tail, cns[:, None]]
-        coef[:, 0] = alone[tail[:, 0], cns]
-        rows.add(slots[:, k], "tail[{},{}]", (cns, tail[:, 0]),
-                 [(m, 1.0), (x[tail, cns[:, None]], -coef)], lo=0.0)
+    rows.add(rows.reserve(jobs.size), "assign[{}]", (jobs,), [(x, 1.0)], lo=1.0, hi=1.0)
+    slots = rows.reserve(cns.size, jobs.size)
+    for k in range(jobs.size):
+        tail = seq[:, k:]                   # jobs at or after position k, per CN
+        coef = body[tail, col]
+        coef[:, 0] = alone[tail[:, 0], col[:, 0]]
+        rows.add(slots[:, k], "tail[{},{}]", (cns, jobs[tail[:, 0]]),
+                 [(m, 1.0), (x[tail, col], -coef)], lo=0.0)
     csr = rows.csr()
     _, _, indptr, indices, data = csr
 
     warm_x = np.zeros(var.count)
-    warm_x[x] = _one_hot(schedule.job_cn, nc)
+    warm_x[x] = schedule.job_cn[jobs, None] == cns
     # with m at 0, a tail row's activity is minus its right-hand side
     activity = _row_sums(indptr, data * warm_x[indices])
-    warm_x[m] = -activity[nj:].min()
+    warm_x[m] = -activity[jobs.size:].min()
     warm_x.setflags(write=False)
-    return _model(kind, var, rows, m, warm_x, x_vars=x, schedule=schedule, priority=priority,
-                  csr=csr)
+    x_vars = np.full((nj, nc), -1)
+    x_vars[held] = x
+    return _model(kind, var, rows, m, warm_x, x_vars=x_vars, schedule=schedule,
+                  priority=priority, csr=csr)
 
 
 def _model(kind, var, rows, m, warm_x, x_vars=None, y_vars=None, z_vars=None,
@@ -526,9 +542,10 @@ def extract_schedule(model: MilpModel, x: np.ndarray) -> Schedule:
     Reads the one-hot X and Z blocks by arg-max; what a model does not hold
     comes from the schedule it was built from.  The placement model keeps
     that schedule's assignment and order, and objects no job reads keep its
-    SN.  A tail model keeps its placement and orders the jobs by their
-    priority at their CN, ties to the lower job id: for ``erd-assignment``
-    that is :func:`kernels.erd_orders` of the extracted schedule, and for
+    SN.  A tail model keeps its placement, and a pair model the CN of every
+    job outside the pair; it orders the whole grid by each job's priority at
+    its CN, ties to the lower job id: for ``erd-assignment`` that is
+    :func:`kernels.erd_orders` of the extracted schedule, and for
     ``fixed-yz`` the pinned schedule's own order.  In the joint model Y
     matters only between jobs sharing a CN, where a feasible point holds a
     strict total order; each job ranks by the number of same-CN jobs it
@@ -541,10 +558,13 @@ def extract_schedule(model: MilpModel, x: np.ndarray) -> Schedule:
         read = model.z_vars[:, 0] >= 0
         object_sn[read] = x[model.z_vars[read]].argmax(axis=1)
         return Schedule(job_cn=pinned.job_cn, order=pinned.order, object_sn=object_sn)
-    job_cn = x[model.x_vars].argmax(axis=1)
     if model.z_vars is None:
+        held = model.x_vars >= 0
+        job_cn = np.where(held, x[model.x_vars], -np.inf).argmax(axis=1)
+        job_cn = np.where(held.any(axis=1), job_cn, pinned.job_cn)
         order = np.argsort(model.priority[np.arange(job_cn.size), job_cn], kind="stable")
         return Schedule(job_cn=job_cn, order=order, object_sn=pinned.object_sn)
+    job_cn = x[model.x_vars].argmax(axis=1)
     object_sn = x[model.z_vars].argmax(axis=1)
     wins = np.where(model.y_vars >= 0, np.round(x[model.y_vars]), 0).astype(np.int64)
     same = job_cn[:, None] == job_cn

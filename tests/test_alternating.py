@@ -11,10 +11,10 @@ from gridopt.alternating import (PINNED, AlterMilpConfig, min_exe, min_trans, pa
                                  run, step)
 from gridopt.baselines import greedy
 from gridopt.environment import GenerationConfig, generate, preset_config
-from gridopt.evaluator import makespan_of, makespans_of
-from gridopt.kernels import erd_orders
+from gridopt.evaluator import makespan_of
+from gridopt.kernels import erd_orders, replay_batch
 from gridopt.model import extract_schedule
-from gridopt.schedule import random_schedule
+from gridopt.schedule import Schedule, random_schedule
 from gridopt.solver import HighsBackend, brute_force_optimal
 
 from conftest import tiny_env
@@ -276,21 +276,21 @@ def test_a_sweep_never_worsens_the_makespan():
         assert len(failed) == env.num_cns - 1
 
 
-def test_each_pair_sub_solve_is_the_enumerated_optimum(monkeypatch):
-    built, solved = {}, []
+def _pair_of(model):
+    """(jobs, cns) a pair model holds variables for, in grid ids."""
+    held = model.x_vars >= 0
+    return np.flatnonzero(held.any(axis=1)), np.flatnonzero(held.any(axis=0))
 
-    def build(env, schedule):
-        model = build_erd_assignment(env, schedule)
-        built[id(model)] = env
-        return model
+
+def test_each_pair_sub_solve_is_the_enumerated_optimum(monkeypatch):
+    solved = []
 
     def solve(model, budget, backend=None):
         res = real_solve(model, budget, backend=backend)
-        solved.append((model, res))
+        solved.append((env, model, res))
         return res
 
-    build_erd_assignment, real_solve = alternating.build_erd_assignment, alternating.solve
-    monkeypatch.setattr(alternating, "build_erd_assignment", build)
+    real_solve = alternating.solve
     monkeypatch.setattr(alternating, "solve", solve)
     for seed in range(3):
         env = generate(GenerationConfig(num_jobs=8, num_objects=6, num_cns=4,
@@ -298,17 +298,54 @@ def test_each_pair_sub_solve_is_the_enumerated_optimum(monkeypatch):
         start = random_schedule(env, seed)
         pair_sweep(env, start, makespan_of(env, start), 30.0)
     assert len(solved) >= 9
-    for model, res in solved:
-        sub_env = built[id(model)]
+    for env, model, res in solved:
         assert res.status == "optimal"
-        n = sub_env.num_jobs
-        job_cns = np.array(list(itertools.product((0, 1), repeat=n)))
-        object_sns = np.broadcast_to(model.schedule.object_sn, (job_cns.shape[0],
-                                                                sub_env.num_objects))
-        best = makespans_of(sub_env, job_cns, erd_orders(sub_env, job_cns, object_sns),
-                            object_sns).min()
-        answer = makespan_of(sub_env, extract_schedule(model, res.x))
-        assert answer == pytest.approx(best, rel=1e-9)
+        jobs, cns = _pair_of(model)
+        assert cns.size == 2
+        pinned = model.schedule
+        # every re-assignment of the pair's jobs to its two CNs, the rest in place
+        job_cns = np.tile(pinned.job_cn, (2 ** jobs.size, 1))
+        job_cns[:, jobs] = cns[np.array(list(itertools.product((0, 1), repeat=jobs.size)))]
+        object_sns = np.tile(pinned.object_sn, (job_cns.shape[0], 1))
+        finish = replay_batch(env, job_cns, erd_orders(env, job_cns, object_sns), object_sns)
+        answer = extract_schedule(model, res.x)
+        found = replay_batch(env, answer.job_cn[None], answer.order[None],
+                             answer.object_sn[None])[0]
+        assert found[cns].max() == pytest.approx(finish[:, cns].max(axis=1).min(), rel=1e-9)
+        assert answer.order.tolist() == erd_orders(env, answer.job_cn[None],
+                                                   answer.object_sn[None])[0].tolist()
+        others = ~np.isin(np.arange(env.num_jobs), jobs)
+        assert answer.job_cn[others].tolist() == pinned.job_cn[others].tolist()
+
+
+class _ZeroPoint(_InfeasibleBackend):
+    """Claims the all-zero point optimal, which breaks every assignment row."""
+
+    name = "zero-point"
+
+    def solve_raw(self, model, budget):
+        return np.zeros(model.num_vars), "optimal", "scripted zero point"
+
+
+def test_a_rejected_pair_answer_names_the_grids_jobs():
+    env = generate(preset_config("small"), seed=0)
+    s = random_schedule(env, 0)
+    start = Schedule(job_cn=s.job_cn, order=erd_orders(env, s.job_cn[None], s.object_sn[None])[0],
+                     object_sn=s.object_sn)
+    start_mk = makespan_of(env, start)
+    kept, mk, results, improved, converged = pair_sweep(env, start, start_mk, 10.0,
+                                                        _ZeroPoint())
+    # the warm start, the start itself, survives each rejection
+    assert kept is start and mk == start_mk and improved == 0 and converged
+    named = []
+    for res in results:
+        jobs, _ = _pair_of(res.model)
+        assert res.status == "feasible-timeout"
+        assert res.diagnostics.startswith("backend solution rejected: m = ")
+        ids = [int(j) for j in re.findall(r"row assign\[(\d+)\]", res.diagnostics)]
+        assert ids == jobs[:2].tolist()
+        named += ids
+    assert set(named) - {0, 1}
 
 
 def test_a_run_repeats_exactly_when_no_budget_binds():
@@ -368,7 +405,7 @@ def test_an_assignment_half_step_is_its_pair_sweep_alone():
         for model in backend.models:
             assert model.kind in ("erd-assignment", "fixed-xy")
             if model.kind == "erd-assignment":
-                assert model.x_vars.shape[1] == 2
+                assert (model.x_vars >= 0).any(axis=0).sum() == 2
         for s in trace.steps[1::2]:
             assert s.stage == "erd-assignment" and s.diagnostics.startswith("sweep: ")
             assert s.status in ("optimal", "feasible-timeout")

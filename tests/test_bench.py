@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import pytest
 
@@ -110,6 +111,18 @@ def test_experiment_document_round_trip(tmp_path):
     path = tmp_path / "exp.json"
     cfg.save(path)
     assert load_experiment(path).to_document() == doc
+
+
+def test_a_label_that_cannot_name_a_log_file_is_rejected():
+    # a label names each run's log file: one that is empty or holds a path
+    # separator would fail only after every run, when the logs are written
+    doc = _config().to_document()
+    for label in ("", "rand/1", "rand\\1"):
+        doc["methods"] = [{"method": "random", "label": label}]
+        with pytest.raises(DocumentError, match=f"label must be .*, got {re.escape(repr(label))}"):
+            experiment_from_document(doc)
+    doc["methods"] = [{"method": "random", "label": "rand-1"}]
+    assert experiment_from_document(doc).methods[0].name == "rand-1"
 
 
 def test_experiment_document_rejections():

@@ -5,10 +5,8 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridopt import kernels
 from gridopt.alternating import AlterMilpConfig, min_exe, min_trans
 from gridopt.baselines import GaConfig, ensemble_greedy, random_baseline
 from gridopt.bench import ExperimentConfig, MethodSpec, run_method
@@ -20,8 +18,6 @@ from gridopt.environment import (DocumentError, GenerationConfig,
                                  environment_from_document, generate, load_environment,
                                  preset_config, read_field)
 from gridopt.schedule import random_schedule
-
-from conftest import grids
 
 
 def _config(**overrides):
@@ -424,43 +420,3 @@ def test_generation_config_document_rejects_unknown_field():
     bad["schema"] = "something-else"
     with pytest.raises(DocumentError, match="schema"):
         config_from_document(bad)
-
-
-@settings(max_examples=80, deadline=None)
-@given(env=grids, schedule_seed=st.integers(0, 2**31 - 1), data=st.data())
-def test_a_sub_instance_replays_to_the_full_finishes_of_its_cns(env, schedule_seed, data):
-    schedule = random_schedule(env, schedule_seed)
-    # a CN that runs a job, and any others, busy or idle
-    busy = data.draw(st.sampled_from(schedule.job_cn.tolist()))
-    cns = np.array(sorted({busy} | data.draw(st.sets(st.integers(0, env.num_cns - 1)))))
-    jobs = np.flatnonzero(np.isin(schedule.job_cn, cns))
-    sub_env = env.restrict(jobs, cns)
-    # the schedule cut down: each CN keeps its jobs' relative order
-    pos = schedule.positions()[jobs]
-    full = kernels.replay_batch(env, schedule.job_cn[None], schedule.order[None],
-                                schedule.object_sn[None])[0]
-    sub = kernels.replay_batch(sub_env, np.searchsorted(cns, schedule.job_cn[jobs])[None],
-                               np.argsort(pos)[None],
-                               schedule.object_sn[env.objects_read(jobs)][None])[0]
-    assert sub.tolist() == full[cns].tolist()
-    assert sub_env.num_objects == len({d for j in jobs for d in env.job_inputs[j]})
-
-
-def test_restricting_to_everything_gives_the_same_environment():
-    every_object_read = [GridEnvironment(**_valid_env_kwargs()),
-                         generate(_config(objects_per_job=(10, 10)))]
-    for env in every_object_read:
-        whole = env.restrict(np.arange(env.num_jobs), np.arange(env.num_cns))
-        assert whole.to_document() == env.to_document()
-    env = generate(preset_config("small"), seed=0)
-    jobs, cns = np.array([4, 1]), np.array([3, 0])
-    sub = env.restrict(jobs, cns)
-    objects = env.objects_read(jobs)
-    assert objects.tolist() == sorted(set(env.job_inputs[4]) | set(env.job_inputs[1]))
-    assert sub.job_inputs == tuple(tuple(objects.searchsorted(env.job_inputs[j]).tolist())
-                                   for j in jobs)
-    assert sub.cn_speeds.tolist() == env.cn_speeds[cns].tolist()
-    assert sub.lan_bandwidth.tolist() == env.lan_bandwidth[:, cns].tolist()
-    assert sub.wan_bandwidth.tolist() == env.wan_bandwidth.tolist()
-    assert sub.object_sizes.tolist() == env.object_sizes[objects].tolist()
-    assert sub.hosting.tolist() == env.hosting[objects].tolist()

@@ -368,6 +368,31 @@ def test_erd_model_size(env, schedule_seed):
     assert np.all(mdl.data != 0)
 
 
+def test_a_pair_model_slices_the_whole_grid_model():
+    # on two CNs the pair is the whole grid, array for array and name for name
+    for seed in range(4):
+        env = tiny_env(seed)
+        s = random_schedule(env, seed)
+        whole, pair = build_erd_assignment(env, s), build_erd_assignment(env, s, [0, 1])
+        for name in ("lower", "upper", "integer", "objective", "row_lower", "row_upper",
+                     "indptr", "indices", "data", "warm_x", "x_vars", "priority"):
+            a, b = getattr(pair, name), getattr(whole, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert pair.names == whole.names and pair.row_names == whole.row_names
+    # on more, it holds X only for the pair's jobs and CNs, named by grid ids
+    env = generate(preset_config("small"), seed=0)
+    s = random_schedule(env, 0)
+    cns = np.array([2, 7])
+    jobs = np.flatnonzero(np.isin(s.job_cn, cns))
+    pair = build_erd_assignment(env, s, cns)
+    held = np.zeros((env.num_jobs, env.num_cns), dtype=bool)
+    held[np.ix_(jobs, cns)] = True
+    np.testing.assert_array_equal(pair.x_vars >= 0, held)
+    assert pair.names == ["m"] + [f"X[{j},{c}]" for j in jobs for c in cns]
+    assert pair.row_names[:jobs.size] == [f"assign[{j}]" for j in jobs]
+    assert extract_schedule(pair, pair.warm_x).to_document() == _erd_schedule(env, s).to_document()
+
+
 def _every_assignment_in_erd_order(env, object_sn):
     """min over all C**J assignments of the ERD replay at ``object_sn``."""
     nj, nc = env.num_jobs, env.num_cns
