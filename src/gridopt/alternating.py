@@ -106,21 +106,20 @@ def step(env: GridEnvironment, stage: str, schedule: Schedule, makespan: float,
     return _solve_and_keep(env, mdl, makespan, budget, backend)
 
 
-def _solve_and_keep(env: GridEnvironment, mdl, makespan: float, budget: float, backend,
-                    strict=False) -> tuple[Schedule, float, SolveResult]:
+def _solve_and_keep(env: GridEnvironment, mdl, makespan: float, budget: float,
+                    backend) -> tuple[Schedule, float, SolveResult]:
     """Solve ``mdl`` within ``budget`` seconds, extract its answer and replay
     it against ``makespan``, the replayed makespan of ``mdl.schedule``.
 
     Returns (schedule, makespan, solve result): the extracted answer if it
-    replays no worse (``strict``: strictly lower), else ``mdl.schedule``,
-    which a failed solve also keeps.
+    replays no worse, else ``mdl.schedule``, which a failed solve also keeps.
     """
     res = solve(mdl, budget, backend=backend)
     if res.ok:
         candidate = extract_schedule(mdl, res.x)
         candidate_mk = makespan_of(env, candidate)
         # extraction can only tighten timings, never worsen them
-        if candidate_mk < makespan or candidate_mk == makespan and not strict:
+        if candidate_mk <= makespan:
             return candidate, candidate_mk, res
     return mdl.schedule, makespan, res
 
@@ -157,8 +156,7 @@ def pair_sweep(env: GridEnvironment, schedule: Schedule, makespan: float, budget
             if left <= 0:
                 return schedule, makespan, results, improved, False
             mdl = build_erd_assignment(env, schedule, np.sort([critical, partner]))
-            candidate, candidate_mk, res = _solve_and_keep(env, mdl, makespan, left, backend,
-                                                           strict=True)
+            candidate, candidate_mk, res = _solve_and_keep(env, mdl, makespan, left, backend)
             results.append(res)
             if candidate_mk < makespan:
                 schedule, makespan = candidate, candidate_mk

@@ -36,7 +36,7 @@ import functools
 
 import numpy as np
 
-from .environment import GridEnvironment
+from .environment import GridEnvironment, echo
 from .evaluator import compute_big_a, evaluate
 from .kernels import job_pairs, replay
 from .schedule import Schedule
@@ -394,11 +394,17 @@ def build_fixed_all(env: GridEnvironment, schedule: Schedule) -> MilpModel:
 
 def build_erd_assignment(env: GridEnvironment, schedule: Schedule, cns=None) -> MilpModel:
     """Optimize the assignment of the jobs ``schedule`` puts on ``cns``
-    (None: every CN) among those CNs, under its placement, each CN running
-    its jobs in ERD order, which is optimal there (Jackson's rule);
-    warm-started from ``schedule``'s assignment.  Every other job keeps its
-    CN, so the model over two CNs is a pair sub-problem of the grid."""
+    (distinct CN ids, one holding a job; None: every CN) among those CNs,
+    under its placement, each CN running its jobs in ERD order, optimal
+    there (Jackson's rule); warm-started from ``schedule``'s assignment.
+    Every other job keeps its CN: over two CNs, a pair sub-problem."""
     schedule.validate(env)
+    ids = np.asarray(cns)
+    # ids are distinct grid CNs exactly when as many grid CNs are among them
+    if cns is not None and not (ids.ndim == 1 and ids.dtype.kind in "iu"
+                                and len(set(ids.tolist()) & set(range(env.num_cns))) == ids.size
+                                and not set(ids.tolist()).isdisjoint(schedule.job_cn.tolist())):
+        raise ValueError(f"cns must be distinct CN ids, one holding a job, got {echo(cns)}")
     return _tail_model(env, schedule, "erd-assignment", cns)
 
 

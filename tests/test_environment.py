@@ -5,7 +5,6 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import strategies as st
 
 from gridopt.alternating import AlterMilpConfig, min_exe, min_trans
 from gridopt.baselines import GaConfig, ensemble_greedy, random_baseline

@@ -393,6 +393,20 @@ def test_a_pair_model_slices_the_whole_grid_model():
     assert extract_schedule(pair, pair.warm_x).to_document() == _erd_schedule(env, s).to_document()
 
 
+
+def test_a_pair_model_rejects_cns_that_are_not_distinct_cn_ids_holding_a_job():
+    env = generate(preset_config("small"), seed=0)
+    s = random_schedule(env, 0)
+    empty = np.setdiff1d(np.arange(env.num_cns), s.job_cn)[:2]
+    assert empty.size == 2
+    for bad in ([0, env.num_cns], [-1, 0], [2, 2], [], [[0, 1]], [0.0, 1.0], [True, False],
+                empty):
+        with pytest.raises(ValueError, match="^cns must be distinct CN ids, one holding a job"):
+            build_erd_assignment(env, s, bad)
+    # one CN of the pair may be empty: the sweep pairs the critical CN with it
+    pair = build_erd_assignment(env, s, [int(s.job_cn[0]), int(empty[0])])
+    assert (pair.x_vars >= 0).any(axis=0).sum() == 2
+
 def _every_assignment_in_erd_order(env, object_sn):
     """min over all C**J assignments of the ERD replay at ``object_sn``."""
     nj, nc = env.num_jobs, env.num_cns
