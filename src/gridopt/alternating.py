@@ -125,9 +125,10 @@ def _solve_and_keep(env: GridEnvironment, mdl, makespan: float, budget: float,
 
 
 def pair_sweep(env: GridEnvironment, schedule: Schedule, makespan: float, budget: float,
-               backend=None) -> tuple[Schedule, float, list[SolveResult], int, bool]:
+               backend=None, *, iteration: int = 1) -> tuple[TraceStep, bool]:
     """Re-assign the jobs of two CNs at a time, each pair solved exactly,
-    within ``budget`` seconds of wall time.
+    within ``budget`` seconds of wall time; the ``erd-assignment`` trace step
+    of ``iteration``.
 
     The critical CN (largest replayed finish, ties to the lower id) is
     paired with every other CN in ascending order of finish, ties to the
@@ -137,68 +138,62 @@ def pair_sweep(env: GridEnvironment, schedule: Schedule, makespan: float, budget
     every second the sweep takes.  Its answer, the whole grid in ERD order,
     is kept only if it replays strictly lower; the sweep then restarts from
     the new critical CN.  It stops when a whole pass keeps nothing (it
-    converged: the last C - 1 results are that pass's) or the budget is
-    spent.
+    converged) or the budget is spent.  It keeps counts, not results, so a
+    sub-solve's model is garbage once the next sub-solve returns.
 
-    Returns (schedule, makespan, every sub-solve's result, improvements,
-    converged).
+    Returns the trace step and whether any sub-solve succeeded.  Its status
+    is "optimal" when the sweep converged and every sub-solve of its last
+    pass proved optimal (with one CN there is no pair, so none runs), the
+    last sub-solve's status when it converged and none succeeded, and
+    otherwise "feasible-timeout", as when the budget ran out first.  Its
+    objective is the last sub-solve's, its wall time every backend second of
+    the sweep, and its diagnostics the sweep's counts, then the last
+    sub-solve's message.
     """
     deadline = time.perf_counter() + budget
-    results, improved = [], 0
-    while True:
+    statuses, improved, backend_s, any_ok = Counter(), 0, 0.0, False
+    last_status = objective = message = None      # of the last sub-solve
+    converged = out_of_time = False
+    while not (converged or out_of_time):
         finish = replay_batch(env, schedule.job_cn[None], schedule.order[None],
                               schedule.object_sn[None])[0]
         critical = int(finish.argmax())
+        pass_optimal = True
         for partner in np.argsort(finish, kind="stable"):
             if partner == critical:
                 continue
             left = deadline - time.perf_counter()
-            if left <= 0:
-                return schedule, makespan, results, improved, False
+            out_of_time = left <= 0
+            if out_of_time:
+                break
             mdl = build_erd_assignment(env, schedule, np.sort([critical, partner]))
             candidate, candidate_mk, res = _solve_and_keep(env, mdl, makespan, left, backend)
-            results.append(res)
+            statuses[res.status] += 1
+            backend_s += res.wall_time
+            any_ok |= res.ok
+            pass_optimal &= res.status == "optimal"
+            last_status, objective, message = res.status, res.objective, res.diagnostics
             if candidate_mk < makespan:
                 schedule, makespan = candidate, candidate_mk
                 improved += 1
                 break
         else:
-            return schedule, makespan, results, improved, True
+            converged = True
 
-
-def _assignment_half_step(env: GridEnvironment, iteration: int, schedule: Schedule,
-                          makespan: float, share: float, backend) -> tuple[TraceStep, bool]:
-    """:func:`pair_sweep` with ``share`` seconds of wall time, as a trace step.
-
-    Returns the trace step and whether any of its sub-solves succeeded.  Its
-    status is "optimal" when the sweep converged and every sub-solve of its
-    last pass proved optimal (with one CN there is no pair, so none runs),
-    the last sub-solve's status when it converged and none succeeded, and
-    otherwise "feasible-timeout", as when the share ran out first.  Its
-    objective is the last sub-solve's, its wall time every backend second of
-    the sweep, and its diagnostics the sweep's counts, then the last
-    sub-solve's message.
-    """
-    schedule, makespan, results, improved, converged = pair_sweep(env, schedule, makespan,
-                                                                  share, backend)
-    ok = any(r.ok for r in results)
-    if converged and results and not ok:
-        status = results[-1].status
-    elif converged and all(r.status == "optimal"   # the last pass: one per other CN
-                           for r in results[len(results) - env.num_cns + 1:]):
+    if converged and pass_optimal:
         status = "optimal"
+    elif converged and not any_ok:
+        status = last_status
     else:
         status = "feasible-timeout"
-    statuses = Counter(r.status for r in results)
-    note = (f"sweep: {len(results)} sub-solves, {improved} improved"
+    note = (f"sweep: {sum(statuses.values())} sub-solves, {improved} improved"
             + "".join(f", {s}={n}" for s, n in sorted(statuses.items()))
-            + f", {sum(r.wall_time for r in results):.3f}s backend")
-    if results:
-        note += "; " + results[-1].diagnostics
-    return (TraceStep(iteration, "erd-assignment", status,
-                      results[-1].objective if results else None, makespan,
-                      sum(r.wall_time for r in results), note, schedule),
-            ok)
+            + f", {backend_s:.3f}s backend")
+    if message is not None:
+        note += "; " + message
+    return (TraceStep(iteration, "erd-assignment", status, objective, makespan, backend_s,
+                      note, schedule),
+            any_ok)
 
 
 def _one_step(env: GridEnvironment, stage: str, budget: float, seed, backend) -> BaselineRun:
@@ -246,7 +241,7 @@ def run(env: GridEnvironment, config: AlterMilpConfig) -> tuple[Schedule, Optimi
 
     for it in range(1, config.iterations + 1):
         mk_before = current_mk
-        half_step, ok = _assignment_half_step(env, it, current, current_mk, share, backend)
+        half_step, ok = pair_sweep(env, current, current_mk, share, backend, iteration=it)
         steps.append(half_step)
         any_success |= ok
         current, current_mk = half_step.schedule, half_step.makespan

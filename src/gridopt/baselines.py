@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .environment import (GridEnvironment, check_budget, check_positive, check_seed, echo,
-                          is_kind)
+from .environment import GridEnvironment, check_budget, check_positive, check_seed
 from .evaluator import makespan_of, makespans_of
 from .schedule import Schedule, random_schedule, validate_batch
 
@@ -204,29 +203,22 @@ def diana(env: GridEnvironment, threshold: float = 1.0) -> BaselineRun:
     return _finish(env, schedule, ratios=ratios.tolist())
 
 
+# each tournament draws this many picks, with replacement
+TOURNAMENT = 3
+# the best individuals carried unchanged into the next generation
+ELITISM = 1
+
+
 @dataclass(frozen=True)
 class GaConfig:
     population: int = 50
     generations: int = 100
-    tournament: int = 3
-    mutation_rate: float | None = None   # None -> 1 / genome length
-    elitism: int = 1
     seed: int = 0
     budget: float | None = None          # wall seconds; None -> generations only
 
     def __post_init__(self):
         check_seed(self.population, "population", minimum=2)
         check_seed(self.generations, "generations", minimum=1)
-        check_seed(self.tournament, "tournament", minimum=1)
-        if self.tournament > self.population:
-            raise ValueError("tournament size must be in [1, population]")
-        if self.mutation_rate is not None and not (
-                is_kind(self.mutation_rate, float) and 0 <= self.mutation_rate <= 1):
-            raise ValueError(
-                f"mutation_rate must be a number in [0, 1], got {echo(self.mutation_rate)}")
-        check_seed(self.elitism, "elitism")
-        if self.elitism >= self.population:
-            raise ValueError("elitism must be in [0, population)")
         check_seed(self.seed, "seed")
         if self.budget is not None:
             check_budget(self.budget)
@@ -261,9 +253,9 @@ def _ox_slice_ends(first, offset, span) -> tuple[np.ndarray, np.ndarray]:
     return np.minimum(first, second), np.maximum(first, second)
 
 
-def _breed(rng, config: GaConfig, mut: float, num_cns: int, num_local_sns: int,
+def _breed(rng, mut: float, num_cns: int, num_local_sns: int,
            scores, job_cn, order, object_sn) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The next population: the elites, then P - elitism children.
+    """The next population: the ``ELITISM`` best, then the children.
 
     Each draw kind is made for the whole generation in one call, in a fixed
     order: the tournament picks, the CN cuts, the OX slice ends, the SN cuts,
@@ -272,9 +264,9 @@ def _breed(rng, config: GaConfig, mut: float, num_cns: int, num_local_sns: int,
     """
     size, nj = order.shape
     nd = object_sn.shape[1]
-    n = size - config.elitism
+    n = size - ELITISM
     integers, random = rng.integers, rng.random
-    picks = integers(0, size, size=(2, n, config.tournament))
+    picks = integers(0, size, size=(2, n, TOURNAMENT))
     cut_cn = integers(0, nj + 1, size=n)
     lo, hi = _ox_slice_ends(integers(0, nj + 1, size=n), integers(1, nj + 1, size=n), nj + 1)
     cut_sn = integers(0, nd + 1, size=n)
@@ -297,7 +289,7 @@ def _breed(rng, config: GaConfig, mut: float, num_cns: int, num_local_sns: int,
         row = child_order[i]                      # in draw order: swaps can chain
         row[k], row[other] = row[other], row[k]
 
-    elite = np.argsort(scores)[:config.elitism]
+    elite = np.argsort(scores)[:ELITISM]
     return (np.concatenate([job_cn[elite], child_cn]),
             np.concatenate([order[elite], child_order]),
             np.concatenate([object_sn[elite], child_sn]))
@@ -318,7 +310,7 @@ def ga(env: GridEnvironment, config: GaConfig = GaConfig()) -> BaselineRun:
     rng = np.random.default_rng(config.seed)
     nj, nc, nd, nl = env.num_jobs, env.num_cns, env.num_objects, env.num_local_sns
     genome_len = 2 * nj + nd
-    mut = config.mutation_rate if config.mutation_rate is not None else 1.0 / genome_len
+    mut = 1.0 / genome_len            # one gene per child mutates, on average
 
     size = config.population
     population = (rng.integers(0, nc, size=(size, nj)),
@@ -334,7 +326,7 @@ def ga(env: GridEnvironment, config: GaConfig = GaConfig()) -> BaselineRun:
     for _ in range(config.generations - 1):
         if config.budget is not None and time.perf_counter() - start >= config.budget:
             break
-        population = _breed(rng, config, mut, nc, nl, scores, *population)
+        population = _breed(rng, mut, nc, nl, scores, *population)
         scores = makespans_of(env, *population)
         generations_done += 1
         gen_best = int(scores.argmin())

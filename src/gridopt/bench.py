@@ -41,11 +41,9 @@ AGGREGATE_HEADER = ["setup", "method", "budget", "iterations", "n_rows",
                     "mean_wall_time_s", "rank"]
 
 
-def _ga(env, seed, budget, *, population=50, generations=1_000_000, tournament=3,
-        mutation_rate=None, elitism=1) -> baselines.BaselineRun:
+def _ga(env, seed, budget, *, population=50, generations=1_000_000) -> baselines.BaselineRun:
     return baselines.ga(env, baselines.GaConfig(
-        population=population, generations=generations, tournament=tournament,
-        mutation_rate=mutation_rate, elitism=elitism, seed=seed, budget=budget))
+        population=population, generations=generations, seed=seed, budget=budget))
 
 
 def _altermilp(env, seed, budget, *, iterations=3, early_stop=True) -> baselines.BaselineRun:
@@ -74,7 +72,13 @@ RUNNERS = {
 METHODS = tuple(RUNNERS)
 
 # The type of each param whose default is None, which names no type.
-NONE_DEFAULT_KINDS = {"runs": int, "mutation_rate": float}
+NONE_DEFAULT_KINDS = {"runs": int}
+
+
+def _check_distinct(values, name: str) -> None:
+    """Reject a repeated value of ``name``: its runs would share one log file."""
+    if len(set(values)) != len(values):
+        raise ValueError(f"{name} must be distinct, got {echo(list(values))}")
 
 
 def method_params(method: str) -> dict:
@@ -150,6 +154,7 @@ class ExperimentConfig:
         for seed in seeds:
             check_seed(seed, "seeds")
         object.__setattr__(self, "seeds", tuple(int(s) for s in seeds))
+        _check_distinct(self.seeds, "seeds")
         check_budget(self.budget)
         if (self.preset is None) == (self.generation is None):
             raise ValueError("give exactly one of preset and generation")
@@ -399,7 +404,9 @@ def _persist(config: ExperimentConfig, result: ExperimentResult, out_dir: Path) 
         name = f"{row.method}_seed{row.seed}"
         if row.iterations is not None:
             name += f"_T{row.iterations}"
-        name += f"_B{row.budget:g}.log"
+        # the shortest form that reads back as the budget, so two budgets never
+        # share a log; a whole budget drops its ".0" (2.0 -> B2)
+        name += f"_B{repr(row.budget).removesuffix('.0')}.log"
         with open(logs / name, "w") as fh:
             fh.write(f"setup={row.setup} method={row.method} seed={row.seed} "
                      f"budget={row.budget}\nstatus={row.status} "
@@ -446,6 +453,7 @@ def sweep_budget(config: ExperimentConfig, budgets, out_dir=None) -> ExperimentR
         raise ValueError("budgets must be non-empty")
     for budget in budgets:
         check_budget(budget)
+    _check_distinct(budgets, "budgets")
     return _run_and_persist(config, [(seed, spec, budget)
                                      for budget in budgets
                                      for seed in config.seeds
@@ -467,6 +475,7 @@ def sweep_iterations(config: ExperimentConfig, ts, mode: str,
         raise ValueError("ts must be a non-empty list of positive iteration counts")
     for t in ts:
         check_seed(t, "ts", minimum=1)
+    _check_distinct(ts, "ts")
     iterative = [spec for spec in config.methods if "iterations" in method_params(spec.method)]
     cells = []
     for t in ts:

@@ -2,6 +2,7 @@ import itertools
 import json
 import re
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -261,19 +262,24 @@ def test_a_sweep_never_worsens_the_makespan():
         env = generate(preset_config("small"), seed=seed)
         start = random_schedule(env, seed)
         start_mk = makespan_of(env, start)
-        final, mk, results, improved, converged = pair_sweep(env, start, start_mk, 10.0)
+        swept, ok = pair_sweep(env, start, start_mk, 10.0, iteration=2)
+        final, mk = swept.schedule, swept.makespan
         final.validate(env)
-        assert converged
+        assert ok and swept.status == "optimal"     # converged, every last-pass solve optimal
+        assert (swept.iteration, swept.stage) == (2, "erd-assignment")
         assert mk == makespan_of(env, final) and mk <= start_mk
+        runs, improved = _sweep_counts(swept.diagnostics)
         assert (improved > 0) == (mk < start_mk)
-        assert len(results) >= env.num_cns - 1 and all(r.ok for r in results)
+        assert runs >= env.num_cns - 1 and f", optimal={runs}, " in swept.diagnostics
         # every CN queue ends in ERD order
         assert final.order.tolist() == erd_orders(env, final.job_cn[None],
                                                   final.object_sn[None])[0].tolist()
-        kept, kept_mk, failed, none, converged = pair_sweep(env, start, start_mk, 10.0,
-                                                            _InfeasibleBackend())
-        assert kept is start and kept_mk == start_mk and none == 0 and converged
-        assert len(failed) == env.num_cns - 1
+        kept, ok = pair_sweep(env, start, start_mk, 10.0, _InfeasibleBackend())
+        assert kept.schedule is start and kept.makespan == start_mk and not ok
+        # converged with no success: the last sub-solve's status (an infeasible
+        # claim against a feasible warm start is an error) and message
+        assert kept.status == "error" and kept.diagnostics.endswith("; scripted refusal")
+        assert _sweep_counts(kept.diagnostics) == (env.num_cns - 1, 0)
 
 
 def _pair_of(model):
@@ -327,25 +333,58 @@ class _ZeroPoint(_InfeasibleBackend):
         return np.zeros(model.num_vars), "optimal", "scripted zero point"
 
 
-def test_a_rejected_pair_answer_names_the_grids_jobs():
+def test_a_rejected_pair_answer_names_the_grids_jobs(monkeypatch):
+    solved = []
+
+    def solve(model, budget, backend=None):
+        res = real_solve(model, budget, backend=backend)
+        solved.append((model, res))
+        return res
+
+    real_solve = alternating.solve
+    monkeypatch.setattr(alternating, "solve", solve)
     env = generate(preset_config("small"), seed=0)
     s = random_schedule(env, 0)
     start = Schedule(job_cn=s.job_cn, order=erd_orders(env, s.job_cn[None], s.object_sn[None])[0],
                      object_sn=s.object_sn)
     start_mk = makespan_of(env, start)
-    kept, mk, results, improved, converged = pair_sweep(env, start, start_mk, 10.0,
-                                                        _ZeroPoint())
+    swept, ok = pair_sweep(env, start, start_mk, 10.0, _ZeroPoint())
     # the warm start, the start itself, survives each rejection
-    assert kept is start and mk == start_mk and improved == 0 and converged
+    assert swept.schedule is start and swept.makespan == start_mk and ok
+    assert swept.status == "feasible-timeout"
+    assert _sweep_counts(swept.diagnostics) == (len(solved), 0) == (env.num_cns - 1, 0)
     named = []
-    for res in results:
-        jobs, _ = _pair_of(res.model)
+    for model, res in solved:
+        jobs, _ = _pair_of(model)
         assert res.status == "feasible-timeout"
         assert res.diagnostics.startswith("backend solution rejected: m = ")
         ids = [int(j) for j in re.findall(r"row assign\[(\d+)\]", res.diagnostics)]
         assert ids == jobs[:2].tolist()
         named += ids
     assert set(named) - {0, 1}
+    assert swept.diagnostics.endswith("; " + solved[-1][1].diagnostics)
+
+
+def test_a_sweep_holds_at_most_two_pair_models():
+    class Counting(HighsBackend):
+        """HiGHS, counting the models it was handed that are still alive."""
+
+        def __init__(self):
+            super().__init__()
+            self.handed, self.alive = [], []
+
+        def solve_raw(self, model, budget):
+            self.handed.append(weakref.ref(model))
+            self.alive.append(sum(ref() is not None for ref in self.handed))
+            return super().solve_raw(model, budget)
+
+    env = generate(preset_config("medium"), seed=0)
+    start = greedy_start(env, 0)
+    backend = Counting()
+    swept, _ = pair_sweep(env, start, makespan_of(env, start), 60.0, backend)
+    assert swept.status == "optimal"
+    # this one and the last, whose result the sweep drops when this returns
+    assert len(backend.alive) >= env.num_cns and max(backend.alive) <= 2
 
 
 def test_a_run_repeats_exactly_when_no_budget_binds():

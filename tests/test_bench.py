@@ -35,26 +35,25 @@ def test_method_spec_validation():
     # params are checked against the method's runner when the spec is built
     assert method_params("greedy") == {}
     assert method_params("altermilp")["iterations"] == 3
-    assert set(method_params("ga")) == {"population", "generations", "tournament",
-                                        "mutation_rate", "elitism"}
-    MethodSpec("ga", params={"tournament": 2, "elitism": 0})
+    assert method_params("ga") == {"population": 50, "generations": 1_000_000}
+    MethodSpec("ga", params={"population": 4, "generations": 2})
     with pytest.raises(ValueError, match="'ga' takes no param 'populaton'"):
         MethodSpec("ga", params={"populaton": 4, "generations": 2})
     for param in ("backend", "optimize_order"):
         with pytest.raises(ValueError, match=f"'altermilp' takes no param '{param}'"):
             MethodSpec("altermilp", params={param: False})
+    for param, value in (("tournament", 3), ("mutation_rate", None), ("elitism", 1)):
+        with pytest.raises(ValueError, match=f"'ga' takes no param '{param}'"):
+            MethodSpec("ga", params={param: value})
     # values must have the type of the runner's default
     MethodSpec("diana", params={"threshold": 2})
-    MethodSpec("ga", params={"mutation_rate": 0.5})
-    MethodSpec("ga", params={"mutation_rate": 1, "population": 4})
     MethodSpec("ensgreedy", params={"runs": None})
     for method, param, value in (("ga", "population", "abc"), ("ga", "population", True),
                                  ("ga", "population", 8.0), ("diana", "threshold", False),
                                  ("altermilp", "early_stop", 1),
                                  # params whose default is None are typed by name
                                  ("ensgreedy", "runs", True), ("ensgreedy", "runs", 2.5),
-                                 ("ensgreedy", "runs", "3"), ("ga", "mutation_rate", True),
-                                 ("ga", "mutation_rate", "nan")):
+                                 ("ensgreedy", "runs", "3")):
         with pytest.raises(ValueError, match=f"'{method}' param '{param}' must be"):
             MethodSpec(method, params={param: value})
     # and every such param has a kind
@@ -310,6 +309,23 @@ def test_sweep_budget_tags_rows(tmp_path):
     for r in result.rows:
         by_budget.setdefault(r.budget, {})[r.method] = r.makespan
     assert by_budget[0.5] == by_budget[1.5]
+
+
+def test_each_row_gets_its_own_log_file(tmp_path):
+    cfg = _config(methods=(MethodSpec("random"),), seeds=(0,), budget=1.0)
+    # :g printed both budgets as 1, and the second log overwrote the first
+    result = sweep_budget(cfg, [1.0, 1.0000001, 2.0, 1234567.0], out_dir=tmp_path / "sweep")
+    logs = sorted(p.name for p in (tmp_path / "sweep" / "logs").iterdir())
+    assert len(logs) == len(result.rows) == 4
+    assert logs == ["random_seed0_B1.0000001.log", "random_seed0_B1.log",
+                    "random_seed0_B1234567.log", "random_seed0_B2.log"]
+    # a repeated seed, budget or T would write two rows to one log
+    with pytest.raises(ValueError, match=r"^seeds must be distinct, got \[0, 1, 0\]$"):
+        _config(seeds=(0, 1, 0))
+    with pytest.raises(ValueError, match=r"^budgets must be distinct, got \[1, 2.0, 1.0\]$"):
+        sweep_budget(cfg, [1, 2.0, 1.0])
+    with pytest.raises(ValueError, match=r"^ts must be distinct, got \[2, 2\]$"):
+        sweep_iterations(cfg, [2, 2], mode="same")
 
 
 def test_sweep_budget_singleton_matches_plain_run():

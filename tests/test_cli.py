@@ -269,8 +269,7 @@ def test_optimize_rejects_a_budget_that_cannot_stop_a_run(env_file, capsys, meth
     ("greedy", {}),
     ("ensgreedy", {"runs": 4}),
     ("diana", {"threshold": 0.5}),
-    ("ga", {"population": 6, "generations": 3, "tournament": 2, "elitism": 2,
-            "mutation_rate": 0.2}),
+    ("ga", {"population": 6, "generations": 3}),
     ("altermilp", {"iterations": 1, "early_stop": False}),
 ])
 def test_optimize_matches_the_bench(tmp_path, capsys, method, params):

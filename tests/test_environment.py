@@ -173,7 +173,6 @@ CHECKS = {
     "check_seed": (lambda value: check_seed(-value if isinstance(value, int) else value),
                    "seed must be "),
     "read_field": (lambda value: read_field({"a": value}, "a", int), "field 'a' must be "),
-    "mutation_rate": (lambda value: GaConfig(mutation_rate=value), "mutation_rate must be "),
     "check_document": (lambda value: check_document({"schema": value}, "s", ()),
                        "field 'schema': expected 's', got "),
 }
