@@ -1,15 +1,16 @@
 """Restricted MILP steps: the alternating optimizer and the one-sided baselines.
 
 :func:`step` pins part of a schedule, optimizes the rest by a MILP
-warm-started from it, and keeps the answer only if it replays no worse.
-Min-exe and min-trans are one step from a random schedule.  Altermilp starts
-from the greedy schedule of a seeded random job order and alternates two
-half-steps: :func:`pair_sweep` on the assignment, with every CN queue in ERD
-order, which solves two CNs at a time exactly, each pair a slice of the
-assignment model, until a whole pass improves nothing or the share is spent;
-then a step on the placement under that order.  So its replayed makespan
-never increases: interrupted after any step, it leaves a valid schedule no
-worse than its start.
+warm-started from it, and keeps the answer only if it replays strictly
+lower, else returns its input itself.  Min-exe and min-trans are one step
+from a random schedule.  Altermilp starts from the greedy schedule of a
+seeded random job order and alternates two half-steps: :func:`pair_sweep`
+on the assignment, with every CN queue in ERD order, which solves two CNs
+at a time exactly, each pair a slice of the assignment model, until a whole
+pass keeps nothing or the share is spent; then a step on the placement
+under that order, until an iteration keeps nothing.  So its replayed
+makespan never increases: interrupted after any step, it leaves a valid
+schedule no worse than its start.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .baselines import BaselineRun, _finish, greedy
-from .environment import GridEnvironment, check_budget, check_seed, echo, save_document
+from .environment import (GridEnvironment, check_budget, check_seed, echo, is_kind,
+                          save_document)
 from .evaluator import makespan_of
 from .kernels import replay_batch
 from .model import build_erd_assignment, build_fixed_x, build_fixed_yz, extract_schedule
@@ -29,10 +31,6 @@ from .schedule import Schedule, random_schedule
 from .solver import HighsBackend, SolveResult, solve
 
 TRACE_SCHEMA = "optimization-trace/1"
-
-# an iteration improving the makespan by less than this fraction is quiet;
-# two quiet iterations in a row stop the loop early
-EARLY_STOP_REL = 1e-9
 
 # stage -> the schedule fields its restricted model pins; the rest is optimized
 PINNED = {
@@ -47,12 +45,14 @@ class AlterMilpConfig:
     total_budget: float = 3.0       # seconds shared equally by the 2T half-steps
     seed: int = 0                   # seeds the job order of the greedy start
     backend: object | None = None   # solver backend; None -> HiGHS
-    early_stop: bool = True
+    early_stop: bool = True         # stop at the first iteration that keeps nothing
 
     def __post_init__(self):
         check_seed(self.iterations, "iterations", minimum=1)
         check_budget(self.total_budget, "total_budget")
         check_seed(self.seed, "seed")
+        if not is_kind(self.early_stop, bool):
+            raise ValueError(f"early_stop must be a bool, got {echo(self.early_stop)}")
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ class TraceStep:
 @dataclass(frozen=True)
 class OptimizationTrace:
     steps: tuple[TraceStep, ...]
-    stop_reason: str        # "completed", "converged"
+    stop_reason: str        # "converged" (an iteration before the last kept nothing), "completed"
     degraded: bool          # True when not a single sub-solve succeeded
 
     def makespans(self) -> list[float]:
@@ -98,7 +98,8 @@ def step(env: GridEnvironment, stage: str, schedule: Schedule, makespan: float,
     and solve for the rest within ``budget`` seconds.
 
     Returns (schedule, makespan, solve result): the extracted answer if it
-    replays no worse, else the input, which a failed solve also keeps.
+    replays strictly lower, else ``schedule`` itself, which a failed solve
+    also keeps.
     """
     if stage not in PINNED:
         raise ValueError(f"stage must be one of {', '.join(PINNED)}, got {echo(stage)}")
@@ -112,14 +113,15 @@ def _solve_and_keep(env: GridEnvironment, mdl, makespan: float, budget: float,
     it against ``makespan``, the replayed makespan of ``mdl.schedule``.
 
     Returns (schedule, makespan, solve result): the extracted answer if it
-    replays no worse, else ``mdl.schedule``, which a failed solve also keeps.
+    replays strictly lower, else the ``mdl.schedule`` object itself, which a
+    failed solve also keeps.  This is the module's one keep rule, so
+    ``schedule is mdl.schedule`` says the solve kept nothing.
     """
     res = solve(mdl, budget, backend=backend)
     if res.ok:
         candidate = extract_schedule(mdl, res.x)
         candidate_mk = makespan_of(env, candidate)
-        # extraction can only tighten timings, never worsen them
-        if candidate_mk <= makespan:
+        if candidate_mk < makespan:
             return candidate, candidate_mk, res
     return mdl.schedule, makespan, res
 
@@ -167,15 +169,14 @@ def pair_sweep(env: GridEnvironment, schedule: Schedule, makespan: float, budget
             if out_of_time:
                 break
             mdl = build_erd_assignment(env, schedule, np.sort([critical, partner]))
-            candidate, candidate_mk, res = _solve_and_keep(env, mdl, makespan, left, backend)
+            kept, makespan, res = _solve_and_keep(env, mdl, makespan, left, backend)
             statuses[res.status] += 1
             backend_s += res.wall_time
             any_ok |= res.ok
             pass_optimal &= res.status == "optimal"
             last_status, objective, message = res.status, res.objective, res.diagnostics
-            if candidate_mk < makespan:
-                schedule, makespan = candidate, candidate_mk
-                improved += 1
+            if kept is not schedule:
+                schedule, improved = kept, improved + 1
                 break
         else:
             converged = True
@@ -224,11 +225,12 @@ def run(env: GridEnvironment, config: AlterMilpConfig) -> tuple[Schedule, Optimi
     variables, and the next sweep re-sorts by ERD under the new placement.
     Each half-step has a share of ``total_budget / 2T`` seconds: the
     placement solve's time limit, and the sweep's wall-clock deadline; a
-    sweep ends when a whole pass improves nothing or its share is spent,
-    whichever comes first.  One backend, built before any share starts,
-    runs every solve.  The trace records each half-step's status, backend
-    wall time and diagnostics, failed solves included.  The returned
-    schedule is the last iterate, which is also the best.
+    sweep ends when a whole pass keeps nothing or its share is spent,
+    whichever comes first.  With ``early_stop`` the run ends after the
+    first iteration that keeps nothing, a fixed point.  One backend, built
+    before any share starts, runs every solve.  The trace records each
+    half-step's status, backend wall time and diagnostics, failed solves
+    included.  The returned schedule is the last iterate, also the best.
     """
     backend = HighsBackend() if config.backend is None else config.backend
     order = np.random.default_rng(config.seed).permutation(env.num_jobs)
@@ -237,10 +239,9 @@ def run(env: GridEnvironment, config: AlterMilpConfig) -> tuple[Schedule, Optimi
     steps = [TraceStep(0, "init", "init", None, current_mk, 0.0, "", current)]
     share = config.total_budget / (2 * config.iterations)    # per half-step
     any_success = False
-    quiet_iterations = 0
 
     for it in range(1, config.iterations + 1):
-        mk_before = current_mk
+        start = current
         half_step, ok = pair_sweep(env, current, current_mk, share, backend, iteration=it)
         steps.append(half_step)
         any_success |= ok
@@ -249,8 +250,6 @@ def run(env: GridEnvironment, config: AlterMilpConfig) -> tuple[Schedule, Optimi
         any_success |= res.ok
         steps.append(TraceStep(it, "placement", res.status, res.objective, current_mk,
                                res.wall_time, res.diagnostics, current))
-        improvement = (mk_before - current_mk) / max(1.0, mk_before)
-        quiet_iterations = quiet_iterations + 1 if improvement < EARLY_STOP_REL else 0
-        if config.early_stop and quiet_iterations >= 2 and it < config.iterations:
+        if config.early_stop and current is start and it < config.iterations:
             return current, OptimizationTrace(tuple(steps), "converged", not any_success)
     return current, OptimizationTrace(tuple(steps), "completed", not any_success)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -17,13 +17,14 @@ class InvalidScheduleError(ValueError):
     """A schedule is inconsistent with its environment."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Schedule:
     """One complete decision: where jobs run, in what priority, where data goes.
 
     ``order`` lists job ids from highest to lowest priority and must be a
     permutation of all jobs.  The order is global; only the relative order of
-    jobs sharing a CN affects the outcome.
+    jobs sharing a CN affects the outcome.  Two schedules are equal when
+    their three arrays are; like those arrays, a schedule is unhashable.
     """
 
     job_cn: np.ndarray     # (J,) CN id per job
@@ -61,6 +62,12 @@ class Schedule:
             raise InvalidScheduleError("schedule fields must be 1-d")
         if self.order.shape != self.job_cn.shape:
             raise InvalidScheduleError("order and job_cn must both have one entry per job")
+
+    def __eq__(self, other):
+        if not isinstance(other, Schedule):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
 
     def validate(self, env: GridEnvironment) -> None:
         """Raise :class:`InvalidScheduleError` unless consistent with ``env``."""

@@ -33,6 +33,12 @@ def test_config_validation():
     for bad in (0.0, float("inf"), True, "3"):
         with pytest.raises(ValueError, match="total_budget"):
             AlterMilpConfig(total_budget=bad)
+    # "no" is truthy; 0, 1, None and 1.0 are not bools either
+    for bad in ("no", 0, 1, None, 1.0):
+        with pytest.raises(ValueError,
+                           match=f"^early_stop must be a bool, got {re.escape(repr(bad))}$"):
+            AlterMilpConfig(early_stop=bad)
+    assert not AlterMilpConfig(early_stop=False).early_stop
 
 
 def test_start_is_the_greedy_schedule_of_a_seeded_order(env_tiny):
@@ -84,12 +90,35 @@ def _stagnant_env():
                                      rng_seed=5))
 
 
-def test_early_stop_after_two_quiet_iterations():
+def test_early_stop_after_an_iteration_that_keeps_nothing():
     env = _stagnant_env()
     final, trace = run(env, AlterMilpConfig(iterations=5, total_budget=5.0))
     assert trace.stop_reason == "converged"
-    assert len(trace.steps) == 1 + 2 * 2
+    assert len(trace.steps) == 1 + 2
     assert not trace.degraded
+    # each half-step returned its input, so the run ends on its start
+    init, swept, placed = trace.steps
+    assert swept.schedule is init.schedule and placed.schedule is init.schedule
+    assert final is init.schedule
+
+
+def test_a_run_stops_at_its_first_fixed_point():
+    # budgets no sweep comes near, so the deadline never decides a step
+    for preset, seeds, budget in (("small", range(10), 12.0), ("medium", range(2), 30.0)):
+        for seed in seeds:
+            env = generate(preset_config(preset), seed=seed)
+            _, trace = run(env, AlterMilpConfig(total_budget=budget, seed=seed))
+            _, full = run(env, AlterMilpConfig(total_budget=budget, seed=seed,
+                                               early_stop=False))
+            assert trace.steps[-1].makespan == full.steps[-1].makespan
+            assert len(full.steps) == 1 + 2 * 3
+            steps = trace.steps
+            kept_nothing = [steps[k].schedule is steps[k - 1].schedule
+                            and steps[k + 1].schedule is steps[k].schedule
+                            for k in range(1, len(steps), 2)]
+            assert kept_nothing[-1] and not any(kept_nothing[:-1]), (preset, seed)
+            assert trace.stop_reason == ("converged" if len(steps) < len(full.steps)
+                                         else "completed")
 
 
 def test_early_stop_can_be_disabled():
@@ -248,6 +277,32 @@ def test_a_worse_answer_never_replaces_the_input(env_tiny, monkeypatch):
             assert out.schedule.to_document() == start.to_document()
     with pytest.raises(ValueError, match="stage must be one of .*, got 'order'"):
         step(env_tiny, "order", start, start_mk, 1.0)
+
+
+def _regrouped(schedule):
+    """``schedule`` with its jobs listed CN by CN: each CN's sequence is
+    kept, only the global interleaving changes, so it replays the same."""
+    by_cn = np.argsort(schedule.job_cn[schedule.order], kind="stable")
+    return Schedule(job_cn=schedule.job_cn, order=schedule.order[by_cn],
+                    object_sn=schedule.object_sn)
+
+
+def test_an_answer_that_replays_equal_is_not_kept(monkeypatch):
+    monkeypatch.setattr(alternating, "extract_schedule", lambda mdl, x: _regrouped(mdl.schedule))
+    env = generate(preset_config("small"), seed=0)
+    for seed in range(3):
+        start = random_schedule(env, seed)
+        start_mk = makespan_of(env, start)
+        tie = _regrouped(start)
+        assert tie != start and makespan_of(env, tie) == start_mk
+        for stage in PINNED:
+            kept, mk, res = step(env, stage, start, start_mk, 1.0)
+            assert res.ok and kept is start and mk == start_mk
+        for method in (min_trans, min_exe):
+            assert method(env, 1.0, seed).schedule == start
+        swept, ok = pair_sweep(env, start, start_mk, 10.0)
+        assert ok and swept.schedule is start and swept.status == "optimal"
+        assert _sweep_counts(swept.diagnostics) == (env.num_cns - 1, 0)
 
 
 def _sweep_counts(diagnostics):

@@ -13,15 +13,33 @@ def test_random_schedule_is_valid_and_deterministic(env_tiny):
     a = random_schedule(env_tiny, 42)
     b = random_schedule(env_tiny, 42)
     a.validate(env_tiny)
-    assert a.to_document() == b.to_document()
-    assert random_schedule(env_tiny, 43).to_document() != a.to_document()
+    assert a == b
+    assert random_schedule(env_tiny, 43) != a
 
 
 def test_random_schedule_accepts_generator(env_tiny):
     rng = np.random.default_rng(0)
     first = random_schedule(env_tiny, rng)
     second = random_schedule(env_tiny, rng)  # advances the stream
-    assert first.to_document() != second.to_document()
+    assert first != second
+
+
+def test_schedules_are_equal_by_value_and_unhashable():
+    s = Schedule(job_cn=[0, 1], order=[1, 0], object_sn=[2])
+    assert s == Schedule(job_cn=np.array([0, 1], dtype=np.uint8), order=[1.0, 0.0],
+                         object_sn=[2])
+    assert not s != Schedule(job_cn=[0, 1], order=[1, 0], object_sn=[2])
+    for other in (Schedule(job_cn=[1, 1], order=[1, 0], object_sn=[2]),
+                  Schedule(job_cn=[0, 1], order=[0, 1], object_sn=[2]),
+                  Schedule(job_cn=[0, 1], order=[1, 0], object_sn=[0]),
+                  Schedule(job_cn=[0, 1], order=[1, 0], object_sn=[2, 2])):
+        assert s != other and not s == other
+    # another type is never equal, and a comparison with it does not raise
+    for other in (None, 1, s.to_document(), (s.job_cn, s.order, s.object_sn)):
+        assert s != other and not s == other
+        assert s.__eq__(other) is NotImplemented
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(s)
 
 
 @pytest.mark.parametrize("mutation", [
@@ -92,7 +110,7 @@ def test_schedule_document_roundtrip(tmp_path, env_tiny):
     path = tmp_path / "sched.json"
     s.save(path)
     loaded = load_schedule(path)
-    assert loaded.to_document() == s.to_document()
+    assert loaded == s
     loaded.validate(env_tiny)
 
 
