@@ -17,15 +17,17 @@ Three models, each holding only the decisions it leaves free:
   :func:`build_fixed_yz`: with the placement pinned and each CN's jobs in a
   fixed sequence, the assignment is the only decision, and the model holds
   just the makespan and the X block.  :func:`build_erd_assignment` over a
-  set of CNs holds X only for the jobs on them, which makes a pair
-  sub-problem a slice of the grid's model, named with the grid's ids.
+  set of CNs holds X only for the jobs on them, and computes their release
+  and hold times on those CNs alone, which makes a pair sub-problem a slice
+  of the grid's model, named with the grid's ids.
 
 The emitter works on index arrays: each variable group is a block of
 indices and each row family one COO block written at precomputed row
 positions, in the variable and row order of the per-entity loops the
 formulation reads as.  Warm starts and solver answers are vectors in that
 variable order, and a schedule is read back through the X, Y and Z index
-blocks a model keeps, the rest from the schedule it was built from.
+blocks a model keeps, the rest from the schedule it was built from or, for
+an ERD order, :func:`kernels.erd_orders`.
 Variable and row names are formatted on demand, for messages and
 inspection only.
 """
@@ -38,7 +40,7 @@ import numpy as np
 
 from .environment import GridEnvironment, echo
 from .evaluator import compute_big_a, evaluate
-from .kernels import job_pairs, replay
+from .kernels import erd_orders, job_pairs, replay
 from .schedule import Schedule
 
 
@@ -72,15 +74,15 @@ class MilpModel:
     block the model does not hold is None.  Only ``monolithic`` holds all
     three.  Every other model keeps the ``schedule`` it was built from: the
     placement model (``fixed-xy``, ``fixed-xyz``) holds only Z, and a tail
-    model (``erd-assignment``, ``fixed-yz``) only X, with the (J, C)
-    ``priority`` table that orders its extracted schedule.
+    model (``erd-assignment``, ``fixed-yz``) only X.  ``env`` is the grid
+    the model was built from, which orders an ``erd-assignment`` model's
+    extracted schedule.
     """
 
-    def __init__(self, kind, var_namer, lower, upper, integer, objective,
+    def __init__(self, kind, env, var_namer, lower, upper, integer, objective,
                  row_namer, row_lower, row_upper, indptr, indices, data,
-                 warm_x, x_vars=None, y_vars=None, z_vars=None, schedule=None,
-                 priority=None):
-        self.kind = kind
+                 warm_x, x_vars=None, y_vars=None, z_vars=None, schedule=None):
+        self.kind, self.env = kind, env
         self._var_namer = var_namer
         self.lower = _frozen(lower, np.float64)
         self.upper = _frozen(upper, np.float64)
@@ -94,7 +96,7 @@ class MilpModel:
         self.data = _frozen(data, np.float64)
         self.warm_x = warm_x
         self.x_vars, self.y_vars, self.z_vars = x_vars, y_vars, z_vars
-        self.schedule, self.priority = schedule, priority
+        self.schedule = schedule
 
     @property
     def num_vars(self) -> int:
@@ -130,8 +132,11 @@ class MilpModel:
         arrays: activities are ``A @ x`` and each row's slack is
         ``CHECK_TOL * max(1, |A| @ |x|)``, so rows carrying the big-A
         constant are not judged more harshly than their arithmetic allows.
-        Non-finite values are violations of their own.
+        Non-finite values are violations of their own, and a vector not of
+        shape ``(num_vars,)`` is one violation.
         """
+        if np.shape(x) != (self.num_vars,):
+            return [f"x has shape {np.shape(x)}, not ({self.num_vars},)"]
         finite = np.isfinite(x)
         problems = [f"{self.names[i]} = {x[i]!r} is not finite"
                     for i in np.flatnonzero(~finite)]
@@ -364,7 +369,7 @@ def build_monolithic(env: GridEnvironment, warm_schedule: Schedule | None = None
         warm_x[y[off_i, off_j]] = pos[off_i] < pos[off_j]
         warm_x[z] = _one_hot(warm_schedule.object_sn, nl)
         warm_x.setflags(write=False)
-    return _model("monolithic", var, rows, m, warm_x, x, y, z)
+    return _model("monolithic", env, var, rows, m, warm_x, x, y, z)
 
 
 def build_fixed_yz(env: GridEnvironment, schedule: Schedule) -> MilpModel:
@@ -372,7 +377,7 @@ def build_fixed_yz(env: GridEnvironment, schedule: Schedule) -> MilpModel:
     placement, warm-started from ``schedule``: the tail model with each CN's
     rows in that order, exact under any fixed sequence (Carlier 1982)."""
     schedule.validate(env)
-    return _tail_model(env, schedule, "fixed-yz", priority=schedule.positions()[:, None])
+    return _tail_model(env, schedule, "fixed-yz", priority=schedule.positions())
 
 
 def build_fixed_x(env: GridEnvironment, schedule: Schedule) -> MilpModel:
@@ -461,20 +466,20 @@ def _placement_model(env: GridEnvironment, schedule: Schedule, kind: str) -> Mil
         warm_x[t[read]] = env.replication_delay()[read, schedule.object_sn[read]]
         warm_x[z[read]] = z01
         warm_x.setflags(write=False)
-    return _model(kind, var, rows, m, warm_x, z_vars=z, schedule=schedule)
+    return _model(kind, env, var, rows, m, warm_x, z_vars=z, schedule=schedule)
 
 
 def _tail_model(env: GridEnvironment, schedule: Schedule, kind: str, cns=None,
                 priority=None) -> MilpModel:
     """The assignment model under ``schedule``'s placement over the jobs it
     puts on ``cns`` (None: every CN), each CN taking its jobs by ascending
-    ``priority`` (broadcast to (J, C), ties to the lower job id; None: by
-    release, which is ERD).  Every other job keeps its CN.
+    ``priority`` (J,), ties to the lower job id; None: by release, which is
+    ERD.  Every other job keeps its CN.
 
     Job j on CN c is released at ``rho[j, c] = latest - slowest`` and then
     holds the CN for ``q[j, c] = slowest + exec_time[j, c]``
-    (:func:`kernels.job_pairs`).  These (J, C) tables depend only on the job,
-    the CN and the placement, so the model over ``cns`` reads their slice.
+    (:func:`kernels.job_pairs`).  These depend only on the job, the CN and
+    the placement, so the model computes them for ``cns`` alone.
     Besides ``m`` and the X block of those jobs and CNs (``x_vars`` is -1
     elsewhere) there is one assignment row per job and one tail row per CN c
     and position k,
@@ -485,19 +490,17 @@ def _tail_model(env: GridEnvironment, schedule: Schedule, kind: str, cns=None,
     lets HiGHS prove small instances optimal several times faster.
     Variables and rows are named with the grid's job and CN ids.
     """
-    nj, nc = env.num_jobs, env.num_cns
-    every_cn = np.arange(nc)
-    # row c of the (C, J) tables puts every job on CN c
-    slowest, latest = job_pairs(env, np.broadcast_to(every_cn[:, None], (nc, nj)),
-                                np.broadcast_to(schedule.object_sn, (nc, env.num_objects)))
-    release = (latest - slowest).T
-    priority = release if priority is None else np.broadcast_to(priority, (nj, nc))
-    cns = every_cn if cns is None else np.asarray(cns, dtype=np.int64)
+    cns = np.arange(env.num_cns) if cns is None else np.asarray(cns, dtype=np.int64)
     jobs = np.flatnonzero(np.isin(schedule.job_cn, cns))
     held = np.ix_(jobs, cns)
-    release, body = release[held], (slowest.T + env.exec_time())[held]
+    # row i of the (k, J) tables puts every job on CN cns[i]
+    slowest, latest = job_pairs(env, np.broadcast_to(cns[:, None], (cns.size, env.num_jobs)),
+                                np.broadcast_to(schedule.object_sn, (cns.size, env.num_objects)))
+    release = (latest - slowest)[:, jobs].T
+    body = slowest[:, jobs].T + env.exec_time()[held]
     alone = np.maximum(release, 0.0) + body     # finish of each job alone on each CN
-    seq = np.argsort(priority[held], axis=0, kind="stable").T   # indices into jobs, per CN
+    priority = release if priority is None else np.broadcast_to(priority[jobs, None], body.shape)
+    seq = np.argsort(priority, axis=0, kind="stable").T     # indices into jobs, per CN
     col = np.arange(cns.size)[:, None]
 
     var = _Vars()
@@ -524,22 +527,21 @@ def _tail_model(env: GridEnvironment, schedule: Schedule, kind: str, cns=None,
     activity = _row_sums(indptr, data * warm_x[indices])
     warm_x[m] = -activity[jobs.size:].min()
     warm_x.setflags(write=False)
-    x_vars = np.full((nj, nc), -1)
+    x_vars = np.full((env.num_jobs, env.num_cns), -1)
     x_vars[held] = x
-    return _model(kind, var, rows, m, warm_x, x_vars=x_vars, schedule=schedule,
-                  priority=priority, csr=csr)
+    return _model(kind, env, var, rows, m, warm_x, x_vars=x_vars, schedule=schedule, csr=csr)
 
 
-def _model(kind, var, rows, m, warm_x, x_vars=None, y_vars=None, z_vars=None,
-           schedule=None, priority=None, csr=None) -> MilpModel:
+def _model(kind, env, var, rows, m, warm_x, x_vars=None, y_vars=None, z_vars=None,
+           schedule=None, csr=None) -> MilpModel:
     """The :class:`MilpModel` of ``var`` and ``rows`` (``csr``, when the
-    caller already has it), minimizing ``m``."""
+    caller already has it) built from ``env``, minimizing ``m``."""
     objective = np.zeros(var.count)
     objective[m] = 1.0
-    return MilpModel(kind, var.namer(), np.concatenate(var.lower), np.concatenate(var.upper),
-                     np.concatenate(var.integer), objective, rows.namer(),
-                     *(rows.csr() if csr is None else csr),
-                     warm_x, x_vars, y_vars, z_vars, schedule, priority)
+    return MilpModel(kind, env, var.namer(), np.concatenate(var.lower),
+                     np.concatenate(var.upper), np.concatenate(var.integer), objective,
+                     rows.namer(), *(rows.csr() if csr is None else csr),
+                     warm_x, x_vars, y_vars, z_vars, schedule)
 
 
 def extract_schedule(model: MilpModel, x: np.ndarray) -> Schedule:
@@ -549,10 +551,9 @@ def extract_schedule(model: MilpModel, x: np.ndarray) -> Schedule:
     comes from the schedule it was built from.  The placement model keeps
     that schedule's assignment and order, and objects no job reads keep its
     SN.  A tail model keeps its placement, and a pair model the CN of every
-    job outside the pair; it orders the whole grid by each job's priority at
-    its CN, ties to the lower job id: for ``erd-assignment`` that is
-    :func:`kernels.erd_orders` of the extracted schedule, and for
-    ``fixed-yz`` the pinned schedule's own order.  In the joint model Y
+    job outside the pair; an ``erd-assignment`` model orders the whole grid
+    by :func:`kernels.erd_orders` of the extracted assignment, and
+    ``fixed-yz`` keeps the pinned schedule's order.  In the joint model Y
     matters only between jobs sharing a CN, where a feasible point holds a
     strict total order; each job ranks by the number of same-CN jobs it
     follows, and the order sorts by rank, then job id, which interleaves
@@ -568,7 +569,8 @@ def extract_schedule(model: MilpModel, x: np.ndarray) -> Schedule:
         held = model.x_vars >= 0
         job_cn = np.where(held, x[model.x_vars], -np.inf).argmax(axis=1)
         job_cn = np.where(held.any(axis=1), job_cn, pinned.job_cn)
-        order = np.argsort(model.priority[np.arange(job_cn.size), job_cn], kind="stable")
+        order = (pinned.order if model.kind == "fixed-yz"
+                 else erd_orders(model.env, job_cn[None], pinned.object_sn[None])[0])
         return Schedule(job_cn=job_cn, order=order, object_sn=pinned.object_sn)
     job_cn = x[model.x_vars].argmax(axis=1)
     object_sn = x[model.z_vars].argmax(axis=1)

@@ -43,8 +43,8 @@ class SolveResult:
 
     ``status`` is one of "optimal", "feasible-timeout", "infeasible",
     "error".  ``x`` is the answer as a vector in the model's variable order,
-    present exactly when ``objective`` is; an "error" may still carry the
-    warm start.
+    present exactly when ``objective`` is and whenever ``ok``; an "error"
+    may still carry the warm start.
     """
 
     status: str
@@ -214,17 +214,16 @@ def solve(model: MilpModel, budget: float, backend=None) -> SolveResult:
     inc_obj = None
     if x is not None:
         x = np.asarray(x, dtype=np.float64)
-        rounded = x.copy()
-        ints = model.integer
-        rounded[ints] = np.round(rounded[ints])
-        bad = model.check_assignment(rounded)
+        if x.shape == model.integer.shape:
+            x = np.where(model.integer, np.round(x), x)
+        bad = model.check_assignment(x)
         if bad:
             notes.append("backend solution rejected: " + "; ".join(bad[:3]))
             if raw == "optimal":
                 raw = "limit"  # the proof is void if the point does not check out
         else:
-            incumbent = rounded
-            inc_obj = model.objective_value(rounded)
+            incumbent = x
+            inc_obj = model.objective_value(x)
 
     # keep whichever of backend incumbent / warm start is better
     use_warm = warm_x is not None and (inc_obj is None or warm_obj < inc_obj - 1e-12)
@@ -239,17 +238,17 @@ def solve(model: MilpModel, budget: float, backend=None) -> SolveResult:
 
     if raw == "infeasible" and warm_x is not None:
         notes.append("backend reported infeasible but the warm start is feasible")
-    elif raw not in ("optimal", "infeasible") and incumbent is None:
+    elif raw != "infeasible" and incumbent is None:
         notes.append(f"no incumbent ({raw})")
     diagnostics = "; ".join(notes + [message])
-    if raw == "optimal":
+    if raw == "optimal" and incumbent is not None:
         status = "feasible-timeout" if distrusted else "optimal"
         return SolveResult(status, inc_obj, incumbent, wall, diagnostics, model)
     if raw == "infeasible":
         if warm_x is not None:
             return SolveResult("error", warm_obj, warm_x, wall, diagnostics, model)
         return SolveResult("infeasible", None, None, wall, diagnostics, model)
-    # limit / crashed / failed
+    # limit / crashed / failed, or an optimum claimed with no point
     if incumbent is not None:
         return SolveResult("feasible-timeout", inc_obj, incumbent, wall, diagnostics, model)
     return SolveResult("error", None, None, wall, diagnostics, model)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridopt import model
+from gridopt import kernels, model
 from gridopt.environment import GenerationConfig, GridEnvironment, generate, preset_config
 from gridopt.evaluator import compute_big_a, evaluate, makespan_of, makespans_of
 from gridopt.kernels import erd_orders
@@ -375,7 +375,7 @@ def test_a_pair_model_slices_the_whole_grid_model():
         s = random_schedule(env, seed)
         whole, pair = build_erd_assignment(env, s), build_erd_assignment(env, s, [0, 1])
         for name in ("lower", "upper", "integer", "objective", "row_lower", "row_upper",
-                     "indptr", "indices", "data", "warm_x", "x_vars", "priority"):
+                     "indptr", "indices", "data", "warm_x", "x_vars"):
             a, b = getattr(pair, name), getattr(whole, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
         assert pair.names == whole.names and pair.row_names == whole.row_names
@@ -391,6 +391,46 @@ def test_a_pair_model_slices_the_whole_grid_model():
     assert pair.names == ["m"] + [f"X[{j},{c}]" for j in jobs for c in cns]
     assert pair.row_names[:jobs.size] == [f"assign[{j}]" for j in jobs]
     assert extract_schedule(pair, pair.warm_x).to_document() == _erd_schedule(env, s).to_document()
+
+
+@settings(max_examples=60, deadline=None)
+@given(env=st.builds(_lan_bound_env, st.integers(0, 2**31 - 1), st.integers(1, 7),
+                     st.integers(2, 4)),
+       schedule_seed=st.integers(0, 2**31 - 1), data=st.data())
+def test_a_pair_model_extracts_the_erd_order_of_its_answer(env, schedule_seed, data):
+    # CNs order their jobs differently here, so the order must follow the answer
+    s = random_schedule(env, schedule_seed)
+    j = data.draw(st.integers(0, env.num_jobs - 1))
+    home = int(s.job_cn[j])
+    other = data.draw(st.integers(0, env.num_cns - 1).filter(lambda c: c != home))
+    pair = build_erd_assignment(env, s, [home, other])
+    assert pair.check_assignment(pair.warm_x) == []
+    assert extract_schedule(pair, pair.warm_x).to_document() == _erd_schedule(env, s).to_document()
+    # job j moved to the other CN: the extracted order is ERD of that assignment
+    x = pair.warm_x.copy()
+    x[pair.x_vars[j, home]], x[pair.x_vars[j, other]] = 0.0, 1.0
+    moved = Schedule(job_cn=np.where(np.arange(env.num_jobs) == j, other, s.job_cn),
+                     order=s.order, object_sn=s.object_sn)
+    assert extract_schedule(pair, x).to_document() == _erd_schedule(env, moved).to_document()
+
+
+def test_a_tail_model_computes_job_pairs_for_its_own_cns_alone(monkeypatch):
+    env = generate(preset_config("small"), seed=0)
+    s = random_schedule(env, 0)
+    rows = []
+
+    def recording(env, job_cns, object_sns):
+        rows.append(job_cns.shape[0])
+        # row i puts every job on one CN
+        assert np.all(job_cns == job_cns[:, :1])
+        return kernels.job_pairs(env, job_cns, object_sns)
+
+    monkeypatch.setattr(model, "job_pairs", recording)
+    empty = int(np.setdiff1d(np.arange(env.num_cns), s.job_cn)[0])
+    for cns in ([int(s.job_cn[0]), empty], [int(s.job_cn[0])], None):
+        build_erd_assignment(env, s, cns)
+    build_fixed_yz(env, s)
+    assert rows == [2, 1, env.num_cns, env.num_cns]
 
 
 

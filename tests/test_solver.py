@@ -154,6 +154,45 @@ def test_claimed_optimum_worse_than_warm_start_is_distrusted():
         assert "warm start beat" in res.diagnostics
 
 
+def test_an_optimal_claim_without_a_point_is_an_error():
+    env = generate(preset_config("small"), seed=0)
+    mdl = build_monolithic(env)     # no warm start to fall back on
+    res = solve(mdl, 1.0, backend=_StubBackend((None, "optimal")))
+    assert res.status == "error" and not res.ok
+    assert res.x is None and res.objective is None
+    assert "no incumbent (optimal)" in res.diagnostics
+
+
+@pytest.mark.parametrize("warm", [True, False])
+@pytest.mark.parametrize("script", [
+    (None, "optimal"), (None, "limit"), (None, "infeasible"), "raise",
+    (lambda mdl: np.zeros(mdl.num_vars), "optimal"),
+    (lambda mdl: mdl.warm_x[:-1], "optimal"),
+    (lambda mdl: mdl.warm_x, "optimal"), (lambda mdl: mdl.warm_x, "limit")])
+def test_an_ok_result_carries_a_point(script, warm):
+    mdl, _ = _warm_model()
+    if not isinstance(script, str) and callable(script[0]):
+        script = (script[0](mdl), script[1])     # a point of the warm-started model
+    if not warm:
+        mdl.warm_x = None
+    res = solve(mdl, 1.0, backend=_StubBackend(script))
+    assert not res.ok or (res.x is not None and mdl.check_assignment(res.x) == [])
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_an_answer_of_the_wrong_length_is_dropped_for_the_warm_start(extra):
+    mdl, _ = _warm_model()
+    n = mdl.num_vars
+
+    def wrong_length(model):
+        return np.resize(model.warm_x, n + extra)
+
+    res = solve(mdl, 1.0, backend=_StubBackend((wrong_length, "optimal")))
+    assert res.status == "feasible-timeout"
+    assert res.x is mdl.warm_x
+    assert f"backend solution rejected: x has shape ({n + extra},), not ({n},)" in res.diagnostics
+
+
 NOISY_SOLVE = """
 import ctypes, os
 from gridopt.environment import generate, preset_config
