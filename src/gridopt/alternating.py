@@ -1,16 +1,18 @@
 """Restricted MILP steps: the alternating optimizer and the one-sided baselines.
 
-:func:`step` pins part of a schedule, optimizes the rest by a MILP
-warm-started from it, and keeps the answer only if it replays strictly
-lower, else returns its input itself.  Min-exe and min-trans are one step
-from a random schedule.  Altermilp starts from the greedy schedule of a
-seeded random job order and alternates two half-steps: :func:`pair_sweep`
-on the assignment, with every CN queue in ERD order, which solves two CNs
-at a time exactly, each pair a slice of the assignment model, until a whole
-pass keeps nothing or the share is spent; then a step on the placement
-under that order, until an iteration keeps nothing.  So its replayed
-makespan never increases: interrupted after any step, it leaves a valid
-schedule no worse than its start.
+:func:`step` solves a model built from a schedule, whose builder pins part
+of it (``build_fixed_yz`` the order and placement, ``build_fixed_x`` the
+assignment and order) and warm-starts the rest from it, and keeps the
+answer only if it replays strictly lower, else returns that schedule
+itself.  Min-exe and min-trans are one step from a random schedule.
+Altermilp starts from the greedy schedule of a seeded random job order and
+alternates two half-steps: :func:`pair_sweep` on the assignment, with every
+CN queue in ERD order, which solves two CNs at a time exactly, each pair a
+slice of the assignment model, until a whole pass keeps nothing or the
+share is spent; then a step on the placement under that order, until an
+iteration keeps nothing.  So its replayed makespan never increases:
+interrupted after any step, it leaves a valid schedule no worse than its
+start.
 """
 
 from __future__ import annotations
@@ -31,12 +33,6 @@ from .schedule import Schedule, random_schedule
 from .solver import HighsBackend, SolveResult, solve
 
 TRACE_SCHEMA = "optimization-trace/1"
-
-# stage -> the schedule fields its restricted model pins; the rest is optimized
-PINNED = {
-    "assignment": ("order", "object_sn"),
-    "placement": ("job_cn", "order"),
-}
 
 
 @dataclass(frozen=True)
@@ -92,38 +88,23 @@ class OptimizationTrace:
         save_document(self.to_document(), path)
 
 
-def step(env: GridEnvironment, stage: str, schedule: Schedule, makespan: float,
-         budget: float, backend=None) -> tuple[Schedule, float, SolveResult]:
-    """Pin ``PINNED[stage]`` of ``schedule`` (replayed makespan ``makespan``)
-    and solve for the rest within ``budget`` seconds.
+def step(env: GridEnvironment, model, makespan: float, budget: float,
+         backend=None) -> tuple[Schedule, float, SolveResult]:
+    """Solve ``model`` within ``budget`` seconds, extract its answer and replay
+    it against ``makespan``, the replayed makespan of ``model.schedule``.
 
     Returns (schedule, makespan, solve result): the extracted answer if it
-    replays strictly lower, else ``schedule`` itself, which a failed solve
-    also keeps.
+    replays strictly lower, else the ``model.schedule`` object itself, which
+    a failed solve also keeps.  This is the module's one keep rule, so
+    ``schedule is model.schedule`` says the solve kept nothing.
     """
-    if stage not in PINNED:
-        raise ValueError(f"stage must be one of {', '.join(PINNED)}, got {echo(stage)}")
-    mdl = (build_fixed_yz if stage == "assignment" else build_fixed_x)(env, schedule)
-    return _solve_and_keep(env, mdl, makespan, budget, backend)
-
-
-def _solve_and_keep(env: GridEnvironment, mdl, makespan: float, budget: float,
-                    backend) -> tuple[Schedule, float, SolveResult]:
-    """Solve ``mdl`` within ``budget`` seconds, extract its answer and replay
-    it against ``makespan``, the replayed makespan of ``mdl.schedule``.
-
-    Returns (schedule, makespan, solve result): the extracted answer if it
-    replays strictly lower, else the ``mdl.schedule`` object itself, which a
-    failed solve also keeps.  This is the module's one keep rule, so
-    ``schedule is mdl.schedule`` says the solve kept nothing.
-    """
-    res = solve(mdl, budget, backend=backend)
+    res = solve(model, budget, backend=backend)
     if res.ok:
-        candidate = extract_schedule(mdl, res.x)
+        candidate = extract_schedule(model, res.x)
         candidate_mk = makespan_of(env, candidate)
         if candidate_mk < makespan:
             return candidate, candidate_mk, res
-    return mdl.schedule, makespan, res
+    return model.schedule, makespan, res
 
 
 def pair_sweep(env: GridEnvironment, schedule: Schedule, makespan: float, budget: float,
@@ -152,6 +133,7 @@ def pair_sweep(env: GridEnvironment, schedule: Schedule, makespan: float, budget
     the sweep, and its diagnostics the sweep's counts, then the last
     sub-solve's message.
     """
+    check_budget(budget)
     deadline = time.perf_counter() + budget
     statuses, improved, backend_s, any_ok = Counter(), 0, 0.0, False
     last_status = objective = message = None      # of the last sub-solve
@@ -169,7 +151,7 @@ def pair_sweep(env: GridEnvironment, schedule: Schedule, makespan: float, budget
             if out_of_time:
                 break
             mdl = build_erd_assignment(env, schedule, np.sort([critical, partner]))
-            kept, makespan, res = _solve_and_keep(env, mdl, makespan, left, backend)
+            kept, makespan, res = step(env, mdl, makespan, left, backend)
             statuses[res.status] += 1
             backend_s += res.wall_time
             any_ok |= res.ok
@@ -197,22 +179,22 @@ def pair_sweep(env: GridEnvironment, schedule: Schedule, makespan: float, budget
             any_ok)
 
 
-def _one_step(env: GridEnvironment, stage: str, budget: float, seed, backend) -> BaselineRun:
-    """One ``stage`` step from ``random_schedule(env, seed)``."""
+def _one_step(env: GridEnvironment, build, budget: float, seed, backend) -> BaselineRun:
+    """One :func:`step` on ``build(env, random_schedule(env, seed))``."""
     init = random_schedule(env, seed)
-    schedule, _, res = step(env, stage, init, makespan_of(env, init), budget, backend)
+    schedule, _, res = step(env, build(env, init), makespan_of(env, init), budget, backend)
     return _finish(env, schedule, statuses=(res.status,), degraded=not res.ok,
                    diagnostics=res.diagnostics)
 
 
 def min_trans(env: GridEnvironment, budget: float, seed, backend=None) -> BaselineRun:
     """Keep a random assignment and order; optimize only the data placement."""
-    return _one_step(env, "placement", budget, seed, backend)
+    return _one_step(env, build_fixed_x, budget, seed, backend)
 
 
 def min_exe(env: GridEnvironment, budget: float, seed, backend=None) -> BaselineRun:
     """Keep a random order and placement; optimize only the job assignment."""
-    return _one_step(env, "assignment", budget, seed, backend)
+    return _one_step(env, build_fixed_yz, budget, seed, backend)
 
 
 def run(env: GridEnvironment, config: AlterMilpConfig) -> tuple[Schedule, OptimizationTrace]:
@@ -246,7 +228,8 @@ def run(env: GridEnvironment, config: AlterMilpConfig) -> tuple[Schedule, Optimi
         steps.append(half_step)
         any_success |= ok
         current, current_mk = half_step.schedule, half_step.makespan
-        current, current_mk, res = step(env, "placement", current, current_mk, share, backend)
+        current, current_mk, res = step(env, build_fixed_x(env, current), current_mk, share,
+                                       backend)
         any_success |= res.ok
         steps.append(TraceStep(it, "placement", res.status, res.objective, current_mk,
                                res.wall_time, res.diagnostics, current))

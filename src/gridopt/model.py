@@ -38,7 +38,7 @@ import functools
 
 import numpy as np
 
-from .environment import GridEnvironment, echo
+from .environment import GridEnvironment, _frozen, echo
 from .evaluator import compute_big_a, evaluate
 from .kernels import erd_orders, job_pairs, replay
 from .schedule import Schedule
@@ -49,22 +49,16 @@ from .schedule import Schedule
 CHECK_TOL = 1e-6
 
 
-def _frozen(values, dtype) -> np.ndarray:
-    out = np.asarray(values, dtype=dtype)
-    out.setflags(write=False)
-    return out
-
-
 class MilpModel:
     """A built model: variables, rows in CSR form, objective, warm start.
 
-    Not meant to be constructed directly; use the ``build_*`` functions.
-    Its arrays are read-only, so what a backend reads is what was built.
-    ``var_namer`` and ``row_namer`` are zero-argument callables producing
-    the variable and row names; each runs on the first read of ``names`` or
-    ``row_names`` (a violation message or a caller's inspection), so
-    building, solving and extracting from a model that checks out never
-    formats a name.
+    Each ``build_*`` function emits its variables into ``var`` and its rows
+    into ``rows`` (passing their ``csr`` when it already has it) and
+    returns the model of them that minimizes the variable ``m``.  Its arrays
+    are read-only, so what a backend reads is what was built.  Variable and
+    row names are formatted on the first read of ``names`` or ``row_names``
+    (a violation message or a caller's inspection), so building, solving
+    and extracting from a model that checks out never formats a name.
 
     ``warm_x`` is the read-only warm-start vector, or None.  ``x_vars``
     (J, C), ``y_vars`` (J, J) and ``z_vars`` (D, L) hold the variable index
@@ -79,16 +73,17 @@ class MilpModel:
     extracted schedule.
     """
 
-    def __init__(self, kind, env, var_namer, lower, upper, integer, objective,
-                 row_namer, row_lower, row_upper, indptr, indices, data,
-                 warm_x, x_vars=None, y_vars=None, z_vars=None, schedule=None):
+    def __init__(self, kind, env, var, rows, m, warm_x, x_vars=None, y_vars=None,
+                 z_vars=None, schedule=None, csr=None):
         self.kind, self.env = kind, env
-        self._var_namer = var_namer
-        self.lower = _frozen(lower, np.float64)
-        self.upper = _frozen(upper, np.float64)
-        self.integer = _frozen(integer, bool)
+        self._var_namer, self._row_namer = var.namer(), rows.namer()
+        self.lower = _frozen(np.concatenate(var.lower), np.float64)
+        self.upper = _frozen(np.concatenate(var.upper), np.float64)
+        self.integer = _frozen(np.concatenate(var.integer), bool)
+        objective = np.zeros(var.count)
+        objective[m] = 1.0
         self.objective = _frozen(objective, np.float64)
-        self._row_namer = row_namer
+        row_lower, row_upper, indptr, indices, data = rows.csr() if csr is None else csr
         self.row_lower = _frozen(row_lower, np.float64)
         self.row_upper = _frozen(row_upper, np.float64)
         self.indptr = _frozen(indptr, np.int64)
@@ -369,7 +364,7 @@ def build_monolithic(env: GridEnvironment, warm_schedule: Schedule | None = None
         warm_x[y[off_i, off_j]] = pos[off_i] < pos[off_j]
         warm_x[z] = _one_hot(warm_schedule.object_sn, nl)
         warm_x.setflags(write=False)
-    return _model("monolithic", env, var, rows, m, warm_x, x, y, z)
+    return MilpModel("monolithic", env, var, rows, m, warm_x, x, y, z)
 
 
 def build_fixed_yz(env: GridEnvironment, schedule: Schedule) -> MilpModel:
@@ -466,7 +461,7 @@ def _placement_model(env: GridEnvironment, schedule: Schedule, kind: str) -> Mil
         warm_x[t[read]] = env.replication_delay()[read, schedule.object_sn[read]]
         warm_x[z[read]] = z01
         warm_x.setflags(write=False)
-    return _model(kind, env, var, rows, m, warm_x, z_vars=z, schedule=schedule)
+    return MilpModel(kind, env, var, rows, m, warm_x, z_vars=z, schedule=schedule)
 
 
 def _tail_model(env: GridEnvironment, schedule: Schedule, kind: str, cns=None,
@@ -529,19 +524,8 @@ def _tail_model(env: GridEnvironment, schedule: Schedule, kind: str, cns=None,
     warm_x.setflags(write=False)
     x_vars = np.full((env.num_jobs, env.num_cns), -1)
     x_vars[held] = x
-    return _model(kind, env, var, rows, m, warm_x, x_vars=x_vars, schedule=schedule, csr=csr)
-
-
-def _model(kind, env, var, rows, m, warm_x, x_vars=None, y_vars=None, z_vars=None,
-           schedule=None, csr=None) -> MilpModel:
-    """The :class:`MilpModel` of ``var`` and ``rows`` (``csr``, when the
-    caller already has it) built from ``env``, minimizing ``m``."""
-    objective = np.zeros(var.count)
-    objective[m] = 1.0
-    return MilpModel(kind, env, var.namer(), np.concatenate(var.lower),
-                     np.concatenate(var.upper), np.concatenate(var.integer), objective,
-                     rows.namer(), *(rows.csr() if csr is None else csr),
-                     warm_x, x_vars, y_vars, z_vars, schedule)
+    return MilpModel(kind, env, var, rows, m, warm_x, x_vars=x_vars, schedule=schedule,
+                     csr=csr)
 
 
 def extract_schedule(model: MilpModel, x: np.ndarray) -> Schedule:

@@ -18,7 +18,8 @@ from gridopt.bench import ExperimentConfig, MethodSpec, experiment_from_document
 from gridopt.environment import (GenerationConfig, environment_from_document,
                                  generate, preset_config)
 from gridopt.evaluator import compute_big_a, makespan_of
-from gridopt.model import build_fixed_all, build_monolithic, extract_schedule
+from gridopt.model import (build_fixed_all, build_fixed_x, build_fixed_yz,
+                           build_monolithic, extract_schedule)
 from gridopt.schedule import random_schedule, schedule_from_document
 from gridopt.solver import brute_force_optimal, solve
 
@@ -147,8 +148,8 @@ def test_criterion_6_each_optimization_stage_earns_its_keep():
         # order and placement, then the placement alone
         s1 = greedy(env, order=np.random.default_rng(seed).permutation(env.num_jobs)).schedule
         m1 = makespan_of(env, s1)
-        for stage in ("assignment", "placement"):
-            s1, m1, _ = step(env, stage, s1, m1, budget / 2)
+        for build in (build_fixed_yz, build_fixed_x):
+            s1, m1, _ = step(env, build(env, s1), m1, budget / 2)
         assignment_only.append(m1)
         s2, _ = altermilp(env, AlterMilpConfig(iterations=3, total_budget=budget,
                                                seed=seed))

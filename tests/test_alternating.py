@@ -8,13 +8,12 @@ import numpy as np
 import pytest
 
 from gridopt import alternating
-from gridopt.alternating import (PINNED, AlterMilpConfig, min_exe, min_trans, pair_sweep,
-                                 run, step)
+from gridopt.alternating import AlterMilpConfig, min_exe, min_trans, pair_sweep, run, step
 from gridopt.baselines import greedy
 from gridopt.environment import GenerationConfig, generate, preset_config
 from gridopt.evaluator import makespan_of
 from gridopt.kernels import erd_orders, replay_batch
-from gridopt.model import extract_schedule
+from gridopt.model import build_fixed_x, build_fixed_yz, extract_schedule
 from gridopt.schedule import Schedule, random_schedule
 from gridopt.solver import HighsBackend, brute_force_optimal
 
@@ -133,8 +132,8 @@ def test_assignment_and_placement_steps_keep_same_cn_precedence(env_tiny):
     start = greedy_start(env_tiny, 6)
     current, mk = start, makespan_of(env_tiny, start)
     mks = [mk]
-    for stage in ("assignment", "placement") * 2:
-        current, mk, res = step(env_tiny, stage, current, mk, 2.0)
+    for build in (build_fixed_yz, build_fixed_x) * 2:
+        current, mk, res = step(env_tiny, build(env_tiny, current), mk, 2.0)
         assert res.ok
         mks.append(mk)
     # the global list gets re-canonicalized as assignments move, but two
@@ -263,20 +262,17 @@ def test_a_worse_answer_never_replaces_the_input(env_tiny, monkeypatch):
     worst = max((random_schedule(env_tiny, rng) for _ in range(200)),
                 key=lambda s: makespan_of(env_tiny, s))
     monkeypatch.setattr(alternating, "extract_schedule", lambda mdl, x: worst)
-    assert set(PINNED) == {"assignment", "placement"}
     for seed in range(4):
         start = random_schedule(env_tiny, seed)
         start_mk = makespan_of(env_tiny, start)
         assert start_mk < makespan_of(env_tiny, worst)
-        for stage in PINNED:
-            kept, mk, res = step(env_tiny, stage, start, start_mk, 1.0)
+        for build in (build_fixed_yz, build_fixed_x):
+            kept, mk, res = step(env_tiny, build(env_tiny, start), start_mk, 1.0)
             assert res.ok and kept is start and mk == start_mk
         for method in (min_trans, min_exe):
             out = method(env_tiny, 1.0, seed)
             assert not out.degraded
             assert out.schedule.to_document() == start.to_document()
-    with pytest.raises(ValueError, match="stage must be one of .*, got 'order'"):
-        step(env_tiny, "order", start, start_mk, 1.0)
 
 
 def _regrouped(schedule):
@@ -295,8 +291,8 @@ def test_an_answer_that_replays_equal_is_not_kept(monkeypatch):
         start_mk = makespan_of(env, start)
         tie = _regrouped(start)
         assert tie != start and makespan_of(env, tie) == start_mk
-        for stage in PINNED:
-            kept, mk, res = step(env, stage, start, start_mk, 1.0)
+        for build in (build_fixed_yz, build_fixed_x):
+            kept, mk, res = step(env, build(env, start), start_mk, 1.0)
             assert res.ok and kept is start and mk == start_mk
         for method in (min_trans, min_exe):
             assert method(env, 1.0, seed).schedule == start
@@ -484,6 +480,16 @@ class _Recording(HighsBackend):
     def solve_raw(self, model, budget):
         self.models.append(model)
         return super().solve_raw(model, budget)
+
+
+@pytest.mark.parametrize("budget", [-1, 0, True, "2", float("inf"), float("nan")])
+def test_a_sweep_rejects_a_bad_budget_before_any_solve(budget):
+    env = generate(preset_config("small"), seed=0)
+    start = random_schedule(env, 0)
+    backend = _Recording()
+    with pytest.raises(ValueError, match="^budget must be a finite number of seconds > 0"):
+        pair_sweep(env, start, makespan_of(env, start), budget, backend)
+    assert backend.models == []
 
 
 def test_an_assignment_half_step_is_its_pair_sweep_alone():
