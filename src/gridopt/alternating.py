@@ -88,10 +88,11 @@ class OptimizationTrace:
         save_document(self.to_document(), path)
 
 
-def step(env: GridEnvironment, model, makespan: float, budget: float,
+def step(model, makespan: float, budget: float,
          backend=None) -> tuple[Schedule, float, SolveResult]:
     """Solve ``model`` within ``budget`` seconds, extract its answer and replay
-    it against ``makespan``, the replayed makespan of ``model.schedule``.
+    it on ``model.env`` against ``makespan``, the replayed makespan of
+    ``model.schedule``.
 
     Returns (schedule, makespan, solve result): the extracted answer if it
     replays strictly lower, else the ``model.schedule`` object itself, which
@@ -101,7 +102,7 @@ def step(env: GridEnvironment, model, makespan: float, budget: float,
     res = solve(model, budget, backend=backend)
     if res.ok:
         candidate = extract_schedule(model, res.x)
-        candidate_mk = makespan_of(env, candidate)
+        candidate_mk = makespan_of(model.env, candidate)
         if candidate_mk < makespan:
             return candidate, candidate_mk, res
     return model.schedule, makespan, res
@@ -151,7 +152,7 @@ def pair_sweep(env: GridEnvironment, schedule: Schedule, makespan: float, budget
             if out_of_time:
                 break
             mdl = build_erd_assignment(env, schedule, np.sort([critical, partner]))
-            kept, makespan, res = step(env, mdl, makespan, left, backend)
+            kept, makespan, res = step(mdl, makespan, left, backend)
             statuses[res.status] += 1
             backend_s += res.wall_time
             any_ok |= res.ok
@@ -182,7 +183,7 @@ def pair_sweep(env: GridEnvironment, schedule: Schedule, makespan: float, budget
 def _one_step(env: GridEnvironment, build, budget: float, seed, backend) -> BaselineRun:
     """One :func:`step` on ``build(env, random_schedule(env, seed))``."""
     init = random_schedule(env, seed)
-    schedule, _, res = step(env, build(env, init), makespan_of(env, init), budget, backend)
+    schedule, _, res = step(build(env, init), makespan_of(env, init), budget, backend)
     return _finish(env, schedule, statuses=(res.status,), degraded=not res.ok,
                    diagnostics=res.diagnostics)
 
@@ -216,8 +217,8 @@ def run(env: GridEnvironment, config: AlterMilpConfig) -> tuple[Schedule, Optimi
     """
     backend = HighsBackend() if config.backend is None else config.backend
     order = np.random.default_rng(config.seed).permutation(env.num_jobs)
-    current = greedy(env, order=order).schedule
-    current_mk = makespan_of(env, current)
+    first = greedy(env, order=order)
+    current, current_mk = first.schedule, first.makespan
     steps = [TraceStep(0, "init", "init", None, current_mk, 0.0, "", current)]
     share = config.total_budget / (2 * config.iterations)    # per half-step
     any_success = False
@@ -228,8 +229,7 @@ def run(env: GridEnvironment, config: AlterMilpConfig) -> tuple[Schedule, Optimi
         steps.append(half_step)
         any_success |= ok
         current, current_mk = half_step.schedule, half_step.makespan
-        current, current_mk, res = step(env, build_fixed_x(env, current), current_mk, share,
-                                       backend)
+        current, current_mk, res = step(build_fixed_x(env, current), current_mk, share, backend)
         any_success |= res.ok
         steps.append(TraceStep(it, "placement", res.status, res.objective, current_mk,
                                res.wall_time, res.diagnostics, current))

@@ -58,7 +58,7 @@ def greedy_data_assignment(env: GridEnvironment) -> np.ndarray:
     its replication delay plus its mean LAN delay over the CNs; each object
     independently takes the arg-min (tie: lowest SN id).
     """
-    staging = env.replication_delay() + env.lan_delay().mean(axis=2)   # (D, L)
+    staging = env.replication_delay + env.lan_delay().mean(axis=2)   # (D, L)
     return np.argmin(staging, axis=1).astype(np.int64)
 
 
@@ -79,7 +79,7 @@ def _greedy_batch(env: GridEnvironment, object_sn, orders) -> tuple[np.ndarray, 
         np.broadcast_to(object_sn, (n_cns, env.num_objects)))
     # (J, C) tables read at flat index j * C + c
     slowest, latest = slowest.T.ravel(), latest.T.ravel()
-    length = env.exec_time().ravel()
+    length = env.exec_time.ravel()
     cn_free = np.zeros((n_batch, n_cns))
     flat_free = cn_free.reshape(-1)
     first_slot = n_cns * np.arange(n_batch)
@@ -166,8 +166,8 @@ def classify_jobs(env: GridEnvironment, object_sn, threshold: float) -> tuple[np
     """
     objs = np.arange(env.num_objects)
     ld = env.lan_delay()[objs, object_sn]                           # (D, C)
-    rd = env.replication_delay()[objs, object_sn]
-    best_exec = env.exec_time().min(axis=1)
+    rd = env.replication_delay[objs, object_sn]
+    best_exec = env.exec_time.min(axis=1)
     ratios = np.empty(env.num_jobs)
     for j, inputs in enumerate(env.job_inputs):
         ids = list(inputs)
@@ -187,7 +187,7 @@ def diana(env: GridEnvironment, threshold: float = 1.0) -> BaselineRun:
     check_positive(threshold, "threshold")
     object_sn = greedy_data_assignment(env)
     ratios, compute_heavy = classify_jobs(env, object_sn, threshold)
-    exec_time = env.exec_time()
+    exec_time = env.exec_time
     ld = env.lan_delay()[np.arange(env.num_objects), object_sn]    # (D, C)
     backlog = np.zeros(env.num_cns)
     job_cn = np.zeros(env.num_jobs, dtype=np.int64)

@@ -81,6 +81,12 @@ def _check_distinct(values, name: str) -> None:
         raise ValueError(f"{name} must be distinct, got {echo(list(values))}")
 
 
+def check_path(path, name: str) -> None:
+    """Reject an empty output path, naming it: it would silently write nothing."""
+    if path == "":
+        raise ValueError(f"{name} must be a non-empty path, got ''")
+
+
 def method_params(method: str) -> dict:
     """The params ``method`` takes, name -> default."""
     return {p.name: p.default
@@ -169,6 +175,7 @@ class ExperimentConfig:
         labels = [m.name for m in self.methods]
         if len(set(labels)) != len(labels):
             raise ValueError("method labels must be unique within an experiment")
+        check_path(self.output_dir, "output_dir")
 
     @property
     def setup_name(self) -> str:
@@ -421,8 +428,9 @@ def _run_and_persist(config: ExperimentConfig, cells, out_dir) -> ExperimentResu
 
     ``out_dir`` (or else ``config.output_dir``) receives rows.csv,
     aggregate.csv, config.json and per-run logs; with neither, nothing is
-    written.
+    written.  An empty ``out_dir`` is rejected before any cell runs.
     """
+    check_path(out_dir, "out_dir")
     payloads = [(config, seed, spec, float(budget)) for seed, spec, budget in cells]
     if config.parallelism > 1:
         with ProcessPoolExecutor(max_workers=config.parallelism) as pool:

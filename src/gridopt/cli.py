@@ -7,7 +7,7 @@ import json
 import sys
 import time
 
-from .bench import (METHODS, MethodSpec, load_experiment, run_experiment,
+from .bench import (METHODS, MethodSpec, check_path, load_experiment, run_experiment,
                     run_method, sweep_budget, sweep_iterations)
 from .environment import (_GENERATION_DIMENSIONS, _GENERATION_FIELDS, GRID_PRESETS,
                           GenerationConfig, echo, generate, load_environment, preset_config)
@@ -35,6 +35,7 @@ def _add_gen(sub):
 
 
 def _cmd_gen(args) -> int:
+    check_path(args.out, "--out")
     overrides = {name: getattr(args, name) for name in _GENERATION_FIELDS
                  if getattr(args, name, None) is not None}
     if args.preset is not None:
@@ -100,6 +101,8 @@ def _parse_params(items) -> dict:
 
 
 def _cmd_optimize(args) -> int:
+    check_path(args.out, "--out")
+    check_path(args.trace, "--trace")
     spec = MethodSpec(args.method, params=_parse_params(args.param))
     env = load_environment(args.env)
     start = time.perf_counter()
@@ -146,6 +149,7 @@ def _parse_list(text: str, flag: str, kind) -> list:
 
 
 def _cmd_bench(args) -> int:
+    check_path(args.out, "--out")
     config = load_experiment(args.config)
     if args.action == "run":
         result = run_experiment(config, out_dir=args.out)

@@ -281,11 +281,13 @@ class GridEnvironment:
         return self.wan_bandwidth.shape[0]
 
     # -- the delay model: every model, heuristic and replay reads these ----
+    # Each table but lan_delay() is built on first read and read-only.
 
+    @functools.cached_property
     def replication_delay(self) -> np.ndarray:
-        """(D, L) WAN replication delay ``size[d] / wan[hosting[d], l]``,
-        built once and read-only, as is :meth:`exec_time`."""
-        return self._replication_delay
+        """(D, L) WAN replication delay ``size[d] / wan[hosting[d], l]``."""
+        return _frozen(self.object_sizes[:, None] / self.wan_bandwidth[self.hosting],
+                       np.float64)
 
     def lan_delay(self) -> np.ndarray:
         """(D, L, C) LAN transfer delay ``size[d] / lan[l, c]``.
@@ -296,25 +298,13 @@ class GridEnvironment:
         """
         return self.object_sizes[:, None, None] / self.lan_bandwidth
 
-    def exec_time(self) -> np.ndarray:
-        """(J, C) compute time ``gamma * job_input_sizes()[j] / speed[c]``."""
-        return self._exec_time
-
     @functools.cached_property
-    def _replication_delay(self):
-        return _frozen(self.object_sizes[:, None] / self.wan_bandwidth[self.hosting],
+    def exec_time(self) -> np.ndarray:
+        """(J, C) compute time ``gamma * job_input_sizes[j] / speed[c]``."""
+        return _frozen(self.gamma * self.job_input_sizes[:, None] / self.cn_speeds,
                        np.float64)
 
     @functools.cached_property
-    def _exec_time(self):
-        return _frozen(self.gamma * self._job_kb[:, None] / self.cn_speeds, np.float64)
-
-    # -- job inputs, built once per environment and read-only ---------------
-
-    def job_input_sizes(self) -> np.ndarray:
-        """(J,) total KB read by each job, summed in input order."""
-        return self._job_kb
-
     def input_table(self) -> np.ndarray:
         """Job inputs as an (M, J) id table, one column per job.
 
@@ -322,20 +312,17 @@ class GridEnvironment:
         followed by repeats of its first input, which never change a max
         over the column.
         """
-        return self._input_table
-
-    @functools.cached_property
-    def _input_table(self):
         width = max(map(len, self.job_inputs))
         return _frozen(np.transpose([objs + objs[:1] * (width - len(objs))
                                      for objs in self.job_inputs]), np.int64)
 
     @functools.cached_property
-    def _job_kb(self):
+    def job_input_sizes(self) -> np.ndarray:
+        """(J,) total KB read by each job, summed in input order."""
         # cumsum adds left to right, as the replay does; a plain sum would
         # pair terms up and differ in the last bit for eight or more inputs.
         # A job lists each input once, so a repeat of its first is padding.
-        table = self._input_table
+        table = self.input_table
         sizes = self.object_sizes[table]
         sizes[1:][table[1:] == table[0]] = 0.0
         return _frozen(np.cumsum(sizes, axis=0)[-1], np.float64)

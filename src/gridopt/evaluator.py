@@ -47,7 +47,7 @@ def evaluate(env: GridEnvironment, schedule: Schedule) -> MakespanReport:
     """Validate ``schedule`` on ``env``, replay it and report exact per-job timings."""
     schedule.validate(env)
     u, v, e, makespan = kernels.replay(env, schedule)
-    replicated = env.replication_delay()[np.arange(env.num_objects), schedule.object_sn]
+    replicated = env.replication_delay[np.arange(env.num_objects), schedule.object_sn]
     return MakespanReport(
         makespan=float(makespan),
         exec_start=u,
@@ -81,9 +81,9 @@ def compute_big_a(env: GridEnvironment) -> float:
     that sum never reaches this value, so constraints deactivated with it
     can never bind on a feasible point.
     """
-    table = env.input_table()
-    worst = np.stack([env.replication_delay().max(axis=1)[table].max(axis=0),
+    table = env.input_table
+    worst = np.stack([env.replication_delay.max(axis=1)[table].max(axis=0),
                       env.lan_delay().max(axis=(1, 2))[table].max(axis=0),
-                      env.exec_time().max(axis=1)], axis=1)    # (J, 3)
+                      env.exec_time.max(axis=1)], axis=1)    # (J, 3)
     # added job by job, left to right
     return float(np.cumsum(worst)[-1]) + 1.0

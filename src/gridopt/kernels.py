@@ -8,7 +8,7 @@ both reading the environment's delay model:
 * :func:`replay_batch`, the CN finish times of B schedules at once, for
   callers that score many candidates (the genetic baseline, brute force).
 
-Replication delays come from ``env.replication_delay()``.  The scalar loop
+Replication delays come from ``env.replication_delay``.  The scalar loop
 does its own LAN and compute arithmetic, which makes it the reference the
 environment's tables are tested against; :func:`job_pairs` divides per input
 for its LAN transfers, so no (D, L, C) table is formed on the hot path.
@@ -38,7 +38,7 @@ def replay(env, schedule):
     """Scalar-loop replay of ``schedule`` on ``env``, the reference semantics.
 
     Returns (exec_start u, ready v, exec_length e, makespan), with u/v/e
-    indexed by job id.  Each job walks its column of ``env.input_table()``,
+    indexed by job id.  Each job walks its column of ``env.input_table``,
     whose padding repeats the first input and so never moves the ready
     time.  The arrays are read as Python lists, so the loop does plain float
     arithmetic: the same IEEE double operations in the same order as on
@@ -46,10 +46,10 @@ def replay(env, schedule):
     """
     order, job_cn = schedule.order.tolist(), schedule.job_cn.tolist()
     object_sn = schedule.object_sn.tolist()
-    t_remote = env.replication_delay()[np.arange(env.num_objects),
-                                       schedule.object_sn].tolist()
-    inputs = env.input_table().T.tolist()
-    sizes, job_kb = env.object_sizes.tolist(), env.job_input_sizes().tolist()
+    t_remote = env.replication_delay[np.arange(env.num_objects),
+                                     schedule.object_sn].tolist()
+    inputs = env.input_table.T.tolist()
+    sizes, job_kb = env.object_sizes.tolist(), env.job_input_sizes.tolist()
     lan_bw, speeds, gamma = env.lan_bandwidth.tolist(), env.cn_speeds.tolist(), env.gamma
     n_jobs = len(order)
     cn_free = [0.0] * len(speeds)
@@ -85,13 +85,13 @@ def job_pairs(env, job_cns, object_sns):
     ``job_cns`` is (B, J) and ``object_sns`` (B, D), int64; row b stages the
     objects at ``object_sns[b]`` and runs job j on CN ``job_cns[b, j]``.
     """
-    in_ids = env.input_table()
+    in_ids = env.input_table
     # (B, M, J) flat lan_bandwidth index of each input's SN and its job's CN
     lan_at = np.take(object_sns, in_ids, axis=1)
     lan_at *= env.num_cns
     lan_at += job_cns[:, None]
     transfer = env.object_sizes[in_ids] / np.take(env.lan_bandwidth, lan_at)
-    t_remote = env.replication_delay()[np.arange(env.num_objects), object_sns]
+    t_remote = env.replication_delay[np.arange(env.num_objects), object_sns]
     arrival = np.take(t_remote, in_ids, axis=1)
     arrival += transfer
     return transfer.max(axis=1), arrival.max(axis=1)
@@ -120,7 +120,7 @@ def replay_batch(env, job_cns, orders, object_sns):
     at = (orders + n_jobs * np.arange(n_batch)[:, None]).T
     slowest, latest = np.take(slowest, at), np.take(latest, at)
     cns = np.take(job_cns, at)
-    length = env.exec_time()[orders.T, cns]
+    length = env.exec_time[orders.T, cns]
     slots = cns + n_cns * np.arange(n_batch)
     cn_free = np.zeros(n_batch * n_cns, dtype=np.float64)
     for slot, slow, late, run in zip(slots, slowest, latest, length):

@@ -293,7 +293,7 @@ def build_monolithic(env: GridEnvironment, warm_schedule: Schedule | None = None
     warm-started from ``warm_schedule`` when one is given."""
     nj, nc = env.num_jobs, env.num_cns
     nd, nl = env.num_objects, env.num_local_sns
-    rd, ld, exec_coef = env.replication_delay(), env.lan_delay(), env.exec_time()
+    rd, ld, exec_coef = env.replication_delay, env.lan_delay(), env.exec_time
     big_a = compute_big_a(env)
 
     jobs, objs = np.arange(nj), np.arange(nd)
@@ -423,7 +423,7 @@ def _placement_model(env: GridEnvironment, schedule: Schedule, kind: str) -> Mil
     in_j = np.repeat(jobs, [len(inputs) for inputs in env.job_inputs])
     in_d = np.concatenate(env.job_inputs).astype(np.int64)
     read = np.unique(in_d)
-    length = env.exec_time()[jobs, job_cn]
+    length = env.exec_time[jobs, job_cn]
     z01 = _one_hot(schedule.object_sn[read], nl)
 
     var = _Vars()
@@ -441,7 +441,7 @@ def _placement_model(env: GridEnvironment, schedule: Schedule, kind: str) -> Mil
     slots = rows.reserve(read.size, 2)
     rows.add(slots[:, 0], "replica[{}]", (read,), [(z[read], 1.0)], lo=1.0, hi=1.0)
     rows.add(slots[:, 1], "tdelay[{}]", (read,),
-             [(t[read], 1.0), (z[read], -env.replication_delay()[read])], lo=0.0, hi=0.0)
+             [(t[read], 1.0), (z[read], -env.replication_delay[read])], lo=0.0, hi=0.0)
     # j's slot starts no earlier than each job before it on its CN completes
     pi, pj = np.nonzero((job_cn[:, None] == job_cn) & (pos[:, None] < pos))
     rows.add(rows.reserve(pi.size), "prec[{},{}]", (pi, pj),
@@ -458,7 +458,7 @@ def _placement_model(env: GridEnvironment, schedule: Schedule, kind: str) -> Mil
     if kind == "fixed-xy":
         warm_x = np.empty(var.count)
         warm_x[u], warm_x[v], _, warm_x[m] = replay(env, schedule)
-        warm_x[t[read]] = env.replication_delay()[read, schedule.object_sn[read]]
+        warm_x[t[read]] = env.replication_delay[read, schedule.object_sn[read]]
         warm_x[z[read]] = z01
         warm_x.setflags(write=False)
     return MilpModel(kind, env, var, rows, m, warm_x, z_vars=z, schedule=schedule)
@@ -492,7 +492,7 @@ def _tail_model(env: GridEnvironment, schedule: Schedule, kind: str, cns=None,
     slowest, latest = job_pairs(env, np.broadcast_to(cns[:, None], (cns.size, env.num_jobs)),
                                 np.broadcast_to(schedule.object_sn, (cns.size, env.num_objects)))
     release = (latest - slowest)[:, jobs].T
-    body = slowest[:, jobs].T + env.exec_time()[held]
+    body = slowest[:, jobs].T + env.exec_time[held]
     alone = np.maximum(release, 0.0) + body     # finish of each job alone on each CN
     priority = release if priority is None else np.broadcast_to(priority[jobs, None], body.shape)
     seq = np.argsort(priority, axis=0, kind="stable").T     # indices into jobs, per CN

@@ -73,11 +73,15 @@ class SolveResult:
 # models run the same without a cap on the cut pool (10000 rows by default),
 # but minexe's whole-grid assignment model does not: the soft cap holds one
 # medium minexe run at 10 s to a peak of 125-144 MB, against 143-169 MB.
+# A binary within 1e-6 of 1 (the default integrality tolerance) relaxes a
+# big-A row by big-A times 1e-6: on a tiny grid whose big-A is 18144, HiGHS
+# proved the joint model "optimal" 1.23e-3 below the exhaustive optimum.
 _HIGHS_OPTIONS = {
     "output_flag": False,
     "mip_rel_gap": 0.0,     # never accept a suboptimal proof
     "mip_heuristic_run_feasibility_jump": False,
     "mip_pool_soft_limit": 1000,
+    "mip_feasibility_tolerance": 1e-9,
 }
 
 # HiGHS model status -> the raw status solve() reads

@@ -149,7 +149,7 @@ def test_criterion_6_each_optimization_stage_earns_its_keep():
         s1 = greedy(env, order=np.random.default_rng(seed).permutation(env.num_jobs)).schedule
         m1 = makespan_of(env, s1)
         for build in (build_fixed_yz, build_fixed_x):
-            s1, m1, _ = step(env, build(env, s1), m1, budget / 2)
+            s1, m1, _ = step(build(env, s1), m1, budget / 2)
         assignment_only.append(m1)
         s2, _ = altermilp(env, AlterMilpConfig(iterations=3, total_budget=budget,
                                                seed=seed))

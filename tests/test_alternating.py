@@ -133,7 +133,7 @@ def test_assignment_and_placement_steps_keep_same_cn_precedence(env_tiny):
     current, mk = start, makespan_of(env_tiny, start)
     mks = [mk]
     for build in (build_fixed_yz, build_fixed_x) * 2:
-        current, mk, res = step(env_tiny, build(env_tiny, current), mk, 2.0)
+        current, mk, res = step(build(env_tiny, current), mk, 2.0)
         assert res.ok
         mks.append(mk)
     # the global list gets re-canonicalized as assignments move, but two
@@ -267,7 +267,7 @@ def test_a_worse_answer_never_replaces_the_input(env_tiny, monkeypatch):
         start_mk = makespan_of(env_tiny, start)
         assert start_mk < makespan_of(env_tiny, worst)
         for build in (build_fixed_yz, build_fixed_x):
-            kept, mk, res = step(env_tiny, build(env_tiny, start), start_mk, 1.0)
+            kept, mk, res = step(build(env_tiny, start), start_mk, 1.0)
             assert res.ok and kept is start and mk == start_mk
         for method in (min_trans, min_exe):
             out = method(env_tiny, 1.0, seed)
@@ -292,7 +292,7 @@ def test_an_answer_that_replays_equal_is_not_kept(monkeypatch):
         tie = _regrouped(start)
         assert tie != start and makespan_of(env, tie) == start_mk
         for build in (build_fixed_yz, build_fixed_x):
-            kept, mk, res = step(env, build(env, start), start_mk, 1.0)
+            kept, mk, res = step(build(env, start), start_mk, 1.0)
             assert res.ok and kept is start and mk == start_mk
         for method in (min_trans, min_exe):
             assert method(env, 1.0, seed).schedule == start

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from gridopt import bench
 from gridopt.bench import (AGGREGATE_HEADER, METHODS, ROWS_HEADER,
                            ExperimentConfig, MethodSpec, ResultRow,
                            aggregate_rows, experiment_from_document,
@@ -149,6 +150,21 @@ def test_experiment_document_rejections():
         bad["methods"] = [{"method": method, "params": {param: 4}}]
         with pytest.raises(DocumentError, match=f"'{method}'.*'{param}'"):
             experiment_from_document(bad)
+
+
+def test_an_empty_output_path_is_rejected_before_any_run(monkeypatch):
+    # an empty path wrote no file and reported no output directory
+    doc = {**_config().to_document(), "output_dir": ""}
+    with pytest.raises(DocumentError, match="^ExperimentConfig rejected: output_dir must be "
+                                            "a non-empty path, got ''$"):
+        experiment_from_document(doc)
+    monkeypatch.setattr(bench, "_execute_item", lambda item: pytest.fail("a cell ran"))
+    cfg = _config()
+    for run in (lambda: run_experiment(cfg, out_dir=""),
+                lambda: sweep_budget(cfg, [1.0], out_dir=""),
+                lambda: sweep_iterations(cfg, [1], mode="same", out_dir="")):
+        with pytest.raises(ValueError, match="^out_dir must be a non-empty path, got ''$"):
+            run()
 
 
 def _fast_methods():

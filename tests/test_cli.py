@@ -389,3 +389,22 @@ def test_a_negative_seed_fails_naming_the_seed(env_file, tmp_path, capsys, comma
     assert code == 1 and stdout == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "seed" in err and "got -1" in err
+
+
+@pytest.mark.parametrize("command, flag", [("gen", "--out"), ("optimize", "--out"),
+                                           ("optimize", "--trace"), ("bench", "--out")])
+def test_an_empty_output_path_fails_naming_the_flag(env_file, tmp_path, capsys, command, flag):
+    # an empty path wrote nothing, yet optimize printed it as its schedule_file
+    _, env_path = env_file
+    if command == "gen":
+        argv = ["gen", "--preset", "small"]
+    elif command == "optimize":
+        argv = ["optimize", "--env", str(env_path), "--method", "altermilp", "--budget", "1"]
+    else:
+        argv = ["bench", "run", "--config",
+                str(_experiment_file(tmp_path, (MethodSpec("random"),)))]
+    before = sorted(tmp_path.iterdir())
+    code, stdout, err = run_cli(capsys, *argv, flag, "")
+    assert code == 1 and stdout == ""
+    assert err == f"error: {flag} must be a non-empty path, got ''\n"
+    assert sorted(tmp_path.iterdir()) == before

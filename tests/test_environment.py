@@ -237,7 +237,7 @@ def test_preset_overrides():
 
 def test_delay_queries_match_formulas():
     env = generate(_config())
-    table = env.replication_delay()
+    table = env.replication_delay
     assert table.shape == (env.num_objects, env.num_local_sns)
     for d in range(env.num_objects):
         for l in range(env.num_local_sns):
@@ -247,7 +247,7 @@ def test_delay_queries_match_formulas():
 
 def test_input_table_and_job_sizes_follow_the_inputs():
     env = generate(_config(num_jobs=5, num_objects=20, objects_per_job=(1, 12)))
-    table = env.input_table()
+    table = env.input_table
     width = max(len(o) for o in env.job_inputs)
     assert table.shape == (width, 5)
     for j, objs in enumerate(env.job_inputs):
@@ -256,15 +256,14 @@ def test_input_table_and_job_sizes_follow_the_inputs():
         total = 0.0
         for d in objs:      # left to right, the order the replay adds them in
             total += env.object_sizes[d]
-        assert env.job_input_sizes()[j] == total
+        assert env.job_input_sizes[j] == total
 
 
 def test_replay_inputs_are_built_once_and_read_only():
     env = generate(_config())
-    for query in (env.input_table, env.job_input_sizes, env.replication_delay,
-                  env.exec_time):
-        arr = query()
-        assert arr is query()
+    for name in ("input_table", "job_input_sizes", "replication_delay", "exec_time"):
+        arr = getattr(env, name)
+        assert arr is getattr(env, name)
         with pytest.raises(ValueError, match="read-only"):
             arr[(0,) * arr.ndim] = 0
 

@@ -99,12 +99,12 @@ def test_replay_runs_each_cn_queue_back_to_back(env, schedule_seed):
         ends = [v[j] + e[j] for j in queue]
         assert [u[j] for j in queue] == ([0.0] + ends)[:len(queue)]
     # the timings are the environment's delay tables, bit for bit
-    replicated, lan = env.replication_delay(), env.lan_delay()
+    replicated, lan = env.replication_delay, env.lan_delay()
     for d, sn in enumerate(s.object_sn):
         assert rep.replication_done[d] == replicated[d, sn]
     for j, inputs in enumerate(env.job_inputs):
         c = s.job_cn[j]
-        assert e[j] == env.exec_time()[j, c]
+        assert e[j] == env.exec_time[j, c]
         assert v[j] == max(max(u[j], rep.replication_done[d]) + lan[d, s.object_sn[d], c]
                            for d in inputs)
     assert rep.makespan == max(v + e)
@@ -122,7 +122,7 @@ def test_job_pairs_reduce_each_jobs_inputs_over_the_delay_tables(env, batch, see
     job_cns, object_sns = _random_pairs(env, batch, seed)
     slowest, latest = kernels.job_pairs(env, job_cns, object_sns)
     assert slowest.shape == latest.shape == (batch, env.num_jobs)
-    replicated, lan = env.replication_delay(), env.lan_delay()
+    replicated, lan = env.replication_delay, env.lan_delay()
     for b in range(batch):
         sn = object_sns[b]
         for j, inputs in enumerate(env.job_inputs):
@@ -156,7 +156,7 @@ def test_erd_finish_times_have_the_single_machine_closed_form(env, batch, seed):
     finish = kernels.replay_batch(env, job_cns, orders, object_sns)
     slowest, latest = kernels.job_pairs(env, job_cns, object_sns)
     rho = latest - slowest
-    q = slowest + env.exec_time()[np.arange(env.num_jobs), job_cns]
+    q = slowest + env.exec_time[np.arange(env.num_jobs), job_cns]
     for b in range(batch):
         for c in range(env.num_cns):
             queue = [j for j in orders[b] if job_cns[b, j] == c]

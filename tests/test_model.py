@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridopt import kernels, model
@@ -59,6 +59,11 @@ tiny_grids = st.builds(
 
 @settings(max_examples=40, deadline=None)
 @given(env=tiny_grids, schedule_seed=st.integers(0, 2**31 - 1))
+# HiGHS proved this joint model "optimal" 1.23e-3 below the exhaustive
+# optimum under its default integrality tolerance
+@example(env=generate(GenerationConfig(num_jobs=3, num_objects=3, num_cns=3, num_local_sns=3,
+                                       num_remote_sns=1, rng_seed=44952973)),
+         schedule_seed=0)
 def test_every_builder_agrees_with_the_replay(env, schedule_seed):
     s = random_schedule(env, schedule_seed)
     mk = evaluate(env, s).makespan
